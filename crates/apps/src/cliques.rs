@@ -81,7 +81,7 @@ pub fn enumerate_cliques(
     let inst = RoutingInstance::from_triples(&triples);
     let max_load = inst.load(n) as u64;
     let out = engine.route_one(&inst)?;
-    debug_assert!(out.all_delivered());
+    debug_assert!(out.fully_delivered());
 
     // Local listing at each responsible vertex.
     let mut received: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();

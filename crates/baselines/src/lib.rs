@@ -23,9 +23,10 @@
 //!
 //! Both are deterministic by construction — outcomes depend only on
 //! `(graph, instance, seed)`, never on thread count — and both degrade
-//! gracefully on non-expanders: unreachable tokens come back in
-//! [`RouteOutcome::undelivered`](expander_core::RouteOutcome), exactly
-//! matching the decomposition router's route-or-report contract.
+//! gracefully on non-expanders: unreachable tokens come back as
+//! [`UndeliverableReason::NoPath`](expander_core::UndeliverableReason)
+//! reports in the shared [`RoutingOutcome`](expander_core::RoutingOutcome),
+//! on the decomposition router's route-or-report contract.
 
 pub mod local;
 pub mod splicer;

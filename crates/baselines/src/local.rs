@@ -31,10 +31,10 @@
 //! the Fact 2.2 product — this baseline actually simulates the
 //! schedule the other algorithms only account for.
 
-use congest_sim::RoundLedger;
-use expander_core::arena::{RouteOutcome, RoutingAlgorithm};
 use expander_core::token::InstanceError;
-use expander_core::RoutingInstance;
+use expander_core::{
+    RoutingAlgorithm, RoutingInstance, RoutingOutcome, Undeliverable, UndeliverableReason,
+};
 use expander_graphs::{Graph, VertexId};
 
 /// The greedy deterministic local-forwarding baseline.
@@ -57,7 +57,7 @@ impl RoutingAlgorithm for GreedyLocalRouting {
         &self,
         g: &Graph,
         inst: &RoutingInstance,
-    ) -> Result<RouteOutcome, InstanceError> {
+    ) -> Result<RoutingOutcome, InstanceError> {
         crate::validate(g, inst)?;
         let n = g.n();
         let tokens = &inst.tokens;
@@ -73,9 +73,7 @@ impl RoutingAlgorithm for GreedyLocalRouting {
             tables.push(g.bfs_distances(d));
         }
 
-        let mut positions: Vec<VertexId> = tokens.iter().map(|t| t.src).collect();
-        let destinations: Vec<VertexId> = tokens.iter().map(|t| t.dst).collect();
-        let mut undelivered = Vec::new();
+        let mut out = RoutingOutcome::at_sources(inst);
         let mut edge_loads = vec![0u32; g.edge_id_count()];
         let mut dilation = 0u64;
 
@@ -87,7 +85,10 @@ impl RoutingAlgorithm for GreedyLocalRouting {
             }
             let dist = tables[table_of[t.dst as usize]][t.src as usize];
             if dist == u32::MAX {
-                undelivered.push(i);
+                out.undeliverable.push(Undeliverable {
+                    token: i,
+                    reason: UndeliverableReason::NoPath { src: t.src, dst: t.dst },
+                });
             } else {
                 dilation = dilation.max(u64::from(dist));
                 active.push(i);
@@ -108,13 +109,13 @@ impl RoutingAlgorithm for GreedyLocalRouting {
             rounds += 1;
             assert!(rounds <= max_rounds, "greedy local routing must progress every round");
             active.sort_by_key(|&i| {
-                (tables[table_of[tokens[i].dst as usize]][positions[i] as usize], i)
+                (tables[table_of[tokens[i].dst as usize]][out.positions[i] as usize], i)
             });
             let mut still_active = Vec::with_capacity(active.len());
             for &i in &active {
                 let dst = tokens[i].dst;
                 let dist = &tables[table_of[dst as usize]];
-                let pos = positions[i];
+                let pos = out.positions[i];
                 // Fixed next hop: best (distance, id) neighbor. A
                 // strictly closer neighbor always exists on the BFS
                 // tree toward `dst`.
@@ -133,7 +134,7 @@ impl RoutingAlgorithm for GreedyLocalRouting {
                 }
                 used[slot] = rounds;
                 edge_loads[e] += 1;
-                positions[i] = hop;
+                out.positions[i] = hop;
                 if hop != dst {
                     still_active.push(i);
                 }
@@ -141,20 +142,13 @@ impl RoutingAlgorithm for GreedyLocalRouting {
             active = still_active;
         }
 
-        let congestion = u64::from(edge_loads.iter().copied().max().unwrap_or(0));
-        let mut ledger = RoundLedger::new();
         if rounds > 0 {
-            ledger.charge("baseline/local/forward", rounds);
+            out.ledger.charge("baseline/local/forward", rounds);
         }
-        Ok(RouteOutcome {
-            positions,
-            destinations,
-            undelivered,
-            edge_loads,
-            max_congestion: congestion,
-            max_dilation: dilation,
-            ledger,
-        })
+        out.stats.max_congestion = u64::from(edge_loads.iter().copied().max().unwrap_or(0));
+        out.stats.max_dilation = dilation;
+        out.edge_loads = edge_loads;
+        Ok(out)
     }
 }
 
@@ -170,7 +164,10 @@ mod tests {
         let out = GreedyLocalRouting.route_instance(&g, &inst).expect("valid");
         assert!(out.fully_delivered());
         assert!(out.verify(&inst).is_empty(), "{:?}", out.verify(&inst));
-        assert!(out.rounds() >= out.max_dilation, "at least one round per hop of the longest path");
+        assert!(
+            out.rounds() >= out.stats.max_dilation,
+            "at least one round per hop of the longest path"
+        );
     }
 
     #[test]
@@ -186,7 +183,7 @@ mod tests {
             .map(|t| u64::from(g.bfs_distances(t.dst)[t.src as usize]))
             .max()
             .unwrap();
-        assert_eq!(out.max_dilation, want);
+        assert_eq!(out.stats.max_dilation, want);
         let moved: u64 = out.edge_loads.iter().map(|&l| u64::from(l)).sum();
         let dists: u64 =
             inst.tokens.iter().map(|t| u64::from(g.bfs_distances(t.dst)[t.src as usize])).sum();
@@ -202,7 +199,7 @@ mod tests {
         let inst = RoutingInstance::from_triples(&[(2, 0, 0), (2, 0, 1), (2, 0, 2)]);
         let out = GreedyLocalRouting.route_instance(&g, &inst).expect("valid");
         assert!(out.fully_delivered());
-        assert_eq!(out.max_dilation, 2);
+        assert_eq!(out.stats.max_dilation, 2);
         assert_eq!(out.rounds(), 4, "pipeline drains one token per round behind the first");
         assert!(out.verify(&inst).is_empty(), "{:?}", out.verify(&inst));
     }
@@ -221,7 +218,8 @@ mod tests {
         let g = generators::disconnected_expanders(2, 32, 4, 5).expect("generator");
         let inst = RoutingInstance::from_triples(&[(0, 40, 0), (40, 1, 1), (2, 9, 2)]);
         let out = GreedyLocalRouting.route_instance(&g, &inst).expect("valid");
-        assert_eq!(out.undelivered, vec![0, 1]);
+        let reported: Vec<usize> = out.undeliverable.iter().map(|u| u.token).collect();
+        assert_eq!(reported, vec![0, 1]);
         assert!(out.verify(&inst).is_empty(), "{:?}", out.verify(&inst));
     }
 
@@ -236,6 +234,6 @@ mod tests {
         for (e, (&fl, &sl)) in a.edge_loads.iter().zip(&b.edge_loads).enumerate() {
             assert!(sl <= fl, "edge {e}: subset load {sl} > full load {fl}");
         }
-        assert!(b.max_congestion <= a.max_congestion);
+        assert!(b.stats.max_congestion <= a.stats.max_congestion);
     }
 }

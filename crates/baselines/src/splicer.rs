@@ -22,10 +22,11 @@
 //! connects — exactly the cross-component pairs, since every forest
 //! spans every component — are reported undelivered.
 
-use congest_sim::{cost, RoundLedger};
-use expander_core::arena::{RouteOutcome, RoutingAlgorithm};
+use congest_sim::cost;
 use expander_core::token::InstanceError;
-use expander_core::RoutingInstance;
+use expander_core::{
+    RoutingAlgorithm, RoutingInstance, RoutingOutcome, Undeliverable, UndeliverableReason,
+};
 use expander_graphs::trees::SpanningForest;
 use expander_graphs::Graph;
 
@@ -75,19 +76,15 @@ impl RoutingAlgorithm for SplicerRouting {
         &self,
         g: &Graph,
         inst: &RoutingInstance,
-    ) -> Result<RouteOutcome, InstanceError> {
+    ) -> Result<RoutingOutcome, InstanceError> {
         crate::validate(g, inst)?;
         let forests = self.forests(g);
+        let mut out = RoutingOutcome::at_sources(inst);
         let mut loads = vec![0u32; g.edge_id_count()];
-        let mut positions = Vec::with_capacity(inst.tokens.len());
-        let mut destinations = Vec::with_capacity(inst.tokens.len());
-        let mut undelivered = Vec::new();
         let mut dilation = 0u64;
 
         for (i, t) in inst.tokens.iter().enumerate() {
-            destinations.push(t.dst);
             if t.src == t.dst {
-                positions.push(t.dst);
                 continue;
             }
             // Candidate = the unique tree path in each forest; pick the
@@ -112,30 +109,24 @@ impl RoutingAlgorithm for SplicerRouting {
                         loads[e as usize] += 1;
                     }
                     dilation = dilation.max(hops as u64);
-                    positions.push(t.dst);
+                    out.positions[i] = t.dst;
                 }
-                None => {
-                    undelivered.push(i);
-                    positions.push(t.src);
-                }
+                None => out.undeliverable.push(Undeliverable {
+                    token: i,
+                    reason: UndeliverableReason::NoPath { src: t.src, dst: t.dst },
+                }),
             }
         }
 
         let congestion = u64::from(loads.iter().copied().max().unwrap_or(0));
-        let mut ledger = RoundLedger::new();
         let rounds = cost::route_batched_cd(congestion, dilation, 1);
         if rounds > 0 {
-            ledger.charge("baseline/splicer/route", rounds);
+            out.ledger.charge("baseline/splicer/route", rounds);
         }
-        Ok(RouteOutcome {
-            positions,
-            destinations,
-            undelivered,
-            edge_loads: loads,
-            max_congestion: congestion,
-            max_dilation: dilation,
-            ledger,
-        })
+        out.edge_loads = loads;
+        out.stats.max_congestion = congestion;
+        out.stats.max_dilation = dilation;
+        Ok(out)
     }
 }
 
@@ -151,8 +142,8 @@ mod tests {
         let out = SplicerRouting::default().route_instance(&g, &inst).expect("valid");
         assert!(out.fully_delivered());
         assert!(out.verify(&inst).is_empty(), "{:?}", out.verify(&inst));
-        assert!(out.max_congestion > 0 && out.max_dilation > 0);
-        assert_eq!(out.rounds(), out.max_congestion * out.max_dilation);
+        assert!(out.stats.max_congestion > 0 && out.stats.max_dilation > 0);
+        assert_eq!(out.rounds(), out.stats.max_congestion * out.stats.max_dilation);
     }
 
     #[test]
@@ -170,7 +161,8 @@ mod tests {
         let g = generators::disconnected_expanders(2, 32, 4, 5).expect("generator");
         let inst = RoutingInstance::from_triples(&[(0, 40, 0), (40, 1, 1), (2, 9, 2)]);
         let out = SplicerRouting::default().route_instance(&g, &inst).expect("valid");
-        assert_eq!(out.undelivered, vec![0, 1]);
+        let reported: Vec<usize> = out.undeliverable.iter().map(|u| u.token).collect();
+        assert_eq!(reported, vec![0, 1]);
         assert!(out.verify(&inst).is_empty(), "{:?}", out.verify(&inst));
     }
 
@@ -184,10 +176,10 @@ mod tests {
         let one = SplicerRouting::new(1, 0xBA5E).route_instance(&g, &inst).expect("valid");
         let four = SplicerRouting::new(4, 0xBA5E).route_instance(&g, &inst).expect("valid");
         assert!(
-            four.max_congestion <= one.max_congestion,
+            four.stats.max_congestion <= one.stats.max_congestion,
             "4 trees {} vs 1 tree {}",
-            four.max_congestion,
-            one.max_congestion
+            four.stats.max_congestion,
+            one.stats.max_congestion
         );
     }
 

@@ -1,10 +1,9 @@
 //! Criterion benchmarks for the baseline arena: the rival routers'
 //! query hot paths at n = 512 on the shared dense-permutation workload,
-//! next to the hierarchical router's query at the same size (see
-//! `route_query_n512` in `examples/bench_snapshot.rs` for the
-//! median-gated counterpart). Splicer preprocessing (building the k
-//! seeded spanning forests) is benchmarked separately so the per-query
-//! figure stays an apples-to-apples routing cost.
+//! comparable with the hierarchical router's `route_query_n512_L1` in
+//! `benches/micro.rs`. Splicer preprocessing (building the k seeded
+//! spanning forests) is benchmarked separately so the per-query figure
+//! stays an apples-to-apples routing cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use expander_baselines::{GreedyLocalRouting, SplicerRouting};

@@ -37,7 +37,7 @@ pub fn avg_query_rounds(r: &Router, n: usize, reps: u64) -> u64 {
     for s in 0..reps {
         let inst = RoutingInstance::permutation(n, 1000 + s);
         let out = r.route(&inst).expect("valid");
-        assert!(out.all_delivered());
+        assert!(out.fully_delivered());
         total += out.rounds();
     }
     total / reps.max(1)

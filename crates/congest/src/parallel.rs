@@ -338,6 +338,11 @@ mod tests {
                 i * 2
             },
             || {
+                // The workers run while the body does: wait for a first
+                // poll (spawned threads may start after the body).
+                while polls.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
                 stop.store(true, Ordering::Release);
                 "done"
             },

@@ -3,143 +3,29 @@
 //! The paper's title claim — "faster and more versatile" — is a
 //! *comparison*, so the repository needs something to compare against.
 //! This module defines the shared contract: [`RoutingAlgorithm`] routes
-//! a [`RoutingInstance`] on a [`Graph`] and returns a [`RouteOutcome`]
-//! with congestion/dilation/rounds accounting on the same
-//! [`RoundLedger`] charge model as the hierarchical router, so a
-//! harness can line up rounds columns across algorithms without unit
-//! conversion.
+//! a [`RoutingInstance`] on a [`Graph`] and returns the one
+//! [`RoutingOutcome`] every router produces, with congestion/dilation
+//! in its stats and rounds on the same `RoundLedger` charge model as
+//! the hierarchical router, so a harness can line up rounds columns
+//! across algorithms without unit conversion, and one
+//! [`RoutingOutcome::verify`] checks them all.
 //!
-//! Two in-crate adapters put the paper's machinery behind the trait:
-//! the Theorem 1.1 [`Router`] (certified expanders) and the
+//! Three in-crate adapters put the paper's machinery behind the trait:
+//! the Theorem 1.1 [`Router`] (certified expanders), the Appendix E
+//! [`GeneralRouter`] (arbitrary-degree expanders), and the
 //! Corollary 1.4 [`RoutedDecomposition`] (any graph, structured
 //! undeliverable reports). The rival implementations — splicer routing
 //! over unions of seeded spanning trees (arXiv:0807.1496) and greedy
 //! deterministic local routing (in the spirit of arXiv:2403.07410) —
 //! live in the `expander-baselines` crate. `tests/baseline_differential.rs`
-//! uses them as *independent oracles*: three mechanisms, one instance,
-//! shared invariants.
+//! uses them as *independent oracles*: different mechanisms, one
+//! instance, shared invariants.
 
 use crate::decomposed::RoutedDecomposition;
+use crate::general::GeneralRouter;
 use crate::router::Router;
-use crate::token::{InstanceError, RoutingInstance};
-use congest_sim::RoundLedger;
-use expander_graphs::{Graph, VertexId};
-
-/// Outcome of routing one instance through one algorithm, in
-/// arena-comparable form.
-///
-/// Derives `PartialEq`/`Eq` over *every* field (including the ledger),
-/// so "byte-identical outcome" assertions in the differential suite are
-/// a single `assert_eq!`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteOutcome {
-    /// Final position of each token, aligned with the instance.
-    /// Undelivered tokens stay at their source.
-    pub positions: Vec<VertexId>,
-    /// Destination of each token (copied from the instance).
-    pub destinations: Vec<VertexId>,
-    /// Indices of tokens the algorithm could not deliver, strictly
-    /// increasing. Empty means full delivery.
-    pub undelivered: Vec<usize>,
-    /// Per-edge traversal counts indexed by [`Graph::edge_id`], when
-    /// the algorithm tracks flat loads (both baselines do). Adapters
-    /// for the hierarchical machinery leave this empty: their
-    /// congestion is accounted per measured movement leg instead.
-    pub edge_loads: Vec<u32>,
-    /// Worst per-edge congestion the algorithm observed/charged.
-    pub max_congestion: u64,
-    /// Worst per-token path dilation (hops).
-    pub max_dilation: u64,
-    /// Charged rounds by phase, on the workspace-wide charge model.
-    pub ledger: RoundLedger,
-}
-
-impl RouteOutcome {
-    /// Total charged rounds.
-    pub fn rounds(&self) -> u64 {
-        self.ledger.total()
-    }
-
-    /// Number of tokens delivered to their destination.
-    pub fn delivered_count(&self) -> usize {
-        self.positions.len() - self.undelivered.len()
-    }
-
-    /// Delivered fraction in `[0, 1]` (1.0 for an empty instance).
-    pub fn delivery_rate(&self) -> f64 {
-        if self.positions.is_empty() {
-            1.0
-        } else {
-            self.delivered_count() as f64 / self.positions.len() as f64
-        }
-    }
-
-    /// Whether every token reached its destination.
-    pub fn fully_delivered(&self) -> bool {
-        self.undelivered.is_empty()
-    }
-
-    /// Checks the arena's shared invariants against the instance:
-    /// every token is delivered or reported exactly once (delivered
-    /// tokens sit at their destination, reported ones untouched at
-    /// their source), the report list is strictly increasing and in
-    /// range, and flat edge loads (when present) agree with the
-    /// reported congestion. Returns human-readable violations; empty
-    /// when consistent.
-    pub fn verify(&self, inst: &RoutingInstance) -> Vec<String> {
-        let mut issues = Vec::new();
-        if self.positions.len() != inst.tokens.len() || self.destinations.len() != inst.tokens.len()
-        {
-            issues.push("outcome not aligned with instance".to_owned());
-            return issues;
-        }
-        for (i, t) in inst.tokens.iter().enumerate() {
-            if self.destinations[i] != t.dst {
-                issues.push(format!(
-                    "token {i}: destination {} != instance {}",
-                    self.destinations[i], t.dst
-                ));
-            }
-        }
-        if !self.undelivered.windows(2).all(|w| w[0] < w[1]) {
-            issues.push("undelivered list not strictly increasing".to_owned());
-        }
-        if self.undelivered.iter().any(|&i| i >= inst.tokens.len()) {
-            issues.push("undelivered index out of range".to_owned());
-            return issues;
-        }
-        let mut reported = vec![false; inst.tokens.len()];
-        for &i in &self.undelivered {
-            reported[i] = true;
-        }
-        for (i, t) in inst.tokens.iter().enumerate() {
-            let pos = self.positions[i];
-            if reported[i] {
-                if pos != t.src {
-                    issues.push(format!(
-                        "token {i} reported undelivered but moved {} -> {pos}",
-                        t.src
-                    ));
-                }
-            } else if pos != t.dst {
-                issues.push(format!(
-                    "token {i} neither delivered (at {pos}, wants {}) nor reported",
-                    t.dst
-                ));
-            }
-        }
-        if !self.edge_loads.is_empty() {
-            let max = u64::from(self.edge_loads.iter().copied().max().unwrap_or(0));
-            if max != self.max_congestion {
-                issues.push(format!(
-                    "flat edge loads peak at {max} but max_congestion claims {}",
-                    self.max_congestion
-                ));
-            }
-        }
-        issues
-    }
-}
+use crate::token::{InstanceError, RoutingInstance, RoutingOutcome};
+use expander_graphs::Graph;
 
 /// A routing algorithm competing in the baseline arena.
 ///
@@ -155,20 +41,22 @@ pub trait RoutingAlgorithm {
     /// Routes `inst` on `g`, delivering or reporting every token.
     ///
     /// Returns `Err` only for malformed input: tokens outside the
-    /// vertex range, or (for preprocessed adapters) a graph that is not
-    /// the one the algorithm was built for. Inability to deliver —
+    /// vertex range, a load the router does not accept (the
+    /// [`GeneralRouter`] takes at most `deg(v)` tokens per vertex), or
+    /// (for preprocessed adapters) a graph that is not the one the
+    /// algorithm was built for. Inability to deliver —
     /// disconnected endpoints, cross-piece tokens — is *not* an error;
-    /// it is reported per token in [`RouteOutcome::undelivered`].
+    /// it is reported per token in [`RoutingOutcome::undeliverable`].
     fn route_instance(
         &self,
         g: &Graph,
         inst: &RoutingInstance,
-    ) -> Result<RouteOutcome, InstanceError>;
+    ) -> Result<RoutingOutcome, InstanceError>;
 }
 
 /// Cheap identity check for preprocessed adapters: the arena passes
-/// the graph explicitly, but `Router`/`RoutedDecomposition` bake it in
-/// at preprocessing time, so reject calls against a different graph.
+/// the graph explicitly, but the paper's routers bake it in at
+/// preprocessing time, so reject calls against a different graph.
 fn check_same_graph(built: &Graph, g: &Graph) -> Result<(), InstanceError> {
     if built.n() != g.n() || built.m() != g.m() || built.epoch() != g.epoch() {
         return Err(InstanceError::new(
@@ -187,19 +75,24 @@ impl RoutingAlgorithm for Router {
         &self,
         g: &Graph,
         inst: &RoutingInstance,
-    ) -> Result<RouteOutcome, InstanceError> {
+    ) -> Result<RoutingOutcome, InstanceError> {
         check_same_graph(self.graph(), g)?;
-        let out = self.route(inst)?;
-        debug_assert!(out.all_delivered(), "Theorem 1.1 routing delivers everything");
-        Ok(RouteOutcome {
-            positions: out.positions,
-            destinations: out.destinations,
-            undelivered: Vec::new(),
-            edge_loads: Vec::new(),
-            max_congestion: out.stats.max_congestion,
-            max_dilation: out.stats.max_dilation,
-            ledger: out.ledger,
-        })
+        self.route(inst)
+    }
+}
+
+impl RoutingAlgorithm for GeneralRouter {
+    fn name(&self) -> &'static str {
+        "general"
+    }
+
+    fn route_instance(
+        &self,
+        g: &Graph,
+        inst: &RoutingInstance,
+    ) -> Result<RoutingOutcome, InstanceError> {
+        check_same_graph(self.graph(), g)?;
+        self.route(inst)
     }
 }
 
@@ -212,18 +105,9 @@ impl RoutingAlgorithm for RoutedDecomposition {
         &self,
         g: &Graph,
         inst: &RoutingInstance,
-    ) -> Result<RouteOutcome, InstanceError> {
+    ) -> Result<RoutingOutcome, InstanceError> {
         check_same_graph(self.graph(), g)?;
-        let out = self.route(inst)?;
-        Ok(RouteOutcome {
-            positions: out.positions,
-            destinations: out.destinations,
-            undelivered: out.undeliverable.iter().map(|u| u.token).collect(),
-            edge_loads: Vec::new(),
-            max_congestion: out.stats.max_congestion,
-            max_dilation: out.stats.max_dilation,
-            ledger: out.ledger,
-        })
+        self.route(inst)
     }
 }
 
@@ -242,10 +126,9 @@ mod tests {
         let out = router.route_instance(&g, &inst).expect("valid");
         assert_eq!(router.name(), "hierarchical");
         assert!(out.fully_delivered());
-        assert!((out.delivery_rate() - 1.0).abs() < 1e-12);
         assert_eq!(out.delivered_count(), inst.tokens.len());
         assert!(out.verify(&inst).is_empty(), "{:?}", out.verify(&inst));
-        assert_eq!(out.rounds(), out.ledger.total());
+        assert_eq!(out, router.route(&inst).expect("valid"), "the adapter is the router");
     }
 
     #[test]
@@ -264,32 +147,9 @@ mod tests {
         // Tokens 0 and 1 cross the components; token 2 stays inside one.
         let inst = RoutingInstance::from_triples(&[(0, 100, 0), (70, 3, 1), (5, 60, 2)]);
         let out = dec.route_instance(&g, &inst).expect("valid");
-        assert_eq!(out.undelivered, vec![0, 1]);
+        let reported: Vec<usize> = out.undeliverable.iter().map(|u| u.token).collect();
+        assert_eq!(reported, vec![0, 1]);
         assert_eq!(out.delivered_count(), 1);
         assert!(out.verify(&inst).is_empty(), "{:?}", out.verify(&inst));
-    }
-
-    #[test]
-    fn verify_flags_inconsistencies() {
-        let inst = RoutingInstance::from_triples(&[(0, 4, 0), (1, 5, 1)]);
-        let mut out = RouteOutcome {
-            positions: vec![4, 1],
-            destinations: vec![4, 5],
-            undelivered: vec![1],
-            edge_loads: vec![2, 0, 1],
-            max_congestion: 2,
-            max_dilation: 4,
-            ledger: RoundLedger::new(),
-        };
-        assert!(out.verify(&inst).is_empty(), "{:?}", out.verify(&inst));
-
-        out.max_congestion = 3;
-        assert_eq!(out.verify(&inst).len(), 1, "edge-load/congestion mismatch caught");
-        out.max_congestion = 2;
-        out.positions[0] = 3;
-        assert_eq!(out.verify(&inst).len(), 1, "mispositioned token caught");
-        out.positions[0] = 4;
-        out.undelivered = vec![1, 1];
-        assert!(!out.verify(&inst).is_empty(), "duplicate report caught");
     }
 }

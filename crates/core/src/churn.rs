@@ -18,7 +18,8 @@
 //! 4. [`DeliveryMode::Decomposed`] — the live graph no longer
 //!    certifies as a single expander: route through
 //!    [`RoutedDecomposition`] (Corollary 1.4), reporting cross-piece
-//!    tokens as structured [`Undeliverable`] outcomes.
+//!    tokens as structured [`Undeliverable`](crate::token::Undeliverable)
+//!    reports.
 //! 5. [`DeliveryMode::DirectBfs`] — structural attempts are in
 //!    backoff: charged BFS delivery on the live graph, unreachable
 //!    tokens reported, never a panic.
@@ -34,17 +35,14 @@
 //!
 //! [`ChurnDriver`] is the harness: four seeded fault schedules
 //! ([`ChurnSchedule`]) injected against live query batches, with every
-//! round's outcome checked by [`DecomposedOutcome::verify`] and
+//! round's outcome checked by [`RoutingOutcome::verify`] and
 //! recorded (delivery rate, repair latency, congestion/dilation) for
 //! the percentile report.
 
-use crate::decomposed::{
-    route_by_bfs, DecomposedConfig, DecomposedOutcome, RoutedDecomposition, Undeliverable,
-    UndeliverableReason,
-};
+use crate::decomposed::{route_by_bfs, DecomposedConfig, RoutedDecomposition};
+use crate::percentiles;
 use crate::router::Router;
-use crate::token::{InstanceError, QueryStats, RoutingInstance, RoutingOutcome};
-use congest_sim::RoundLedger;
+use crate::token::{InstanceError, RoutingInstance, RoutingOutcome};
 use expander_decomp::RepairReport;
 use expander_graphs::{Graph, GraphEdit, VertexId};
 use rand::rngs::StdRng;
@@ -106,14 +104,13 @@ impl fmt::Display for DeliveryMode {
     }
 }
 
-/// Outcome of a [`ChurnRouter::route`] call: the structured delivery
-/// result plus which ladder rung produced it.
+/// Outcome of a [`ChurnRouter::route`] call: the routing outcome plus
+/// which ladder rung produced it.
 #[derive(Debug, Clone)]
 pub struct ChurnOutcome {
-    /// The delivery outcome, on the same route-or-report contract as
-    /// [`RoutedDecomposition::route`]: every token is either at its
-    /// destination or reported in `outcome.undeliverable`.
-    pub outcome: DecomposedOutcome,
+    /// The routing outcome: every token is either at its destination
+    /// or reported in `outcome.undeliverable`, whichever rung served.
+    pub outcome: RoutingOutcome,
     /// The ladder rung that served the query.
     pub mode: DeliveryMode,
     /// The repair report, when the [`DeliveryMode::Repaired`] rung
@@ -224,7 +221,7 @@ impl ChurnRouter {
     /// Routes `inst` through the highest live rung of the degradation
     /// ladder (module docs). Never panics on a routable-or-reportable
     /// situation: tokens that cannot be delivered come back as
-    /// structured [`Undeliverable`] reports.
+    /// structured [`Undeliverable`](crate::token::Undeliverable) reports.
     ///
     /// # Errors
     ///
@@ -244,9 +241,8 @@ impl ChurnRouter {
         // Rung 1: the router is current.
         if self.pending.is_empty() {
             if let Some(r) = &self.router {
-                let out = r.route(inst)?;
                 return Ok(ChurnOutcome {
-                    outcome: wrap_routing(out),
+                    outcome: r.route(inst)?,
                     mode: DeliveryMode::Hierarchical,
                     repair: None,
                     repair_latency: Duration::ZERO,
@@ -267,9 +263,9 @@ impl ChurnRouter {
                         self.pending.clear();
                         self.fail_streak = 0;
                         self.decomp = None;
-                        let out = self.router.as_ref().expect("just repaired").route(inst)?;
+                        let outcome = self.router.as_ref().expect("just repaired").route(inst)?;
                         return Ok(ChurnOutcome {
-                            outcome: wrap_routing(out),
+                            outcome,
                             mode: DeliveryMode::Repaired,
                             repair: Some(report),
                             repair_latency,
@@ -287,9 +283,9 @@ impl ChurnRouter {
                     self.pending.clear();
                     self.fail_streak = 0;
                     self.decomp = None;
-                    let out = self.router.as_ref().expect("just rebuilt").route(inst)?;
+                    let outcome = self.router.as_ref().expect("just rebuilt").route(inst)?;
                     return Ok(ChurnOutcome {
-                        outcome: wrap_routing(out),
+                        outcome,
                         mode: DeliveryMode::Rebuilt,
                         repair: None,
                         repair_latency,
@@ -322,9 +318,8 @@ impl ChurnRouter {
                 self.decomp = Some((epoch, Box::new(rd)));
             }
             let rd = &self.decomp.as_ref().expect("cached or just built").1;
-            let outcome = rd.route(inst)?;
             return Ok(ChurnOutcome {
-                outcome,
+                outcome: rd.route(inst)?,
                 mode: DeliveryMode::Decomposed,
                 repair: None,
                 repair_latency,
@@ -334,44 +329,10 @@ impl ChurnRouter {
         // Rung 5: charged BFS on the live graph — no structure is
         // built while backing off, but every token still routes or
         // reports.
-        let mut positions: Vec<VertexId> = inst.tokens.iter().map(|t| t.src).collect();
-        let destinations: Vec<VertexId> = inst.tokens.iter().map(|t| t.dst).collect();
-        let mut undeliverable: Vec<Undeliverable> = Vec::new();
-        let mut stats = QueryStats::default();
-        let mut ledger = RoundLedger::new();
-        let toks: Vec<(VertexId, VertexId)> = inst.tokens.iter().map(|t| (t.src, t.dst)).collect();
-        let delivered =
-            route_by_bfs(&self.graph, &toks, &mut stats, &mut ledger, "query/churn/bfs");
-        for (i, ok) in delivered.iter().enumerate() {
-            let t = &inst.tokens[i];
-            if *ok {
-                positions[i] = t.dst;
-            } else {
-                undeliverable.push(Undeliverable {
-                    token: i,
-                    reason: UndeliverableReason::NoPath { src: t.src, dst: t.dst },
-                });
-            }
-        }
-        Ok(ChurnOutcome {
-            outcome: DecomposedOutcome { positions, destinations, undeliverable, ledger, stats },
-            mode: DeliveryMode::DirectBfs,
-            repair: None,
-            repair_latency,
-        })
-    }
-}
-
-/// Lifts a fully-hierarchical routing outcome onto the
-/// route-or-report contract (expander routing always delivers, so the
-/// undeliverable list is empty).
-fn wrap_routing(out: RoutingOutcome) -> DecomposedOutcome {
-    DecomposedOutcome {
-        positions: out.positions,
-        destinations: out.destinations,
-        undeliverable: Vec::new(),
-        ledger: out.ledger,
-        stats: out.stats,
+        let mut outcome = RoutingOutcome::at_sources(inst);
+        let all = 0..inst.tokens.len();
+        route_by_bfs(&self.graph, |v| v, inst, all, &mut outcome, "query/churn/bfs");
+        Ok(ChurnOutcome { outcome, mode: DeliveryMode::DirectBfs, repair: None, repair_latency })
     }
 }
 
@@ -505,17 +466,6 @@ impl ChurnReport {
     }
 }
 
-/// Nearest-rank `[p50, p95, p99]` of a sample (zeros when empty).
-pub(crate) fn percentiles(values: impl Iterator<Item = u64>) -> [u64; 3] {
-    let mut v: Vec<u64> = values.collect();
-    if v.is_empty() {
-        return [0; 3];
-    }
-    v.sort_unstable();
-    let rank = |p: f64| v[(((v.len() as f64) * p).ceil() as usize).clamp(1, v.len()) - 1];
-    [rank(0.50), rank(0.95), rank(0.99)]
-}
-
 /// The fault-injection harness: applies a seeded [`ChurnSchedule`]
 /// against live query batches on a [`ChurnRouter`] and verifies the
 /// route-or-report contract every round.
@@ -526,7 +476,7 @@ impl ChurnDriver {
     /// Runs `params` against `graph`. Every round injects the
     /// schedule's edit batch, routes a seeded query batch between live
     /// vertices, checks the outcome with
-    /// [`DecomposedOutcome::verify`], and records the metrics.
+    /// [`RoutingOutcome::verify`], and records the metrics.
     ///
     /// # Panics
     ///
@@ -780,13 +730,5 @@ mod tests {
         );
         assert!(report.rounds.iter().step_by(4).take(2).all(|r| r.edits == 0), "quiet rounds");
         assert!(report.rounds[3].edits > 0, "burst round injects");
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let vals = (1..=100u64).rev();
-        assert_eq!(percentiles(vals), [50, 95, 99]);
-        assert_eq!(percentiles(std::iter::empty()), [0; 3]);
-        assert_eq!(percentiles([7u64].into_iter()), [7, 7, 7]);
     }
 }

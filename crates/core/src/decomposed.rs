@@ -23,7 +23,9 @@
 //! thread count.
 
 use crate::router::{Router, RouterConfig};
-use crate::token::{InstanceError, QueryStats, RoutingInstance};
+use crate::token::{
+    InstanceError, RouteToken, RoutingInstance, RoutingOutcome, Undeliverable, UndeliverableReason,
+};
 use congest_sim::{cost, RoundLedger};
 use expander_decomp::{decomposition_for_epsilon, BuildError};
 use expander_graphs::{metrics, Graph, Path, PathSet, VertexId};
@@ -131,128 +133,6 @@ impl fmt::Debug for Piece {
             .field("n", &self.vertices.len())
             .field("hierarchical", &self.is_hierarchical())
             .finish()
-    }
-}
-
-/// Why a token could not be delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UndeliverableReason {
-    /// Source and destination live in different expander pieces: the
-    /// token would have to cross removed cut edges, where the paper's
-    /// routing precondition (one φ-expander) does not hold.
-    CrossPiece {
-        /// Piece index of the source.
-        src_piece: u32,
-        /// Piece index of the destination.
-        dst_piece: u32,
-    },
-    /// Source and destination share a piece but the piece's subgraph
-    /// disconnects them (defensive; pieces are connected by
-    /// construction).
-    NoPath {
-        /// Source vertex (global id).
-        src: VertexId,
-        /// Destination vertex (global id).
-        dst: VertexId,
-    },
-}
-
-/// A token the decomposition could not deliver, with the reason.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Undeliverable {
-    /// Index of the token in the instance.
-    pub token: usize,
-    /// Why it stays at its source.
-    pub reason: UndeliverableReason,
-}
-
-impl fmt::Display for Undeliverable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.reason {
-            UndeliverableReason::CrossPiece { src_piece, dst_piece } => write!(
-                f,
-                "token {} undeliverable: crosses pieces {src_piece} -> {dst_piece}",
-                self.token
-            ),
-            UndeliverableReason::NoPath { src, dst } => {
-                write!(f, "token {} undeliverable: no path {src} -> {dst} in its piece", self.token)
-            }
-        }
-    }
-}
-
-/// Outcome of a [`RoutedDecomposition::route`] query: delivered tokens
-/// plus structured reports for the ones routing cannot serve.
-#[derive(Debug, Clone)]
-pub struct DecomposedOutcome {
-    /// Final position of each token (undeliverable tokens stay at
-    /// their source), aligned with the instance.
-    pub positions: Vec<VertexId>,
-    /// Destination of each token (copied from the instance).
-    pub destinations: Vec<VertexId>,
-    /// Tokens that could not be delivered, in token order.
-    pub undeliverable: Vec<Undeliverable>,
-    /// Charged rounds, by phase, across all pieces.
-    pub ledger: RoundLedger,
-    /// Aggregated execution statistics across all pieces.
-    pub stats: QueryStats,
-}
-
-impl DecomposedOutcome {
-    /// Number of tokens delivered to their destination.
-    pub fn delivered_count(&self) -> usize {
-        self.positions.len() - self.undeliverable.len()
-    }
-
-    /// Delivered fraction in `[0, 1]` (1.0 for the empty instance).
-    pub fn success_rate(&self) -> f64 {
-        if self.positions.is_empty() {
-            return 1.0;
-        }
-        self.delivered_count() as f64 / self.positions.len() as f64
-    }
-
-    /// Whether every token reached its destination.
-    pub fn fully_delivered(&self) -> bool {
-        self.undeliverable.is_empty()
-    }
-
-    /// Total charged rounds for the query.
-    pub fn rounds(&self) -> u64 {
-        self.ledger.total()
-    }
-
-    /// Conformance check: every token is either at its destination or
-    /// reported exactly once in [`DecomposedOutcome::undeliverable`]
-    /// (and an undeliverable token sits untouched at its source).
-    /// Returns human-readable violations; empty when consistent.
-    pub fn verify(&self, inst: &RoutingInstance) -> Vec<String> {
-        let mut issues = Vec::new();
-        if self.positions.len() != inst.tokens.len() {
-            issues.push("positions not aligned with instance".to_owned());
-            return issues;
-        }
-        let mut reported = vec![false; inst.tokens.len()];
-        for u in &self.undeliverable {
-            if u.token >= inst.tokens.len() {
-                issues.push(format!("undeliverable report for bogus token {}", u.token));
-                continue;
-            }
-            if reported[u.token] {
-                issues.push(format!("token {} reported undeliverable twice", u.token));
-            }
-            reported[u.token] = true;
-        }
-        for (i, t) in inst.tokens.iter().enumerate() {
-            if reported[i] {
-                if self.positions[i] != t.src {
-                    issues.push(format!("undeliverable token {i} moved off its source"));
-                }
-            } else if self.positions[i] != t.dst {
-                issues.push(format!("token {i} neither delivered nor reported undeliverable"));
-            }
-        }
-        issues
     }
 }
 
@@ -452,7 +332,7 @@ impl RoutedDecomposition {
     /// Returns an error if a token references a vertex outside the
     /// graph — that is a malformed *instance*, not a routable
     /// situation.
-    pub fn route(&self, inst: &RoutingInstance) -> Result<DecomposedOutcome, InstanceError> {
+    pub fn route(&self, inst: &RoutingInstance) -> Result<RoutingOutcome, InstanceError> {
         let n = self.graph.n();
         for t in &inst.tokens {
             if t.src as usize >= n || t.dst as usize >= n {
@@ -463,117 +343,86 @@ impl RoutedDecomposition {
             }
         }
 
-        let mut positions: Vec<VertexId> = inst.tokens.iter().map(|t| t.src).collect();
-        let destinations: Vec<VertexId> = inst.tokens.iter().map(|t| t.dst).collect();
-        let mut undeliverable: Vec<Undeliverable> = Vec::new();
+        let mut out = RoutingOutcome::at_sources(inst);
         let mut per_piece: Vec<Vec<usize>> = vec![Vec::new(); self.pieces.len()];
         for (i, t) in inst.tokens.iter().enumerate() {
             let (cs, cd) = (self.cluster_of[t.src as usize], self.cluster_of[t.dst as usize]);
             if cs == cd {
                 per_piece[cs as usize].push(i);
             } else {
-                undeliverable.push(Undeliverable {
+                out.undeliverable.push(Undeliverable {
                     token: i,
                     reason: UndeliverableReason::CrossPiece { src_piece: cs, dst_piece: cd },
                 });
             }
         }
 
-        let mut ledger = RoundLedger::new();
-        let mut stats = QueryStats::default();
-        for (pi, idxs) in per_piece.iter().enumerate() {
+        let local = |v: VertexId| self.local_of[v as usize];
+        for (piece, idxs) in self.pieces.iter().zip(&per_piece) {
             if idxs.is_empty() {
                 continue;
             }
-            let piece = &self.pieces[pi];
             match &piece.kind {
                 PieceKind::Hierarchical(router) => {
-                    let local = RoutingInstance::from_triples(
-                        &idxs
-                            .iter()
-                            .map(|&i| {
-                                let t = &inst.tokens[i];
-                                (
-                                    self.local_of[t.src as usize],
-                                    self.local_of[t.dst as usize],
-                                    t.payload,
-                                )
-                            })
-                            .collect::<Vec<_>>(),
-                    );
-                    let out = router.route(&local)?;
+                    let tokens = idxs
+                        .iter()
+                        .map(|&i| inst.tokens[i])
+                        .map(|t| RouteToken { src: local(t.src), dst: local(t.dst), ..t })
+                        .collect();
+                    let routed = router.route(&RoutingInstance { tokens })?;
                     for (k, &i) in idxs.iter().enumerate() {
-                        positions[i] = piece.vertices[out.positions[k] as usize];
+                        out.positions[i] = piece.vertices[routed.positions[k] as usize];
                     }
-                    ledger.merge(&out.ledger);
-                    stats.absorb(&out.stats);
+                    out.ledger.merge(&routed.ledger);
+                    out.stats.absorb(&routed.stats);
                 }
                 PieceKind::Direct(sub) => {
-                    let toks: Vec<(VertexId, VertexId)> = idxs
-                        .iter()
-                        .map(|&i| {
-                            let t = &inst.tokens[i];
-                            (self.local_of[t.src as usize], self.local_of[t.dst as usize])
-                        })
-                        .collect();
-                    let delivered = route_by_bfs(
-                        sub,
-                        &toks,
-                        &mut stats,
-                        &mut ledger,
-                        "query/decomposed/direct",
-                    );
-                    for (k, &i) in idxs.iter().enumerate() {
-                        let t = &inst.tokens[i];
-                        if delivered[k] {
-                            positions[i] = t.dst;
-                        } else {
-                            undeliverable.push(Undeliverable {
-                                token: i,
-                                reason: UndeliverableReason::NoPath { src: t.src, dst: t.dst },
-                            });
-                        }
-                    }
+                    let idxs = idxs.iter().copied();
+                    route_by_bfs(sub, local, inst, idxs, &mut out, "query/decomposed/direct");
                 }
             }
         }
 
-        undeliverable.sort_unstable_by_key(|u| u.token);
-        Ok(DecomposedOutcome { positions, destinations, undeliverable, ledger, stats })
+        out.undeliverable.sort_unstable_by_key(|u| u.token);
+        Ok(out)
     }
 }
 
-/// Deterministic BFS shortest-path routing of a token batch on `g`:
-/// the shared last-resort engine behind the decomposition's Direct
-/// pieces and the churn ladder's charged-BFS rung. Successful paths
-/// are measured (congestion/dilation folded into `stats`) and charged
-/// to `phase` at the paper's batched `O(congestion + dilation)` rate;
-/// the returned flags mark, per token, whether a path exists (the
-/// caller moves delivered tokens and reports the rest).
+/// Deterministic BFS shortest-path routing of the tokens `idxs` of
+/// `inst` on `g`, whose vertex `local(v)` stands for `v`: the shared
+/// last-resort engine behind the decomposition's Direct pieces and the
+/// churn ladder's charged-BFS rung. Tokens with a path move to their
+/// destination in `out`, and their paths are measured
+/// (congestion/dilation folded into `out.stats`) and charged to `phase`
+/// at the paper's batched `O(congestion + dilation)` rate; the rest are
+/// reported as [`UndeliverableReason::NoPath`], in `idxs` order.
 pub(crate) fn route_by_bfs(
     g: &Graph,
-    tokens: &[(VertexId, VertexId)],
-    stats: &mut QueryStats,
-    ledger: &mut RoundLedger,
+    local: impl Fn(VertexId) -> VertexId,
+    inst: &RoutingInstance,
+    idxs: impl IntoIterator<Item = usize>,
+    out: &mut RoutingOutcome,
     phase: &'static str,
-) -> Vec<bool> {
+) {
     let mut paths = PathSet::new();
-    let mut delivered = Vec::with_capacity(tokens.len());
-    for &(src, dst) in tokens {
-        match g.shortest_path(src, dst) {
+    for i in idxs {
+        let t = &inst.tokens[i];
+        match g.shortest_path(local(t.src), local(t.dst)) {
             Some(walk) => {
                 paths.push(Path::new(walk));
-                delivered.push(true);
+                out.positions[i] = t.dst;
             }
-            None => delivered.push(false),
+            None => out.undeliverable.push(Undeliverable {
+                token: i,
+                reason: UndeliverableReason::NoPath { src: t.src, dst: t.dst },
+            }),
         }
     }
     if !paths.is_empty() {
-        stats.max_congestion = stats.max_congestion.max(paths.congestion() as u64);
-        stats.max_dilation = stats.max_dilation.max(paths.dilation() as u64);
-        ledger.charge(phase, cost::route_once(&paths));
+        out.stats.max_congestion = out.stats.max_congestion.max(paths.congestion() as u64);
+        out.stats.max_dilation = out.stats.max_dilation.max(paths.dilation() as u64);
+        out.ledger.charge(phase, cost::route_once(&paths));
     }
-    delivered
 }
 
 #[cfg(test)]
@@ -596,7 +445,6 @@ mod tests {
         let out = rd.route(&inst).expect("valid");
         assert!(out.fully_delivered());
         assert!(out.verify(&inst).is_empty());
-        assert!((out.success_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -663,7 +511,6 @@ mod tests {
         assert_eq!(rd.pieces().len(), 0);
         let out = rd.route(&RoutingInstance::default()).expect("empty instance");
         assert!(out.fully_delivered());
-        assert!((out.success_rate() - 1.0).abs() < 1e-12);
         assert!(rd.route(&RoutingInstance::from_triples(&[(0, 0, 0)])).is_err());
     }
 
@@ -672,16 +519,5 @@ mod tests {
         let g = generators::ring(16);
         let rd = RoutedDecomposition::preprocess(&g, config());
         assert!(rd.route(&RoutingInstance::from_triples(&[(0, 99, 0)])).is_err());
-    }
-
-    #[test]
-    fn verify_catches_inconsistencies() {
-        let g = generators::ring(8);
-        let rd = RoutedDecomposition::preprocess(&g, config());
-        let inst = RoutingInstance::permutation(8, 1);
-        let mut out = rd.route(&inst).expect("valid");
-        out.positions[0] = inst.tokens[0].src.wrapping_add(1) % 8;
-        let tampered = out.verify(&inst);
-        assert!(!tampered.is_empty() || out.positions[0] == inst.tokens[0].dst);
     }
 }

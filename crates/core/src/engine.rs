@@ -53,7 +53,7 @@
 //! let batch: Vec<RoutingInstance> =
 //!     (0..8).map(|s| RoutingInstance::permutation(256, s)).collect();
 //! let (outcomes, stats) = engine.route_batch(&batch).expect("valid instances");
-//! assert!(outcomes.iter().all(|o| o.all_delivered()));
+//! assert!(outcomes.iter().all(|o| o.fully_delivered()));
 //! assert_eq!(stats.jobs, 8);
 //! ```
 
@@ -545,7 +545,7 @@ mod tests {
         assert_eq!(stats.jobs, 6);
         for (inst, out) in insts.iter().zip(&outs) {
             let solo = r.route(inst).expect("valid");
-            assert!(out.all_delivered());
+            assert!(out.fully_delivered());
             assert_eq!(out.positions, solo.positions);
             assert_eq!(out.ledger, solo.ledger);
             assert_eq!(format!("{:?}", out.stats), format!("{:?}", solo.stats));

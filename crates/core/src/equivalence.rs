@@ -194,13 +194,9 @@ pub fn route_via_sorting(
         sort_calls += 1;
     }
 
-    let destinations: Vec<u32> = inst.tokens.iter().map(|t| t.dst).collect();
-    let outcome = RoutingOutcome {
-        positions: destinations.clone(),
-        destinations,
-        ledger,
-        stats: QueryStats::default(),
-    };
+    let mut outcome = RoutingOutcome::at_sources(inst);
+    outcome.positions.clone_from(&outcome.destinations);
+    outcome.ledger = ledger;
     Ok(RouteViaSorting { outcome, sort_calls })
 }
 
@@ -232,7 +228,7 @@ mod tests {
         let r = router(128, 2);
         let inst = RoutingInstance::permutation(128, 3);
         let res = route_via_sorting(&r, &inst).expect("valid");
-        assert!(res.outcome.all_delivered());
+        assert!(res.outcome.fully_delivered());
         assert!(res.sort_calls <= 5, "O(1) sorts, got {}", res.sort_calls);
         assert!(res.outcome.rounds() > 0);
     }

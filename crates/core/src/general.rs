@@ -4,16 +4,16 @@
 use crate::router::{Router, RouterConfig};
 use crate::token::{InstanceError, RoutingInstance, RoutingOutcome};
 use expander_decomp::BuildError;
-use expander_graphs::{Graph, SplitGraph, VertexId};
+use expander_graphs::{Graph, SplitGraph};
 
 /// A router for expanders with arbitrary degrees: tokens are mapped to
 /// ports of the constant-degree split graph `G⋄`, routed there, and
 /// mapped back (Appendix E).
 #[derive(Debug, Clone)]
 pub struct GeneralRouter {
+    graph: Graph,
     split: SplitGraph,
     inner: Router,
-    base_n: usize,
 }
 
 impl GeneralRouter {
@@ -26,7 +26,12 @@ impl GeneralRouter {
     pub fn preprocess(graph: &Graph, config: RouterConfig) -> Result<GeneralRouter, BuildError> {
         let split = SplitGraph::build(graph, config.hierarchy.seed);
         let inner = Router::preprocess(split.graph(), config)?;
-        Ok(GeneralRouter { split, inner, base_n: graph.n() })
+        Ok(GeneralRouter { graph: graph.clone(), split, inner })
+    }
+
+    /// The base graph.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
     }
 
     /// The expander split.
@@ -50,11 +55,12 @@ impl GeneralRouter {
     ///
     /// Errors if a vertex sources or sinks more than `deg(v)` tokens.
     pub fn route(&self, inst: &RoutingInstance) -> Result<RoutingOutcome, InstanceError> {
-        let mut src_count = vec![0u32; self.base_n];
-        let mut dst_count = vec![0u32; self.base_n];
+        let base_n = self.graph.n();
+        let mut src_count = vec![0u32; base_n];
+        let mut dst_count = vec![0u32; base_n];
         let mut triples = Vec::with_capacity(inst.tokens.len());
         for t in &inst.tokens {
-            if t.src as usize >= self.base_n || t.dst as usize >= self.base_n {
+            if t.src as usize >= base_n || t.dst as usize >= base_n {
                 return Err(InstanceError::new("token endpoint outside the base graph"));
             }
             let sdeg = self.split.base_degree(t.src);
@@ -88,10 +94,11 @@ impl GeneralRouter {
         let root = self.inner.hierarchy().root();
         out.ledger.charge("query/general/port-labels", 2 * self.inner.cost_model().tsort(root, 1));
         // Map positions back to base vertices.
-        let positions: Vec<VertexId> =
-            out.positions.iter().map(|&sv| self.split.owner(sv)).collect();
-        let destinations: Vec<VertexId> = inst.tokens.iter().map(|t| t.dst).collect();
-        Ok(RoutingOutcome { positions, destinations, ledger: out.ledger, stats: out.stats })
+        for p in &mut out.positions {
+            *p = self.split.owner(*p);
+        }
+        out.destinations = inst.tokens.iter().map(|t| t.dst).collect();
+        Ok(out)
     }
 
     /// The unknown-`L` doubling trick (Appendix E remark): try load
@@ -113,8 +120,8 @@ impl GeneralRouter {
             attempts += 1;
             // Truncate to the per-vertex cap: the run "halts" once some
             // vertex exceeds its allowance.
-            let mut src_seen = vec![0usize; self.base_n];
-            let mut dst_seen = vec![0usize; self.base_n];
+            let mut src_seen = vec![0usize; self.graph.n()];
+            let mut dst_seen = vec![0usize; self.graph.n()];
             let mut truncated = Vec::new();
             let mut overflow = false;
             for t in &inst.tokens {
@@ -139,7 +146,7 @@ impl GeneralRouter {
             let partial = self.route(&RoutingInstance { tokens: truncated })?;
             wasted.charge("query/general/doubling-waste", partial.rounds());
             cap *= 2;
-            assert!(cap <= 2 * self.base_n, "doubling runaway");
+            assert!(cap <= 2 * self.graph.n(), "doubling runaway");
         }
     }
 }
@@ -160,7 +167,7 @@ mod tests {
         let r = general_router(1);
         let inst = RoutingInstance::permutation(96, 2);
         let out = r.route(&inst).expect("valid");
-        assert!(out.all_delivered());
+        assert!(out.fully_delivered());
         assert!(out.ledger.phase("query/general/port-labels") > 0);
     }
 
@@ -173,7 +180,7 @@ mod tests {
         let triples: Vec<(u32, u32, u64)> = (1..=deg0.min(16)).map(|i| (i, 0, i as u64)).collect();
         let inst = RoutingInstance::from_triples(&triples);
         let out = r.route(&inst).expect("valid");
-        assert!(out.all_delivered());
+        assert!(out.fully_delivered());
     }
 
     #[test]
@@ -192,7 +199,7 @@ mod tests {
         let r = general_router(4);
         let inst = RoutingInstance::from_triples(&[(1, 0, 0), (2, 0, 1), (3, 0, 2), (4, 0, 3)]);
         let (out, attempts) = r.route_with_doubling(&inst).expect("valid");
-        assert!(out.all_delivered());
+        assert!(out.fully_delivered());
         assert!(attempts >= 2, "destination load 4 needs doubling");
         assert!(out.ledger.phase("query/general/doubling-waste") > 0);
     }

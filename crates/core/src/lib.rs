@@ -23,11 +23,11 @@
 //! | Sorting networks (§6.4's `I_AKS`, substituted by Batcher) | [`network`] |
 //! | Routing ⇄ sorting equivalence (Appendix F) | [`equivalence`] |
 //! | Arbitrary degrees via the expander split `G⋄` (Appendix E) | [`general`] |
-//! | Instances, outcomes, load `L`, query statistics | [`token`] |
+//! | Instances, the one routing outcome and its verifier, load `L`, query statistics | [`token`] |
 //! | Batched/fused multi-query amortization (Theorem 1.1 at scale) | [`engine`] |
 //! | Streaming admission over the batch engine (beyond the paper) | [`service`] |
 //! | Corollary 1.4 general graphs via expander decomposition | [`decomposed`] |
-//! | §1.2 comparison baselines (GKS17, CS20, shortest path) | [`baselines`] |
+//! | §1.2 comparison baselines (GKS17, CS20) | [`baselines`] |
 //! | Rival-router arena ("faster and more versatile", measured) | [`arena`] |
 //! | Dynamic-topology degradation ladder (beyond the paper) | [`churn`] |
 //!
@@ -61,18 +61,23 @@
 //! * [`general`] — routing on arbitrary-degree expanders through the
 //!   expander split `G⋄` (Appendix E), including the unknown-load
 //!   doubling trick.
-//! * [`baselines`] — the GKS17 randomized random-walk router, a
-//!   CS20-style per-query-recomputation router, and a naive
-//!   shortest-path router, for the comparison experiments.
+//! * [`token`] — instances and outcomes. [`RoutingOutcome`] is the one
+//!   outcome of every router: final positions, structured
+//!   [`Undeliverable`] reports, optional flat per-edge loads, the round
+//!   ledger, and the query statistics. [`RoutingOutcome::verify`] is
+//!   the one check of the route-or-report contract.
+//! * [`baselines`] — the round costs of the GKS17 randomized
+//!   random-walk router and a CS20-style per-query-recomputation
+//!   router, for the comparison experiments.
 //! * [`arena`] — the baseline arena: the [`RoutingAlgorithm`] trait
-//!   rival routers implement (`route_instance(graph, instance) →`
-//!   [`RouteOutcome`] on the shared charge model), with adapters
-//!   putting [`Router`] and [`RoutedDecomposition`] behind it; the
-//!   competing algorithms live in the `expander-baselines` crate.
+//!   (`route_instance(graph, instance) →` [`RoutingOutcome`] on the
+//!   shared charge model), with [`Router`], [`GeneralRouter`] and
+//!   [`RoutedDecomposition`] behind it; the competing algorithms live
+//!   in the `expander-baselines` crate.
 //! * [`decomposed`] — graceful degradation on general graphs
 //!   (Corollary 1.4): [`RoutedDecomposition`] splits a non-expander
 //!   into expander pieces, routes within each, and reports
-//!   cross-piece tokens as structured [`Undeliverable`] outcomes
+//!   cross-piece tokens as structured [`Undeliverable`] reports
 //!   instead of panicking.
 //! * [`churn`] — churn-tolerant routing: [`ChurnRouter`] absorbs
 //!   graph edits through incremental [`Router::repair`], full
@@ -92,7 +97,7 @@
 //! // A random permutation: every vertex sends one token to a distinct target.
 //! let inst = RoutingInstance::permutation(g.n(), 3);
 //! let outcome = router.route(&inst).expect("valid instance");
-//! assert!(outcome.all_delivered());
+//! assert!(outcome.fully_delivered());
 //! ```
 
 pub mod arena;
@@ -111,12 +116,9 @@ pub mod router;
 pub mod service;
 pub mod token;
 
-pub use arena::{RouteOutcome, RoutingAlgorithm};
+pub use arena::RoutingAlgorithm;
 pub use churn::{ChurnConfig, ChurnOutcome, ChurnRouter, DeliveryMode};
-pub use decomposed::{
-    DecomposedConfig, DecomposedOutcome, FallbackReason, RoutedDecomposition, Undeliverable,
-    UndeliverableReason,
-};
+pub use decomposed::{DecomposedConfig, FallbackReason, RoutedDecomposition};
 pub use engine::{BatchOutcome, BatchStats, Job, JobOutcome, JobRef, QueryEngine};
 pub use general::GeneralRouter;
 pub use profile::{PhaseProfile, RouteProfile};
@@ -125,4 +127,31 @@ pub use service::{
     ArrivalSchedule, RoutingService, ServiceConfig, ServiceHandle, ServiceStats, SubmitError,
     TenantCounters, Ticket,
 };
-pub use token::{RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
+pub use token::{
+    RoutingInstance, RoutingOutcome, SortInstance, SortOutcome, Undeliverable, UndeliverableReason,
+};
+
+/// Nearest-rank `[p50, p95, p99]` of a sample (zeros when empty): the
+/// latency and congestion percentiles of the service and churn reports.
+pub(crate) fn percentiles(values: impl Iterator<Item = u64>) -> [u64; 3] {
+    let mut v: Vec<u64> = values.collect();
+    if v.is_empty() {
+        return [0; 3];
+    }
+    v.sort_unstable();
+    let rank = |p: f64| v[(((v.len() as f64) * p).ceil() as usize).clamp(1, v.len()) - 1];
+    [rank(0.50), rank(0.95), rank(0.99)]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentiles;
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let vals = (1..=100u64).rev();
+        assert_eq!(percentiles(vals), [50, 95, 99]);
+        assert_eq!(percentiles(std::iter::empty()), [0; 3]);
+        assert_eq!(percentiles([7u64].into_iter()), [7, 7, 7]);
+    }
+}

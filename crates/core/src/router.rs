@@ -732,7 +732,7 @@ impl Router {
     /// let g = generators::random_regular(256, 4, 7).expect("generator");
     /// let router = Router::preprocess(&g, RouterConfig::default()).expect("expander");
     /// let outcome = router.route(&RoutingInstance::permutation(256, 42)).expect("valid");
-    /// assert!(outcome.all_delivered());
+    /// assert!(outcome.fully_delivered());
     /// assert!(outcome.rounds() > 0, "queries charge CONGEST rounds");
     /// ```
     ///
@@ -908,7 +908,7 @@ mod tests {
         let inst = RoutingInstance::permutation(256, 7);
         let mut scratch = Scratch::new(&r);
         match r.execute(JobRef::Route(&inst), &mut scratch, RoundLedger::new()) {
-            JobOutcome::Route(out) => assert!(out.all_delivered()),
+            JobOutcome::Route(out) => assert!(out.fully_delivered()),
             JobOutcome::Sort(_) => unreachable!(),
         }
         // Repair in place: the router keeps its address, so only the
@@ -919,7 +919,7 @@ mod tests {
             JobOutcome::Route(out) => out,
             JobOutcome::Sort(_) => unreachable!(),
         };
-        assert!(pooled.all_delivered());
+        assert!(pooled.fully_delivered());
         // A fresh scratch is the uncached reference: pooled dummy
         // dispersals must not leak across the repair.
         let reference = r.route(&inst).expect("valid");

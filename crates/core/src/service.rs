@@ -451,8 +451,8 @@ impl RoutingService {
             service.extend(ws.service_us);
         }
         stats.width_histogram = widths.into_iter().enumerate().filter(|&(_, c)| c > 0).collect();
-        stats.formation_latency_us = crate::churn::percentiles(formation.into_iter());
-        stats.service_latency_us = crate::churn::percentiles(service.into_iter());
+        stats.formation_latency_us = crate::percentiles(formation.into_iter());
+        stats.service_latency_us = crate::percentiles(service.into_iter());
         for tq in &shared.tenants {
             let counters = TenantCounters {
                 admitted: tq.admitted.load(Ordering::Relaxed),

@@ -14,6 +14,10 @@
 //!   paper-facing [`QueryStats`]: the Lemma 6.6 per-round load trace,
 //!   Lemma 6.2 dispersion-envelope checks, and the observed
 //!   congestion/dilation of every measured movement leg.
+//!   [`RoutingOutcome`] is the one outcome of every router: tokens it
+//!   cannot deliver come back as structured [`Undeliverable`] reports,
+//!   and [`RoutingOutcome::verify`] checks that route-or-report
+//!   contract.
 
 use congest_sim::RoundLedger;
 use expander_graphs::VertexId;
@@ -328,28 +332,161 @@ impl QueryStats {
     }
 }
 
-/// Outcome of a routing query.
-#[derive(Debug, Clone)]
+/// Why a token could not be delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UndeliverableReason {
+    /// Source and destination live in different expander pieces of a
+    /// decomposition: the token would have to cross removed cut edges,
+    /// where the paper's routing precondition (one φ-expander) does not
+    /// hold.
+    CrossPiece {
+        /// Piece index of the source.
+        src_piece: u32,
+        /// Piece index of the destination.
+        dst_piece: u32,
+    },
+    /// No path joins source and destination in the graph (or piece)
+    /// the router works on.
+    NoPath {
+        /// Source vertex (global id).
+        src: VertexId,
+        /// Destination vertex (global id).
+        dst: VertexId,
+    },
+}
+
+/// A token a router could not deliver, with the reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Undeliverable {
+    /// Index of the token in the instance.
+    pub token: usize,
+    /// Why it stays at its source.
+    pub reason: UndeliverableReason,
+}
+
+impl fmt::Display for Undeliverable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.reason {
+            UndeliverableReason::CrossPiece { src_piece, dst_piece } => write!(
+                f,
+                "token {} undeliverable: crosses pieces {src_piece} -> {dst_piece}",
+                self.token
+            ),
+            UndeliverableReason::NoPath { src, dst } => {
+                write!(f, "token {} undeliverable: no path {src} -> {dst}", self.token)
+            }
+        }
+    }
+}
+
+/// Outcome of a routing query, from any router: every token is either
+/// delivered or reported in [`RoutingOutcome::undeliverable`].
+///
+/// Derives `PartialEq` over every field, ledger included, so
+/// byte-identical determinism checks are a single `assert_eq!`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingOutcome {
     /// Final position of each token (aligned with the instance).
+    /// Undeliverable tokens stay at their source.
     pub positions: Vec<VertexId>,
     /// Destination of each token (copied from the instance).
     pub destinations: Vec<VertexId>,
+    /// Tokens the router could not deliver, strictly increasing by
+    /// token index. Always empty for Theorem 1.1 routing.
+    pub undeliverable: Vec<Undeliverable>,
+    /// Per-edge traversal counts indexed by `Graph::edge_id`, when the
+    /// router tracks flat loads (the arena baselines do). Empty for
+    /// the hierarchical routers, which account congestion per measured
+    /// movement leg in [`QueryStats::max_congestion`] instead.
+    pub edge_loads: Vec<u32>,
     /// Charged rounds, by phase.
     pub ledger: RoundLedger,
-    /// Execution statistics.
+    /// Execution statistics, including the worst congestion and
+    /// dilation observed.
     pub stats: QueryStats,
 }
 
 impl RoutingOutcome {
-    /// Whether every token sits at its destination.
-    pub fn all_delivered(&self) -> bool {
-        self.positions.iter().zip(&self.destinations).all(|(p, d)| p == d)
+    /// The outcome before any routing: every token at its source,
+    /// nothing reported, nothing charged.
+    pub fn at_sources(inst: &RoutingInstance) -> Self {
+        RoutingOutcome {
+            positions: inst.tokens.iter().map(|t| t.src).collect(),
+            destinations: inst.tokens.iter().map(|t| t.dst).collect(),
+            undeliverable: Vec::new(),
+            edge_loads: Vec::new(),
+            ledger: RoundLedger::new(),
+            stats: QueryStats::default(),
+        }
+    }
+
+    /// Whether every token sits at its destination and none is
+    /// reported undeliverable.
+    pub fn fully_delivered(&self) -> bool {
+        self.undeliverable.is_empty() && self.positions == self.destinations
+    }
+
+    /// Number of tokens delivered to their destination.
+    pub fn delivered_count(&self) -> usize {
+        self.positions.len() - self.undeliverable.len()
     }
 
     /// Total charged rounds for the query.
     pub fn rounds(&self) -> u64 {
         self.ledger.total()
+    }
+
+    /// Checks the route-or-report contract against the instance: the
+    /// outcome is aligned with it, destinations are copied faithfully,
+    /// reports are strictly increasing and in range, every reported
+    /// token sits untouched at its source, every other token sits at
+    /// its destination, and flat edge loads (when present) peak at
+    /// exactly [`QueryStats::max_congestion`]. Returns human-readable
+    /// violations; empty when consistent.
+    pub fn verify(&self, inst: &RoutingInstance) -> Vec<String> {
+        let n = inst.tokens.len();
+        if self.positions.len() != n || self.destinations.len() != n {
+            return vec!["outcome not aligned with instance".to_owned()];
+        }
+        let mut issues = Vec::new();
+        if !self.undeliverable.windows(2).all(|w| w[0].token < w[1].token) {
+            issues.push("undeliverable reports not strictly increasing by token".to_owned());
+        }
+        let mut reported = vec![false; n];
+        for u in &self.undeliverable {
+            match reported.get_mut(u.token) {
+                Some(r) => *r = true,
+                None => issues.push(format!("undeliverable report for bogus token {}", u.token)),
+            }
+        }
+        for (i, t) in inst.tokens.iter().enumerate() {
+            let (pos, dst) = (self.positions[i], self.destinations[i]);
+            if dst != t.dst {
+                issues.push(format!("token {i}: destination {dst} != instance {}", t.dst));
+            }
+            if reported[i] {
+                if pos != t.src {
+                    issues.push(format!(
+                        "token {i} reported undeliverable but moved {} -> {pos}",
+                        t.src
+                    ));
+                }
+            } else if pos != t.dst {
+                issues.push(format!(
+                    "token {i} neither delivered (at {pos}, wants {}) nor reported",
+                    t.dst
+                ));
+            }
+        }
+        if let Some(&peak) = self.edge_loads.iter().max() {
+            if u64::from(peak) != self.stats.max_congestion {
+                issues.push(format!(
+                    "flat edge loads peak at {peak} but max_congestion claims {}",
+                    self.stats.max_congestion
+                ));
+            }
+        }
+        issues
     }
 }
 
@@ -472,13 +609,47 @@ mod tests {
 
     #[test]
     fn outcome_delivery_check() {
-        let o = RoutingOutcome {
-            positions: vec![1, 2],
-            destinations: vec![1, 2],
-            ledger: RoundLedger::new(),
-            stats: QueryStats::default(),
-        };
-        assert!(o.all_delivered());
+        let inst = RoutingInstance::from_triples(&[(0, 1, 0), (1, 2, 1)]);
+        let mut o = RoutingOutcome::at_sources(&inst);
+        assert!(!o.fully_delivered());
+        o.positions = vec![1, 2];
+        assert!(o.fully_delivered());
+        assert_eq!(o.delivered_count(), 2);
+    }
+
+    /// Each `verify` rule, broken alone, yields exactly one violation.
+    #[test]
+    fn verify_flags_each_inconsistency_once() {
+        fn report(token: usize, src: VertexId, dst: VertexId) -> Undeliverable {
+            Undeliverable { token, reason: UndeliverableReason::NoPath { src, dst } }
+        }
+        let inst = RoutingInstance::from_triples(&[(0, 4, 0), (1, 5, 1), (2, 6, 2)]);
+        let mut good = RoutingOutcome::at_sources(&inst);
+        good.positions[0] = 4;
+        good.undeliverable = vec![report(1, 1, 5), report(2, 2, 6)];
+        good.edge_loads = vec![2, 0, 1];
+        good.stats.max_congestion = 2;
+        assert!(good.verify(&inst).is_empty(), "{:?}", good.verify(&inst));
+        assert_eq!(good.delivered_count(), 1);
+
+        type Corrupt = fn(&mut RoutingOutcome);
+        let broken: [(&str, Corrupt); 8] = [
+            ("misaligned", |o| {
+                o.positions.pop();
+            }),
+            ("wrong destination", |o| o.destinations[0] = 5),
+            ("unsorted report", |o| o.undeliverable.swap(0, 1)),
+            ("duplicate report", |o| o.undeliverable.push(o.undeliverable[1])),
+            ("bogus report", |o| o.undeliverable.push(report(9, 0, 0))),
+            ("reported token moved", |o| o.positions[1] = 3),
+            ("unreported undelivered token", |o| o.positions[0] = 3),
+            ("edge-load peak", |o| o.stats.max_congestion = 3),
+        ];
+        for (rule, corrupt) in broken {
+            let mut o = good.clone();
+            corrupt(&mut o);
+            assert_eq!(o.verify(&inst).len(), 1, "{rule}: {:?}", o.verify(&inst));
+        }
     }
 
     #[test]

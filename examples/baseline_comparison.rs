@@ -22,12 +22,13 @@
 //! ledger model, overall delivery rate, and wall-clock for the three
 //! routes (hierarchical preprocessing is listed separately in `pre`
 //! — the other two have no preprocessed state). Every outcome is
-//! checked with [`RouteOutcome::verify`]: a violation panics, so this
+//! checked with [`RoutingOutcome::verify`]: a violation panics, so this
 //! report doubles as a smoke-level conformance pass.
 
 use expander_baselines::{GreedyLocalRouting, SplicerRouting};
-use expander_core::arena::{RouteOutcome, RoutingAlgorithm};
-use expander_core::{DecomposedConfig, RoutedDecomposition, RoutingInstance};
+use expander_core::{
+    DecomposedConfig, RoutedDecomposition, RoutingAlgorithm, RoutingInstance, RoutingOutcome,
+};
 use expander_graphs::{generators, ingest, Graph};
 use std::time::{Duration, Instant};
 
@@ -73,12 +74,12 @@ fn sweep(name: &str, algo: &dyn RoutingAlgorithm, g: &Graph, insts: &[RoutingIns
         Line { cong: 0, dil: 0, rounds: 0, delivered: 0, tokens: 0, wall: Duration::ZERO };
     for inst in insts {
         let t0 = Instant::now();
-        let out: RouteOutcome = algo.route_instance(g, inst).expect("valid instance");
+        let out: RoutingOutcome = algo.route_instance(g, inst).expect("valid instance");
         line.wall += t0.elapsed();
         let issues = out.verify(inst);
         assert!(issues.is_empty(), "{name}/{}: conformance violations: {issues:?}", algo.name());
-        line.cong = line.cong.max(out.max_congestion);
-        line.dil = line.dil.max(out.max_dilation);
+        line.cong = line.cong.max(out.stats.max_congestion);
+        line.dil = line.dil.max(out.stats.max_dilation);
         line.rounds += out.rounds();
         line.delivered += out.delivered_count();
         line.tokens += inst.tokens.len();

@@ -26,7 +26,7 @@ fn run_shape(router: &Router, label: &str, insts: &[RoutingInstance], threads: u
     let solo: Vec<RoutingOutcome> =
         insts.iter().map(|inst| router.route(inst).expect("valid instance")).collect();
     let seq = t1.elapsed();
-    assert!(solo.iter().all(RoutingOutcome::all_delivered), "undelivered tokens");
+    assert!(solo.iter().all(RoutingOutcome::fully_delivered), "undelivered tokens");
 
     // Engine, one worker, per-job path: the pooled-scratch +
     // dummy-cache win alone (the pre-fusion engine).

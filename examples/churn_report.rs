@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Every round of every run is checked against the route-or-report
-//! contract (`DecomposedOutcome::verify`): tokens are delivered or
+//! contract (`RoutingOutcome::verify`): tokens are delivered or
 //! reported as structured undeliverables, never dropped, never a
 //! panic — up to 10% of edges churned per round.
 

@@ -32,7 +32,7 @@ fn main() {
         (0..fan_in).map(|i| ((hub + 1 + i * 7) % n as u32, hub, i as u64)).collect();
     let inst = RoutingInstance::from_triples(&triples);
     let out = router.route(&inst).expect("valid instance");
-    assert!(out.all_delivered());
+    assert!(out.fully_delivered());
     println!(
         "\nrouted {fan_in} tokens into hub {hub} (deg {}): {} charged rounds",
         g.degree(hub),
@@ -42,7 +42,7 @@ fn main() {
     // The doubling trick: the load is unknown up front; caps double
     // until the instance fits, failed attempts charged honestly.
     let (out2, attempts) = router.route_with_doubling(&inst).expect("valid instance");
-    assert!(out2.all_delivered());
+    assert!(out2.fully_delivered());
     println!(
         "doubling trick: {attempts} attempts, {} total rounds (waste: {})",
         out2.rounds(),

@@ -38,7 +38,7 @@ fn main() {
     // 3. A routing query: a random permutation (load L = 1).
     let inst = RoutingInstance::permutation(n, 42);
     let out = router.route(&inst).expect("valid instance");
-    assert!(out.all_delivered());
+    assert!(out.fully_delivered());
     println!("\nrouting query (permutation, L = 1): {} rounds", out.rounds());
     for (phase, rounds) in out.ledger.breakdown() {
         println!("  {phase:32} {rounds}");

@@ -49,7 +49,7 @@ fn main() {
     let inst = RoutingInstance::permutation(n, 7);
     let t3 = Instant::now();
     let out = router.route(&inst).expect("valid instance");
-    assert!(out.all_delivered(), "undelivered tokens");
+    assert!(out.fully_delivered(), "undelivered tokens");
     println!(
         "route permutation (L = 1): {:.2?}  ({} charged rounds)",
         t3.elapsed(),
@@ -66,7 +66,7 @@ fn main() {
     let t4 = Instant::now();
     let (outs_pj, _) = perjob.route_batch(&batch).expect("valid instances");
     let dt_pj = t4.elapsed();
-    assert!(outs_pj.iter().all(|o| o.all_delivered()), "undelivered batch tokens");
+    assert!(outs_pj.iter().all(|o| o.fully_delivered()), "undelivered batch tokens");
     println!(
         "engine batch per-job (B = {b}, L = 1): {dt_pj:.2?}  ({:.1} queries/s)",
         b as f64 / dt_pj.as_secs_f64(),
@@ -75,7 +75,7 @@ fn main() {
     let t5 = Instant::now();
     let (outs, stats) = engine.route_batch(&batch).expect("valid instances");
     let dt = t5.elapsed();
-    assert!(outs.iter().all(|o| o.all_delivered()), "undelivered batch tokens");
+    assert!(outs.iter().all(|o| o.fully_delivered()), "undelivered batch tokens");
     println!(
         "engine batch fused   (B = {b}, L = 1): {dt:.2?}  ({:.1} queries/s, {} total rounds, \
          {:.2}× per-job)",

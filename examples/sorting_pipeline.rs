@@ -53,7 +53,7 @@ fn main() {
     );
     let perm = RoutingInstance::permutation(128, 11);
     let f2 = route_via_sorting(&small_router, &perm).expect("valid");
-    assert!(f2.outcome.all_delivered());
+    assert!(f2.outcome.fully_delivered());
     println!(
         "Lemma F.2 (route via sorting): {} sort calls,  {} rounds",
         f2.sort_calls,

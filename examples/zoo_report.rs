@@ -95,7 +95,7 @@ fn main() {
             g.m(),
             rd.pieces().len(),
             fallback,
-            out.success_rate() * 100.0,
+            out.delivered_count() as f64 / out.positions.len().max(1) as f64 * 100.0,
             out.stats.max_congestion,
             out.stats.max_dilation,
             out.rounds(),

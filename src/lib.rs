@@ -33,7 +33,7 @@
 //! // …then answer routing queries in polylog^{O(1/ε)} charged rounds.
 //! let inst = RoutingInstance::permutation(g.n(), 42);
 //! let outcome = router.route(&inst).expect("valid instance");
-//! assert!(outcome.all_delivered());
+//! assert!(outcome.fully_delivered());
 //! println!("query rounds: {}", outcome.rounds());
 //! ```
 
@@ -50,7 +50,7 @@ pub mod prelude {
     pub use expander_baselines::{GreedyLocalRouting, SplicerRouting};
     pub use expander_core::{
         ArrivalSchedule, BatchOutcome, BatchStats, DecomposedConfig, GeneralRouter, Job,
-        JobOutcome, JobRef, QueryEngine, RouteOutcome, RoutedDecomposition, Router, RouterConfig,
+        JobOutcome, JobRef, QueryEngine, RoutedDecomposition, Router, RouterConfig,
         RoutingAlgorithm, RoutingInstance, RoutingOutcome, RoutingService, ServiceConfig,
         ServiceStats, SortInstance, SortOutcome,
     };

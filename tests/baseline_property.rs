@@ -24,8 +24,7 @@
 //! and run before the fresh cases on every invocation.
 
 use expander_baselines::{GreedyLocalRouting, SplicerRouting};
-use expander_core::arena::RoutingAlgorithm;
-use expander_core::RoutingInstance;
+use expander_core::{RoutingAlgorithm, RoutingInstance, RoutingOutcome};
 use expander_graphs::{generators, Graph, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -42,6 +41,11 @@ fn graph_for(kind: usize, size: usize, seed: u64) -> Graph {
         2 => generators::disconnected_expanders(2, 32 + size % 16, 4, seed).expect("generator"),
         _ => generators::power_law(48 + size % 48, 3, seed).expect("generator"),
     }
+}
+
+/// Indices of the tokens an outcome reports undeliverable.
+fn reported(out: &RoutingOutcome) -> Vec<usize> {
+    out.undeliverable.iter().map(|u| u.token).collect()
 }
 
 /// A seeded permutation σ of the vertex set.
@@ -92,7 +96,7 @@ proptest! {
             prop_assert!(out.verify(&inst).is_empty(), "{}: {:?}", algo.name(), out.verify(&inst));
             prop_assert!(out_r.verify(&inst_r).is_empty());
             prop_assert_eq!(
-                &out_r.undelivered, &out.undelivered,
+                reported(&out_r), reported(&out),
                 "{}: undelivered set must be label-invariant", algo.name()
             );
             let mapped: Vec<VertexId> =
@@ -134,7 +138,7 @@ proptest! {
         for (e, (&fl, &sl)) in a.edge_loads.iter().zip(&b.edge_loads).enumerate() {
             prop_assert!(sl <= fl, "local: edge {} load grew {} -> {} on a subset", e, fl, sl);
         }
-        prop_assert!(b.max_congestion <= a.max_congestion);
+        prop_assert!(b.stats.max_congestion <= a.stats.max_congestion);
 
         // Splicer: prefix subset — byte-exact replay of the full run's
         // first k decisions, so domination is exact per edge.
@@ -146,7 +150,7 @@ proptest! {
         for (e, (&fl, &sl)) in fa.edge_loads.iter().zip(&fb.edge_loads).enumerate() {
             prop_assert!(sl <= fl, "splicer: edge {} load grew {} -> {} on a prefix", e, fl, sl);
         }
-        prop_assert!(fb.max_congestion <= fa.max_congestion);
-        prop_assert!(fb.max_dilation <= fa.max_dilation);
+        prop_assert!(fb.stats.max_congestion <= fa.stats.max_congestion);
+        prop_assert!(fb.stats.max_dilation <= fa.stats.max_dilation);
     }
 }

@@ -77,7 +77,7 @@ fn lemma_6_2_dispersion_and_lemma_6_6_loads() {
     let router = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).unwrap();
     let inst = RoutingInstance::uniform_load(512, 2, 10);
     let out = router.route(&inst).unwrap();
-    assert!(out.all_delivered());
+    assert!(out.fully_delivered());
     // Lemma 6.2: the dispersion envelope holds for (almost) all
     // (part, mark) pairs.
     assert!(out.stats.dispersion_checked > 0);
@@ -148,7 +148,7 @@ fn bandwidth_starved_hierarchy_still_routes() {
     match Router::preprocess(&g, brutal) {
         Ok(r) => {
             let out = r.route(&RoutingInstance::uniform_load(256, 2, 23)).expect("valid");
-            assert!(out.all_delivered());
+            assert!(out.fully_delivered());
         }
         Err(e) => {
             // Clean, informative rejection.
@@ -170,7 +170,7 @@ fn bandwidth_starved_hierarchy_still_routes() {
     );
     assert!(h.rho_best() > 1.0, "rho_best should exceed 1, got {}", h.rho_best());
     let out = r.route(&RoutingInstance::uniform_load(256, 2, 23)).expect("valid");
-    assert!(out.all_delivered(), "delivery with bad vertices failed");
+    assert!(out.fully_delivered(), "delivery with bad vertices failed");
 }
 
 #[test]

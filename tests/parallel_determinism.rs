@@ -93,7 +93,7 @@ fn router_and_routed_outcomes_are_thread_count_invariant() {
         let inst = RoutingInstance::permutation(n, 23);
         let out_seq = seq.route(&inst).expect("valid instance");
         let out_par = par.route(&inst).expect("valid instance");
-        assert!(out_seq.all_delivered());
+        assert!(out_seq.fully_delivered());
         assert_eq!(out_seq.positions, out_par.positions, "n = {n}: routed positions differ");
         assert_eq!(out_seq.ledger, out_par.ledger, "n = {n}: query ledgers differ");
         assert_eq!(

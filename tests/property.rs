@@ -94,7 +94,7 @@ proptest! {
     fn routing_always_delivers(inst in routing_instance(3)) {
         let r = shared_router();
         let out = r.route(&inst).expect("valid instance");
-        prop_assert!(out.all_delivered());
+        prop_assert!(out.fully_delivered());
     }
 
     #[test]
