@@ -28,7 +28,7 @@ use crate::token::{
 };
 use congest_sim::{cost, RoundLedger};
 use expander_decomp::{decomposition_for_epsilon, BuildError};
-use expander_graphs::{metrics, Graph, Path, PathSet, VertexId};
+use expander_graphs::{metrics, BfsScratch, Graph, Path, PathSet, VertexId};
 use std::fmt;
 
 /// Configuration for [`RoutedDecomposition::preprocess`].
@@ -405,17 +405,18 @@ pub(crate) fn route_by_bfs(
     phase: &'static str,
 ) {
     let mut paths = PathSet::new();
+    let mut scratch = BfsScratch::default();
+    let mut walk = Vec::new();
     for i in idxs {
         let t = &inst.tokens[i];
-        match g.shortest_path(local(t.src), local(t.dst)) {
-            Some(walk) => {
-                paths.push(Path::new(walk));
-                out.positions[i] = t.dst;
-            }
-            None => out.undeliverable.push(Undeliverable {
+        if g.shortest_path_into(local(t.src), local(t.dst), &mut scratch, &mut walk) {
+            paths.push(Path::new(walk.clone()));
+            out.positions[i] = t.dst;
+        } else {
+            out.undeliverable.push(Undeliverable {
                 token: i,
                 reason: UndeliverableReason::NoPath { src: t.src, dst: t.dst },
-            }),
+            });
         }
     }
     if !paths.is_empty() {

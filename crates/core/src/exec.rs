@@ -48,7 +48,7 @@ use crate::router::Router;
 use crate::token::{QueryStats, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::RoundLedger;
 use expander_decomp::NodeId;
-use expander_graphs::{FlatPaths, Graph, Path};
+use expander_graphs::{FlatPaths, Graph, Path, TreeWalkScratch};
 use std::collections::HashMap;
 
 /// Measured movement cost accumulator: `max edge load × max hops`.
@@ -169,8 +169,10 @@ impl FlatMoveCost {
     }
 
     /// Charges `times` traversals of an explicit vertex walk (a path
-    /// given as its vertex sequence), resolving edge ids through `g` —
-    /// used by the cold fallback legs only.
+    /// given as its vertex sequence), resolving edge ids through `g`.
+    /// The query path charges edge-id walks through
+    /// [`add_edge_ids`](Self::add_edge_ids); this form serves the
+    /// tests, which hold their paths as vertex sequences.
     ///
     /// # Panics
     ///
@@ -329,6 +331,10 @@ impl DummyEntry {
 struct DummyCache {
     /// Entries per node, linearly probed by load key.
     nodes: Vec<Vec<(u64, DummyEntry)>>,
+    /// Lookups served from the cache since it was created (read by the
+    /// pool tests only).
+    #[cfg(test)]
+    hits: u64,
 }
 
 /// Cached dummy dispersals kept per node before the oldest is evicted
@@ -352,6 +358,10 @@ impl DummyCache {
     fn take(&mut self, node: NodeId, l: u64) -> Option<DummyEntry> {
         let slot = &mut self.nodes[node];
         let i = slot.iter().position(|&(key, _)| key == l)?;
+        #[cfg(test)]
+        {
+            self.hits += 1;
+        }
         // Order-preserving removal: the slot stays sorted oldest-first
         // so `put`'s front eviction really discards the oldest entry
         // (a take/put round trip refreshes the entry to newest).
@@ -379,157 +389,187 @@ impl DummyCache {
     }
 }
 
-/// Reusable query buffers, shared across every `disperse`/`merge`/
-/// `task2` round of a query and — through the engine's scratch pool —
-/// across the queries of a batch: dense per-vertex load counters,
-/// counting-sort group buckets, per-part load vectors, flat
-/// movement-cost accumulators, the flock position arrays, and the
-/// cross-query dummy-dispersal cache.
-/// Lazily grown per-target BFS parent trees for the merge fallback
-/// escorts, plus the walk buffer that charges each leg.
+/// The merge fallback's escort legs: per-target BFS parent trees while
+/// they fit a byte budget, the exact per-leg search for every other
+/// target, and the walk buffer that charges each leg.
 ///
 /// The fallback legs send every dummy-starved real token to a
-/// round-robin vertex of its target part, so a dense batch issues
-/// thousands of shortest-path queries into a handful of destinations.
-/// A shared parent tree per destination amortizes them all into
-/// parent-chain walks — the per-token bidirectional BFS this replaces
-/// dominated fused merge time.
-///
-/// Each tree is grown *incrementally*: the BFS from its target
-/// suspends as soon as the requesting source is discovered and resumes
-/// from its saved frontier for deeper sources later (a BFS discovers
-/// vertices in distance order, so a suspended tree is already correct
-/// for everything it has reached). A cold solo query therefore pays
-/// only for the levels its own escorts need — near the old per-pair
-/// cost — while a warm batch keeps full-tree reuse.
+/// round-robin vertex of its target part. When the targets are few, a
+/// parent tree per target amortizes all of its legs into parent-chain
+/// walks. When they cover almost every vertex (a deep hierarchy),
+/// trees for all of them cost `O(n²)` time and bytes, so once the
+/// trees fill the budget the remaining targets' legs run
+/// [`Graph::bfs_tree_walk_into`] instead, in `O(ball)` each. Both
+/// yield the walk of the same BFS tree, so which one serves a leg is
+/// unobservable: outcomes and ledgers are byte-identical at every
+/// budget.
 #[derive(Debug, Default)]
 struct EscortCache {
-    /// `parent[target][v]` = next hop from `v` toward `target`
-    /// (`u32::MAX` while undiscovered; an empty inner vec = unstarted).
-    parent: Vec<Vec<u32>>,
-    /// Dense edge ids of those hops, aligned with `parent`.
-    edge: Vec<Vec<u32>>,
-    /// Per-target BFS visit order; doubles as the resumable queue
-    /// (`frontier[target]` indexes the next vertex to expand).
-    order: Vec<Vec<u32>>,
-    frontier: Vec<u32>,
+    /// Index into `trees` of each target's tree (`u32::MAX` = none).
+    slot: Vec<u32>,
+    trees: Vec<EscortTree>,
+    /// Bytes the trees may hold ([`ESCORT_TREE_BUDGET_BYTES`] outside
+    /// the tests).
+    budget: usize,
+    /// Buffers of the exact search, for targets without a tree.
+    search: TreeWalkScratch,
     /// Edge ids of the escort walk being charged.
     walk: Vec<u32>,
+}
+
+/// One target's BFS parent tree, grown *incrementally*: the BFS from
+/// the target suspends as soon as the requesting source is discovered
+/// and resumes from its saved frontier for deeper sources later (a BFS
+/// discovers vertices in distance order, so a suspended tree is
+/// already correct for everything it has reached). A cold solo query
+/// therefore pays only for the levels its own escorts need, while a
+/// warm batch keeps full-tree reuse.
+#[derive(Debug)]
+struct EscortTree {
+    target: u32,
+    /// `parent[v]` = next hop from `v` toward `target` (`u32::MAX`
+    /// while undiscovered).
+    parent: Vec<u32>,
+    /// Dense edge ids of those hops, aligned with `parent`.
+    edge: Vec<u32>,
+    /// BFS visit order; doubles as the resumable queue (`head` indexes
+    /// the next vertex to expand).
+    order: Vec<u32>,
+    head: usize,
+}
+
+impl EscortTree {
+    /// Bytes one tree over `n` vertices holds once fully grown.
+    fn bytes(n: usize) -> usize {
+        3 * 4 * n
+    }
+
+    fn new(n: usize, target: u32) -> EscortTree {
+        let mut parent = vec![u32::MAX; n];
+        parent[target as usize] = target;
+        let mut order = Vec::with_capacity(n);
+        order.push(target);
+        EscortTree { target, parent, edge: vec![u32::MAX; n], order, head: 0 }
+    }
+
+    /// Resumes the BFS until `src` is discovered or the component is
+    /// exhausted. Expansion order matches `Graph::bfs_parent_tree_into`
+    /// (adjacency order), so the grown tree is a prefix of the full
+    /// one — deterministic regardless of which sources forced the
+    /// growth.
+    fn grow_until(&mut self, g: &Graph, src: u32) {
+        while self.parent[src as usize] == u32::MAX && self.head < self.order.len() {
+            let u = self.order[self.head];
+            self.head += 1;
+            for (&v, &eid) in g.neighbors(u).iter().zip(g.neighbor_edge_ids(u)) {
+                if self.parent[v as usize] == u32::MAX {
+                    self.parent[v as usize] = u;
+                    self.edge[v as usize] = eid;
+                    self.order.push(v);
+                }
+            }
+        }
+    }
+
+    /// Writes the edge ids of the tree walk from `src` into `walk`
+    /// (the contract of `Graph::bfs_tree_walk_into`), growing the tree
+    /// as far as needed.
+    fn walk_into(&mut self, g: &Graph, src: u32, walk: &mut Vec<u32>) -> bool {
+        self.grow_until(g, src);
+        walk.clear();
+        if self.parent[src as usize] == u32::MAX {
+            return false;
+        }
+        let mut cur = src;
+        while cur != self.target {
+            walk.push(self.edge[cur as usize]);
+            cur = self.parent[cur as usize];
+        }
+        true
+    }
 }
 
 impl EscortCache {
     /// Drops every cached tree (the underlying graph changed).
     fn clear(&mut self) {
-        for t in &mut self.parent {
-            t.clear();
+        for tree in &self.trees {
+            self.slot[tree.target as usize] = u32::MAX;
         }
-        for t in &mut self.edge {
-            t.clear();
-        }
-        for t in &mut self.order {
-            t.clear();
-        }
-        self.frontier.fill(0);
+        self.trees.clear();
     }
 
-    /// Releases all tree storage and truncates the per-target slots to
-    /// `n` (the scratch pool's high-water trim; trees rebuild lazily).
+    /// Releases all tree and search storage and truncates the
+    /// per-target slots to `n` (the scratch pool's high-water trim;
+    /// both rebuild lazily).
     fn trim(&mut self, n: usize) {
-        self.parent.truncate(n);
-        self.parent.shrink_to_fit();
-        self.edge.truncate(n);
-        self.edge.shrink_to_fit();
-        self.order.truncate(n);
-        self.order.shrink_to_fit();
-        for t in self.parent.iter_mut().chain(&mut self.edge).chain(&mut self.order) {
-            *t = Vec::new();
-        }
-        self.frontier.truncate(n);
-        self.frontier.shrink_to_fit();
-        self.frontier.fill(0);
+        self.trees = Vec::new();
+        self.slot.truncate(n);
+        self.slot.shrink_to_fit();
+        self.slot.fill(u32::MAX);
+        self.search = TreeWalkScratch::default();
         self.walk = Vec::new();
     }
 
     /// Estimated heap bytes retained by the cache.
     fn approx_bytes(&self) -> usize {
-        let slot = std::mem::size_of::<Vec<u32>>();
         let trees: usize = self
-            .parent
+            .trees
             .iter()
-            .chain(&self.edge)
-            .chain(&self.order)
-            .map(|t| t.capacity() * 4)
-            .sum::<usize>();
+            .map(|t| (t.parent.capacity() + t.edge.capacity() + t.order.capacity()) * 4)
+            .sum();
         trees
-            + (self.parent.capacity() + self.edge.capacity() + self.order.capacity()) * slot
-            + (self.frontier.capacity() + self.walk.capacity()) * 4
+            + self.trees.capacity() * std::mem::size_of::<EscortTree>()
+            + (self.slot.capacity() + self.walk.capacity()) * 4
+            + self.search.approx_bytes()
     }
 
     /// Grows the per-target slots to cover `n` vertices.
     fn ensure_targets(&mut self, n: usize) {
-        if self.parent.len() < n {
-            self.parent.resize_with(n, Vec::new);
-            self.edge.resize_with(n, Vec::new);
-            self.order.resize_with(n, Vec::new);
-            self.frontier.resize(n, 0);
+        if self.slot.len() < n {
+            self.slot.resize(n, u32::MAX);
         }
     }
 
-    /// Resumes the BFS rooted at `target` until `src` is discovered or
-    /// the component is exhausted. Expansion order matches
-    /// `Graph::bfs_parent_tree_into` (adjacency order), so the grown
-    /// tree is a prefix of the full one — deterministic regardless of
-    /// which sources forced the growth.
-    fn grow_until(&mut self, g: &Graph, src: u32, target: u32) {
-        let t = target as usize;
-        if self.parent[t].is_empty() {
-            self.parent[t].resize(g.n(), u32::MAX);
-            self.edge[t].resize(g.n(), u32::MAX);
-            self.parent[t][t] = target;
-            self.order[t].clear();
-            self.order[t].push(target);
-            self.frontier[t] = 0;
-        }
-        let parent = &mut self.parent[t];
-        let edge = &mut self.edge[t];
-        let order = &mut self.order[t];
-        let mut head = self.frontier[t] as usize;
-        while parent[src as usize] == u32::MAX && head < order.len() {
-            let u = order[head];
-            head += 1;
-            for (&v, &eid) in g.neighbors(u).iter().zip(g.neighbor_edge_ids(u)) {
-                if parent[v as usize] == u32::MAX {
-                    parent[v as usize] = u;
-                    edge[v as usize] = eid;
-                    order.push(v);
-                }
-            }
-        }
-        self.frontier[t] = head as u32;
-    }
-
-    /// Charges one fallback leg `src → target` into `mc` along the
-    /// cached shortest-path tree, growing the target's tree as far as
-    /// needed on first use. Unreachable pairs charge nothing — the
-    /// escort teleports either way (the caller rewrites `pos`), exactly
-    /// as the per-pair BFS behaved.
+    /// Charges one fallback leg `src → target` into `mc` along the BFS
+    /// tree rooted at `target`: through the target's cached tree,
+    /// started here if another tree still fits the budget, or else
+    /// through the exact search. Unreachable pairs charge nothing —
+    /// the escort teleports either way (the caller rewrites `pos`).
     fn charge(&mut self, g: &Graph, mc: &mut FlatMoveCost, src: u32, target: u32) {
-        self.grow_until(g, src, target);
-        let parent = &self.parent[target as usize];
-        let hop = &self.edge[target as usize];
-        if parent[src as usize] == u32::MAX {
-            return;
+        let EscortCache { slot, trees, budget, search, walk } = self;
+        let t = target as usize;
+        let n = g.n();
+        if slot[t] == u32::MAX && (trees.len() + 1) * EscortTree::bytes(n) <= *budget {
+            slot[t] = trees.len() as u32;
+            trees.push(EscortTree::new(n, target));
         }
-        self.walk.clear();
-        let mut cur = src;
-        while cur != target {
-            self.walk.push(hop[cur as usize]);
-            cur = parent[cur as usize];
+        // A target without a tree holds `u32::MAX`, past every index.
+        let reached = match trees.get_mut(slot[t] as usize) {
+            Some(tree) => tree.walk_into(g, src, walk),
+            None => g.bfs_tree_walk_into(src, target, search, walk),
+        };
+        if reached {
+            mc.add_edge_ids(walk, 1);
         }
-        mc.add_edge_ids(&self.walk, 1);
     }
 }
 
+/// Bytes of escort trees one scratch may hold: half the engine's
+/// default scratch cap. The other half holds the dense buffers, the
+/// dummy cache and the fused states, so at the default cap a warm
+/// scratch returns to the pool untrimmed and keeps its dummy cache for
+/// the next batch. At n = 4096 the budget holds 682 trees. It does not
+/// follow [`QueryEngine::with_scratch_cap`](crate::QueryEngine::with_scratch_cap):
+/// which legs take the search depends on the traffic's targets and `n`
+/// alone.
+const ESCORT_TREE_BUDGET_BYTES: usize = crate::engine::DEFAULT_SCRATCH_CAP_BYTES / 2;
+
+/// Reusable query buffers, shared across every `disperse`/`merge`/
+/// `task2` round of a query and — through the engine's scratch pool —
+/// across the queries of a batch: dense per-vertex load counters,
+/// counting-sort group buckets, per-part load vectors, flat
+/// movement-cost accumulators, the flock position arrays, and the
+/// cross-query dummy-dispersal and escort caches.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Dense per-vertex token counts plus the touched list that resets
@@ -575,6 +615,7 @@ pub(crate) struct Scratch {
 impl Scratch {
     pub(crate) fn new(r: &Router) -> Scratch {
         let mut s = Scratch::default();
+        s.escort.budget = ESCORT_TREE_BUDGET_BYTES;
         s.reset_for(r);
         s
     }
@@ -1704,11 +1745,13 @@ fn disperse_fused(
 /// §6.3 merge for one job of the group: pair reals with dummies per
 /// (part, mark); dummies escort reals to their birth vertices. Reals
 /// that exceed the local dummy supply (small-`n` slack, DESIGN.md
-/// substitution 6) fall back to explicit shortest paths, measured and
-/// counted. Group iteration runs in ascending dense-key order — the
-/// fallback round-robin counters are shared across groups with the
-/// same mark, so the order must be deterministic or target choices
-/// (and charged costs) vary run to run. The real-token groups and
+/// substitution 6) fall back to explicit shortest paths — the walk in
+/// the BFS tree rooted at a round-robin target vertex, through
+/// [`EscortCache`] — measured and counted. Group iteration runs in
+/// ascending dense-key order — the fallback round-robin counters are
+/// shared across groups with the same mark, so the order must be
+/// deterministic or target choices (and charged costs) vary run to
+/// run. The real-token groups and
 /// per-part load maxima come from the job's incremental dispersal
 /// state (no rescan of the flock); the dummy side (final buckets,
 /// landing loads, origins) comes precomputed from the group-shared
@@ -1793,6 +1836,26 @@ fn merge_fused(
 
     // Postcondition: every real token is inside its marked part.
     debug_assert!((0..st.pos.len()).all(|i| part_of[st.pos[i] as usize] == st.mark[i]));
+}
+
+#[cfg(test)]
+impl Scratch {
+    /// A scratch for `r` whose escort trees may hold `bytes` (0 sends
+    /// every fallback leg through the exact search).
+    pub(crate) fn with_escort_budget(r: &Router, bytes: usize) -> Scratch {
+        let mut s = Scratch::new(r);
+        s.escort.budget = bytes;
+        s
+    }
+
+    /// What the pool tests observe of the caches: escort trees held,
+    /// whether any leg took the exact search, dummy-cache entries held
+    /// and dummy-cache hits so far.
+    pub(crate) fn cache_probe(&self) -> (usize, bool, usize, u64) {
+        let entries = self.dummies.nodes.iter().map(Vec::len).sum();
+        let searched = self.escort.search.approx_bytes() > 0;
+        (self.escort.trees.len(), searched, entries, self.dummies.hits)
+    }
 }
 
 #[cfg(test)]

@@ -108,10 +108,11 @@ proptest! {
     }
 
     #[test]
-    /// The cached fallback parent trees reproduce BFS shortest-path
-    /// lengths for every (source, target) pair — the dilation charged
-    /// by the escort walk equals the bidirectional-BFS reference the
-    /// merge fallback used to run per token.
+    /// The escort parent trees reproduce BFS shortest-path lengths for
+    /// every (source, target) pair, so the dilation an escort leg
+    /// charges is the true distance, with every hop a real edge under
+    /// its stored id. Legs past the tree budget take the exact search,
+    /// which `tests/escort_search.rs` checks walks these same trees.
     fn parent_tree_walks_are_shortest_paths(seed in 0u64..500, target in 0u32..96) {
         let n = 96;
         let g = generators::random_regular(n, 4, seed).expect("generator");
