@@ -1,13 +1,7 @@
 //! Criterion benchmarks for the batched multi-query engine: batch
-//! throughput at B ∈ {8, 64} against the sequential per-query baseline
-//! (the acceptance target is ≥ 4× at B = 64, n = 512, L = 1, one core
-//! for dense full permutations — cross-job dispersal fusion on top of
-//! scratch pooling and dummy-dispersal amortization, no parallelism
-//! required).
-//!
-//! The fused round plan (the default) and the legacy per-job path
-//! (`with_fusion_width(Some(1))`) are benchmarked side by side, so the
-//! fusion win stays measurable against its own baseline.
+//! throughput at B ∈ {8, 64}, dense and sparse, against the sequential
+//! per-query baseline — the win of scratch pooling and dummy-dispersal
+//! amortization.
 //!
 //! The engine outlives the measurement loop on purpose: a production
 //! engine is long-lived, so its pooled scratches and dummy caches are
@@ -43,17 +37,6 @@ fn bench_engine_batches(c: &mut Criterion) {
             bench.iter(|| engine.route_batch(&insts).expect("valid"))
         });
     }
-    // Dense B = 64 at the fusion extremes: the whole batch as one
-    // fused group, and the legacy per-job path as the fusion baseline.
-    let insts = full_batch(n, 64);
-    let fused = QueryEngine::new(&r).with_fusion_width(Some(64));
-    c.bench_function("engine_batch_n512_B64_fused64", |bench| {
-        bench.iter(|| fused.route_batch(&insts).expect("valid"))
-    });
-    let perjob = QueryEngine::new(&r).with_fusion_width(Some(1));
-    c.bench_function("engine_batch_n512_B64_perjob", |bench| {
-        bench.iter(|| perjob.route_batch(&insts).expect("valid"))
-    });
     let insts = sparse_batch(n, 64);
     let engine = QueryEngine::new(&r);
     c.bench_function("engine_batch_sparse_n512_B64", |bench| {

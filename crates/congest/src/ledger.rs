@@ -84,21 +84,6 @@ impl RoundLedger {
         RoundLedger::new()
     }
 
-    /// Forks `n` empty child ledgers at once — one per logical job of a
-    /// batch or fused scan.
-    ///
-    /// Fused query execution runs one shared scan over many logical
-    /// instances; correctness requires every charge to be attributed to
-    /// exactly one job's ledger (the demultiplexing discipline of the
-    /// batch engine). Handing each job its own forked child up front
-    /// makes that attribution structural: a shared-scan charge site
-    /// writes to the job's child, and the batch absorbs the children in
-    /// canonical job order afterwards — byte-identical to running the
-    /// jobs sequentially through one ledger each.
-    pub fn fork_many(&self, n: usize) -> Vec<RoundLedger> {
-        (0..n).map(|_| self.fork()).collect()
-    }
-
     /// Absorbs child ledgers produced by [`fork`](RoundLedger::fork),
     /// merging them into `self` in iteration (canonical task) order.
     pub fn absorb(&mut self, children: impl IntoIterator<Item = RoundLedger>) {
@@ -181,25 +166,6 @@ mod tests {
         parent.absorb([c1, c2]);
         assert_eq!(parent, seq, "forked charging must be byte-identical");
         assert_eq!(format!("{parent}"), format!("{seq}"));
-    }
-
-    #[test]
-    fn fork_many_children_absorb_like_sequential_jobs() {
-        // Two jobs charged through one ledger sequentially…
-        let mut seq = RoundLedger::new();
-        seq.charge("portal", 4);
-        seq.charge("merge", 1);
-        seq.charge("portal", 6);
-        // …versus the same charges demultiplexed into forked per-job
-        // children out of a shared scan.
-        let parent = RoundLedger::new();
-        let mut children = parent.fork_many(2);
-        children[0].charge("portal", 4);
-        children[1].charge("portal", 6);
-        children[0].charge("merge", 1);
-        let mut batch = parent;
-        batch.absorb(children);
-        assert_eq!(batch, seq);
     }
 
     #[test]

@@ -5,41 +5,30 @@
 //! The paper's headline is that one deterministic preprocessing pass
 //! amortizes across many queries (Theorem 1.1); this module makes the
 //! amortization physical. A [`QueryEngine`] accepts a batch of jobs
-//! ([`Job::Route`] / [`Job::Sort`]), splits it into fusion groups of
-//! consecutive jobs, and executes the groups on the same
+//! ([`Job::Route`] / [`Job::Sort`]) and executes each job alone, as
+//! the paper answers each query, on the same
 //! [`ThreadBudget`]/[`run_tasks`] worker pool the staged preprocessing
-//! build uses, with three cross-query savings:
+//! build uses, with two cross-query savings:
 //!
 //! * **Pooled scratch** — per-query mutable state (the dense load
-//!   counters, counting-sort buckets, and `FlatMoveCost` accumulators
-//!   of `exec::Scratch`) is checked out of a `ScratchPool` and
-//!   returned after each group, so a batch of `B` queries allocates
-//!   `O(threads)` scratches instead of `O(B)`.
+//!   counters, counting-sort buckets, dispersal state, and
+//!   `FlatMoveCost` accumulators of `exec::Scratch`) is checked out of
+//!   a `ScratchPool` and returned after each job, so a batch of `B`
+//!   queries allocates `O(threads)` scratches instead of `O(B)`.
 //! * **Dummy-dispersal amortization** — each scratch carries the
 //!   per-worker dummy-dispersal cache: the Task 3 dummy flock (2L
 //!   tokens per vertex, §6.3) is a pure function of `(node, L)`, so
 //!   its dispersal, final grouping, and round charges are computed
-//!   once per key and replayed for every subsequent query — and a
-//!   fused group consumes one shared entry for all its jobs at once.
-//! * **Cross-job dispersal fusion** — the jobs of a group walk the
-//!   Task 2 tree in lockstep and each node's Task 3 dispersal runs as
-//!   one shared round plan over all of their flocks: per-job grouping
-//!   keys keep buckets, landing loads, and Lemma 6.6 traces per job,
-//!   charges demultiplex into per-job forked ledgers, and each job's
-//!   grouping/load accounting is maintained incrementally across
-//!   rounds instead of rescanned — which is what lets dense
-//!   full-permutation batches beat the ~2.9× dummy:real ceiling of
-//!   caching alone. [`with_fusion_width`](QueryEngine::with_fusion_width)
-//!   sizes the groups; width 1 runs each job as a singleton group of
-//!   the same pipeline (the per-group-overhead baseline).
+//!   once per key and replayed for every subsequent query. The merge
+//!   fallback's escort trees warm the same way.
 //!
-//! All three are accelerators only: every job is a pure function of
-//! its instance and the router, jobs charge forked [`RoundLedger`]s
-//! that the batch absorbs in canonical job order, and the per-job
+//! Both are accelerators only: every job is a pure function of its
+//! instance and the router, each job charges its own [`RoundLedger`],
+//! the batch absorbs them in canonical job order, and the per-job
 //! outcomes are byte-identical to individual
-//! [`Router::route`]/[`Router::sort`] calls at every thread count,
-//! batch order, and fusion width (`tests/batch_determinism.rs`,
-//! `tests/property.rs`).
+//! [`Router::route`]/[`Router::sort`] calls at every thread count and
+//! batch order, whichever pooled scratch serves a job
+//! (`tests/batch_determinism.rs`, `tests/property.rs`).
 //!
 //! # Example
 //!
@@ -275,7 +264,6 @@ impl ScratchPool {
 pub struct QueryEngine<'r> {
     router: &'r Router,
     threads: Option<usize>,
-    fusion: Option<usize>,
     pool: ScratchPool,
     scratch_cap: usize,
 }
@@ -284,26 +272,17 @@ pub struct QueryEngine<'r> {
 /// fallback's escort trees may fill half of it, and legs to further
 /// targets take the exact search, so the trees cannot push a scratch
 /// over the default cap on their own: on both benchmark workloads a
-/// warm scratch retains about 35–37 MB and keeps its dummy cache
+/// warm scratch retains about 31–36 MB and keeps its dummy cache
 /// between batches.
 pub(crate) const DEFAULT_SCRATCH_CAP_BYTES: usize = 64 << 20;
 
-/// Largest fusion-group size the automatic policy schedules: per-job
-/// fused state is `O(n)` memory, so auto-width groups stay bounded
-/// regardless of batch size. Explicit
-/// [`with_fusion_width`](QueryEngine::with_fusion_width) settings are
-/// not capped.
-pub(crate) const MAX_AUTO_FUSION_WIDTH: usize = 32;
-
 impl<'r> QueryEngine<'r> {
     /// An engine over `router` with the default worker count
-    /// (`EXPANDER_BUILD_THREADS`, then `available_parallelism`) and the
-    /// automatic fusion-width policy.
+    /// (`EXPANDER_BUILD_THREADS`, then `available_parallelism`).
     pub fn new(router: &'r Router) -> Self {
         QueryEngine {
             router,
             threads: None,
-            fusion: None,
             pool: ScratchPool::default(),
             scratch_cap: DEFAULT_SCRATCH_CAP_BYTES,
         }
@@ -322,7 +301,7 @@ impl<'r> QueryEngine<'r> {
     /// fallback's escort trees hold at most half the *default* cap at
     /// any setting, and legs to targets past that take the exact
     /// [`Graph::bfs_tree_walk_into`](expander_graphs::Graph::bfs_tree_walk_into)
-    /// search. A cap below what a warm scratch retains (about 35–37 MB
+    /// search. A cap below what a warm scratch retains (about 31–36 MB
     /// on both benchmark workloads) trims it on every restore, so its
     /// caches rebuild each batch.
     #[must_use]
@@ -340,29 +319,12 @@ impl<'r> QueryEngine<'r> {
         self
     }
 
-    /// Overrides the dispersal fusion width: how many co-scheduled jobs
-    /// each worker executes as one fused group (one shared Task 3
-    /// round scan and one shared dummy-dispersal contribution per
-    /// `(node, L)` across the group).
-    ///
-    /// `Some(1)` runs every job as a singleton group — the
-    /// per-group-overhead baseline for benchmarking. `None` (the
-    /// default) restores the automatic policy: split the batch evenly
-    /// across the workers, capped at 32 jobs per group. Outputs are
-    /// byte-identical for every width.
+    /// Does nothing: every job runs alone on a pooled scratch, so there
+    /// is no fusion width to set. It remains only so that existing
+    /// callers still compile.
     #[must_use]
-    pub fn with_fusion_width(mut self, width: Option<usize>) -> Self {
-        self.fusion = width;
+    pub fn with_fusion_width(self, _width: Option<usize>) -> Self {
         self
-    }
-
-    /// The fusion width that a batch of `jobs` would run at, given the
-    /// resolved worker count.
-    fn fusion_width(&self, jobs: usize, workers: usize) -> usize {
-        match self.fusion {
-            Some(w) => w.max(1),
-            None => jobs.div_ceil(workers.max(1)).clamp(1, MAX_AUTO_FUSION_WIDTH),
-        }
     }
 
     /// The underlying preprocessed router.
@@ -382,12 +344,10 @@ impl<'r> QueryEngine<'r> {
     }
 
     /// Executes a batch of borrowed jobs sharded across the worker
-    /// pool: every job is validated up front, then the batch splits
-    /// into fusion groups of consecutive jobs (submission order; see
-    /// [`with_fusion_width`](Self::with_fusion_width)) that workers
-    /// execute as fused units against pooled scratches, each job
-    /// charging a forked ledger; outcomes come back in submission order
-    /// and the batch aggregate absorbs the per-job ledgers in that same
+    /// pool: every job is validated up front, then workers execute the
+    /// jobs one at a time against pooled scratches, each job charging
+    /// its own ledger; outcomes come back in submission order and the
+    /// batch aggregate absorbs the per-job ledgers in that same
     /// canonical order.
     ///
     /// # Errors
@@ -399,57 +359,23 @@ impl<'r> QueryEngine<'r> {
             self.router.validate(job)?;
         }
         crate::profile::reset();
-        let workers = build_threads(self.threads);
-        let budget = ThreadBudget::new(workers);
-        let width = self.fusion_width(jobs.len(), workers);
-        let outcomes = if width <= 1 {
-            // Width 1: per-job scheduling (each job a singleton group),
-            // kept selectable as the per-group-overhead baseline.
-            run_tasks(&budget, jobs.len(), |i| self.run_validated(jobs[i]))
-        } else {
-            let n_groups = jobs.len().div_ceil(width);
-            let grouped = run_tasks(&budget, n_groups, |g| {
-                let lo = g * width;
-                let hi = (lo + width).min(jobs.len());
-                let mut scratch = self.pool.checkout(self.router);
-                let outs = crate::exec::run_fused(self.router, &mut scratch, &jobs[lo..hi]);
-                self.pool.restore(scratch, self.router, self.scratch_cap);
-                outs
-            });
-            grouped.into_iter().flatten().collect()
-        };
+        let budget = ThreadBudget::new(build_threads(self.threads));
+        let outcomes = run_tasks(&budget, jobs.len(), |i| self.run_validated(jobs[i]));
         let mut stats = BatchStats::collect(&outcomes);
         stats.profile = crate::profile::take();
         Ok(BatchOutcome { outcomes, stats })
     }
 
     /// The single checkout → execute → restore protocol behind every
-    /// engine execution path. Each job charges a private ledger; batch
-    /// aggregates absorb them in canonical job order afterwards.
-    fn run_validated(&self, job: JobRef<'_>) -> JobOutcome {
+    /// engine execution path and every
+    /// [`RoutingService`](crate::service::RoutingService) job. Each job
+    /// charges a private ledger; batch aggregates absorb them in
+    /// canonical job order afterwards.
+    pub(crate) fn run_validated(&self, job: JobRef<'_>) -> JobOutcome {
         let mut scratch = self.pool.checkout(self.router);
-        let out = self.router.execute(job, &mut scratch, RoundLedger::new());
+        let out = self.router.execute(job, &mut scratch);
         self.pool.restore(scratch, self.router, self.scratch_cap);
         out
-    }
-
-    /// Executes one *pre-validated* fusion group against a pooled
-    /// scratch — the group-execution entry point of the streaming
-    /// [`RoutingService`](crate::service::RoutingService): its admission
-    /// scheduler decides the grouping and calls here per closed group.
-    /// Outcomes come back in group order and are byte-identical to the
-    /// same jobs anywhere else (solo calls, any batch, any width).
-    pub(crate) fn run_group_validated(&self, jobs: &[JobRef<'_>]) -> Vec<JobOutcome> {
-        match jobs.len() {
-            0 => Vec::new(),
-            1 => vec![self.run_validated(jobs[0])],
-            _ => {
-                let mut scratch = self.pool.checkout(self.router);
-                let outs = crate::exec::run_fused(self.router, &mut scratch, jobs);
-                self.pool.restore(scratch, self.router, self.scratch_cap);
-                outs
-            }
-        }
     }
 
     /// Applies the scratch-cap trim (see
@@ -680,45 +606,9 @@ mod tests {
     }
 
     #[test]
-    fn fusion_widths_are_unobservable() {
-        // Width 1 (the legacy per-job path), uneven groups (width 2
-        // over 5 jobs leaves a remainder group of 1), one whole-batch
-        // group, and the auto policy must all produce byte-identical
-        // outcomes.
-        let r = router(256, 9);
-        let route = RoutingInstance::permutation(256, 1);
-        let sparse = RoutingInstance::partial_permutation(256, 64, 2);
-        let sort = SortInstance::random(256, 2, 3);
-        let jobs = vec![
-            Job::Route(route.clone()),
-            Job::Sort(sort),
-            Job::Route(sparse),
-            Job::Route(RoutingInstance::default()),
-            Job::Route(route),
-        ];
-        let base = QueryEngine::new(&r)
-            .with_fusion_width(Some(1))
-            .with_threads(Some(1))
-            .run(&jobs)
-            .expect("valid");
-        for width in [Some(2), Some(jobs.len()), Some(100), None] {
-            let engine = QueryEngine::new(&r).with_fusion_width(width).with_threads(Some(1));
-            let out = engine.run(&jobs).expect("valid");
-            for (i, (a, b)) in base.outcomes.iter().zip(&out.outcomes).enumerate() {
-                assert_eq!(
-                    outcome_bytes(a),
-                    outcome_bytes(b),
-                    "job {i} differs at fusion width {width:?}"
-                );
-            }
-            assert_eq!(base.stats.merged, out.stats.merged);
-        }
-    }
-
-    #[test]
-    fn empty_instances_are_fine_in_fused_groups() {
+    fn empty_instances_are_fine_in_batches() {
         let r = router(128, 10);
-        let engine = QueryEngine::new(&r).with_fusion_width(Some(4));
+        let engine = QueryEngine::new(&r);
         let jobs = vec![
             Job::Route(RoutingInstance::default()),
             Job::Sort(SortInstance::default()),

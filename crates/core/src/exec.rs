@@ -18,28 +18,25 @@
 //! scratch (`Scratch`) so the steady-state dispersal round loop
 //! performs no heap allocation and iterates in deterministic order.
 //!
-//! Every execution shape is one pipeline: a solo
-//! [`Router::route`]/[`Router::sort`] call, a width-1 engine batch, and
-//! a fused group all run `run_fused_with` — a group's flocks through
-//! one shared round plan with per-job grouping keys, per-job
-//! (forked-ledger) charge attribution, incremental load/bucket
-//! maintenance, and a single shared dummy contribution per `(node, L)`.
-//! A solo job is simply a singleton group, so outcomes are
-//! byte-identical across every grouping by construction
-//! (`tests/batch_determinism`, `tests/property`).
+//! Every query runs alone through one pipeline, `run_single`: a solo
+//! [`Router::route`]/[`Router::sort`] call on a fresh scratch, and each
+//! job of an engine batch or a service stream on a pooled one. The
+//! pooled scratch carries only accelerators (the dummy-dispersal cache
+//! and the escort trees), so an outcome never depends on which scratch
+//! served it (`tests/batch_determinism`, `tests/property`).
 //!
 //! # Paper map
 //!
 //! | Paper concept | Here |
 //! |---------------|------|
-//! | Task 2 recursion (Definition 4.2) | `task2_fused` |
+//! | Task 2 recursion (Definition 4.2) | `task2` |
 //! | §6.4 leaf delivery (three `I_AKS` passes) | leaf arm of the same |
-//! | Task 3 meet-in-the-middle (Definition 4.3, §6.3) | `task3_fused` |
-//! | Lazy-walk dispersal (§6.1, Definition 6.1) | `disperse_fused` |
+//! | Task 3 meet-in-the-middle (Definition 4.3, §6.3) | `task3` |
+//! | Lazy-walk dispersal (§6.1, Definition 6.1) | `disperse` |
 //! | Dispersion envelope (Lemma 6.2) | the `check` epilogue of the same |
 //! | Per-round max-load trace (Lemma 6.6) | `QueryStats::max_load_trace` upkeep |
-//! | Portal routing charges (§6.2) | the per-round portal charge in `disperse_fused` |
-//! | Real/dummy pairing and escort-back (§6.3) | `merge_fused`, `DummyEntry` |
+//! | Portal routing charges (§6.2) | the per-round portal charge in `disperse` |
+//! | Real/dummy pairing and escort-back (§6.3) | `merge`, `DummyEntry` |
 
 use crate::engine::{JobOutcome, JobRef};
 use crate::profile;
@@ -48,43 +45,7 @@ use crate::router::Router;
 use crate::token::{QueryStats, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::RoundLedger;
 use expander_decomp::NodeId;
-use expander_graphs::{FlatPaths, Graph, Path, TreeWalkScratch};
-use std::collections::HashMap;
-
-/// Measured movement cost accumulator: `max edge load × max hops`.
-///
-/// Reference implementation keyed by normalized vertex pairs. The query
-/// hot path uses [`FlatMoveCost`] instead; this form is kept as the
-/// equivalence oracle for the property tests.
-#[derive(Debug, Default)]
-pub struct MoveCost {
-    edge_load: HashMap<(u32, u32), u64>,
-    max_hops: u64,
-}
-
-impl MoveCost {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        MoveCost::default()
-    }
-
-    /// Charges `times` traversals of `p`.
-    pub fn add(&mut self, p: &Path, times: u64) {
-        if p.hops() == 0 || times == 0 {
-            return;
-        }
-        for e in p.edges() {
-            *self.edge_load.entry(e).or_insert(0) += times;
-        }
-        self.max_hops = self.max_hops.max(p.hops() as u64);
-    }
-
-    /// The accumulated `congestion × dilation` bound.
-    pub fn cost(&self) -> u64 {
-        let c = self.edge_load.values().copied().max().unwrap_or(0);
-        c * self.max_hops
-    }
-}
+use expander_graphs::{FlatPaths, Graph, TreeWalkScratch};
 
 /// Dense movement cost accumulator over a graph's canonical edge-id
 /// space (see [`Graph::edge_id`]).
@@ -97,8 +58,9 @@ impl MoveCost {
 /// touched list makes [`reset`](FlatMoveCost::reset) cost `O(touched)`
 /// rather than `O(m)`, so one accumulator serves every dispersal round
 /// of a query without reallocation. Produces exactly the same
-/// `max load × max hops` value as the [`MoveCost`] reference
-/// (`tests/overflow_bounds.rs` checks agreement near the bound).
+/// `max load × max hops` value as a hash-map reference keyed by vertex
+/// pairs (`tests/property.rs`; `tests/overflow_bounds.rs` checks
+/// agreement near the bound).
 #[derive(Debug, Clone, Default)]
 pub struct FlatMoveCost {
     edge_load: Vec<u32>,
@@ -270,7 +232,7 @@ impl DenseGroups {
     }
 }
 
-/// One cached dummy-flock dispersal: everything `task3_fused` derives from a
+/// One cached dummy-flock dispersal: everything `task3` derives from a
 /// `(node, load)` pair independently of the real tokens.
 ///
 /// The dummy flock (2L tokens per vertex of the node, marked with
@@ -556,7 +518,7 @@ impl EscortCache {
 
 /// Bytes of escort trees one scratch may hold: half the engine's
 /// default scratch cap. The other half holds the dense buffers, the
-/// dummy cache and the fused states, so at the default cap a warm
+/// dummy cache and the dispersal states, so at the default cap a warm
 /// scratch returns to the pool untrimmed and keeps its dummy cache for
 /// the next batch. At n = 4096 the budget holds 682 trees. It does not
 /// follow [`QueryEngine::with_scratch_cap`](crate::QueryEngine::with_scratch_cap):
@@ -591,6 +553,10 @@ pub(crate) struct Scratch {
     fallback_rr: Vec<usize>,
     /// Partition staging buffer for the Task 2 worklist.
     toks_tmp: Vec<usize>,
+    /// Stack of child slice bounds for the Task 2 recursion: each
+    /// internal node pushes its partition's `t + 1` offsets, recurses
+    /// into the children, and pops them again.
+    child_bounds: Vec<u32>,
     /// Cached shortest-path trees for the merge fallback legs.
     escort: EscortCache,
     /// Dispersion-envelope counters (`t × t` and `t`).
@@ -598,13 +564,11 @@ pub(crate) struct Scratch {
     env_tot: Vec<f64>,
     /// Cached dummy dispersals, reused across the queries of a batch.
     dummies: DummyCache,
-    /// Pooled per-job incremental dispersal states — one per
-    /// co-scheduled job of a fused batch group, or a single state for a
-    /// solo query (which runs as a singleton group).
-    fused: Vec<FusedDisperse>,
-    /// Dedicated incremental state for dummy-flock builds (the per-job
-    /// states are checked out by the caller while a build runs).
-    dummy_state: FusedDisperse,
+    /// The query's incremental dispersal state.
+    job_state: DisperseState,
+    /// Dedicated incremental state for dummy-flock builds (the query's
+    /// state is checked out by the caller while a build runs).
+    dummy_state: DisperseState,
     /// Identity of the router the buffers (and cache) belong to: its
     /// address *and* its graph's mutation epoch. [`Router::repair`]
     /// rebuilds a router in place, so the address alone would let a
@@ -653,7 +617,7 @@ impl Scratch {
     }
 
     /// Estimated heap bytes this scratch retains (dense buffers plus
-    /// the dummy/escort caches and pooled fused states) — the scratch
+    /// the dummy/escort caches and the dispersal states) — the scratch
     /// pool's high-water trim compares it against the engine's cap.
     pub(crate) fn footprint_bytes(&self) -> usize {
         let mut b = (self.vertex_load.capacity()
@@ -666,7 +630,8 @@ impl Scratch {
             + self.mc.edge_load.capacity()
             + self.mc.touched.capacity()
             + self.fallback_mc.edge_load.capacity()
-            + self.fallback_mc.touched.capacity())
+            + self.fallback_mc.touched.capacity()
+            + self.child_bounds.capacity())
             * 4
             + (self.fallback_rr.capacity()
                 + self.toks_tmp.capacity()
@@ -674,10 +639,8 @@ impl Scratch {
                 + self.env_tot.capacity())
                 * 8
             + self.escort.approx_bytes()
+            + self.job_state.approx_bytes()
             + self.dummy_state.approx_bytes();
-        for st in &self.fused {
-            b += st.approx_bytes();
-        }
         for node in &self.dummies.nodes {
             for (_, e) in node {
                 b += (e.origin_by_rank.capacity() + e.group_start.capacity() + e.trace.capacity())
@@ -692,16 +655,17 @@ impl Scratch {
     /// buffer capacity beyond `r`'s dimensions, bounding a pooled
     /// scratch's footprint by O(router size) instead of the largest
     /// workload it ever served. Caches (dummy entries, escort trees,
-    /// fused states) rebuild lazily, so trimming costs warm-up, never
+    /// dispersal states) rebuild lazily, so trimming costs warm-up, never
     /// correctness.
     pub(crate) fn trim(&mut self, r: &Router) {
         let n = r.graph.n();
         self.dummies.clear();
         self.escort.trim(n);
-        self.fused = Vec::new();
-        self.dummy_state = FusedDisperse::default();
+        self.job_state = DisperseState::default();
+        self.dummy_state = DisperseState::default();
         self.groups = DenseGroups::default();
         self.toks_tmp = Vec::new();
+        self.child_bounds = Vec::new();
         self.vertex_load.truncate(n);
         self.vertex_load.shrink_to_fit();
         self.vertex_touched = Vec::new();
@@ -742,14 +706,10 @@ impl Scratch {
 }
 
 /// Per-query execution state over a preprocessed [`Router`]: the
-/// job's token positions/markers plus the (possibly batch-forked)
-/// ledger and stats it charges into.
-///
-/// The shared mutable buffers live in a caller-provided (possibly
-/// pooled) [`Scratch`] passed into each method, so one scratch can
-/// serve a single solo query or the co-scheduled job states of a
-/// fused batch group alike.
-pub(crate) struct Exec<'r> {
+/// job's token positions and markers plus the ledger and stats it
+/// charges into. The shared mutable buffers live in a caller-provided
+/// (possibly pooled) [`Scratch`] passed into each method.
+struct Exec<'r> {
     r: &'r Router,
     ledger: RoundLedger,
     stats: QueryStats,
@@ -760,10 +720,10 @@ pub(crate) struct Exec<'r> {
 }
 
 impl<'r> Exec<'r> {
-    pub(crate) fn new(r: &'r Router, ledger: RoundLedger) -> Self {
+    fn new(r: &'r Router) -> Self {
         Exec {
             r,
-            ledger,
+            ledger: RoundLedger::new(),
             stats: QueryStats::default(),
             pos: Vec::new(),
             marker: Vec::new(),
@@ -951,85 +911,6 @@ impl<'r> Exec<'r> {
         SortOutcome { positions: self.pos, ledger: self.ledger, stats: self.stats }
     }
 
-    /// Constructs and disperses the `(node, l)` dummy flock, capturing
-    /// its charges/stats into a cacheable [`DummyEntry`] instead of
-    /// applying them (the caller applies entries uniformly on hit and
-    /// miss alike). The flock runs on the pooled incremental dispersal
-    /// state reserved for builds (the per-job states are checked out by
-    /// the caller while a build runs), so a build pays the same
-    /// moved-tokens-proportional cost as a fused job's dispersal
-    /// instead of per-round full rescans.
-    fn build_dummy_entry(&mut self, scratch: &mut Scratch, node: NodeId, l: u64) -> DummyEntry {
-        let r = self.r;
-        let nd = r.hier.node(node);
-        let t = nd.part_count();
-        let part_of = &r.part_of[node];
-        let mut st = std::mem::take(&mut scratch.dummy_state);
-        st.prepare(r.graph.n(), t);
-        // 2L dummies per vertex of X*_j, marked j, born at home. Birth
-        // vertices double as the escort-back targets of every future
-        // merge against this entry.
-        let mut origins: Vec<u32> = Vec::new();
-        for (j, part) in nd.parts.iter().enumerate() {
-            for &v in &part.all {
-                for _ in 0..2 * l {
-                    st.push_token(t, v, j as u16, part_of);
-                    origins.push(v);
-                }
-            }
-        }
-
-        // Redirect the charge sinks so the dispersal's effects land in
-        // the entry (from a zero baseline) rather than in the query.
-        let saved_ledger = std::mem::take(&mut self.ledger);
-        let saved_trace = std::mem::take(&mut self.stats.max_load_trace);
-        let saved_sorts = std::mem::replace(&mut self.stats.charged_sorts, 0);
-        let saved_congestion = std::mem::replace(&mut self.stats.max_congestion, 0);
-        let saved_dilation = std::mem::replace(&mut self.stats.max_dilation, 0);
-        disperse_fused(r, scratch, self, &mut st, node, false);
-        let cost = st.total_cost;
-        let ledger = std::mem::replace(&mut self.ledger, saved_ledger);
-        let trace = std::mem::replace(&mut self.stats.max_load_trace, saved_trace);
-        let charged_sorts = std::mem::replace(&mut self.stats.charged_sorts, saved_sorts);
-        let max_congestion = std::mem::replace(&mut self.stats.max_congestion, saved_congestion);
-        let max_dilation = std::mem::replace(&mut self.stats.max_dilation, saved_dilation);
-
-        // Final (part, mark) buckets and per-vertex landing loads — the
-        // dummy-side inputs of every future merge at this key — read
-        // straight off the incremental state: the live buckets hold
-        // token indices ascending per key (exactly the stable counting
-        // sort's concatenated rank order), and the live per-vertex
-        // loads are the landing loads of the final positions.
-        let mut group_start: Vec<u32> = Vec::with_capacity(t * t + 1);
-        let mut origin_by_rank: Vec<u32> = Vec::with_capacity(origins.len());
-        group_start.push(0);
-        for key in 0..t * t {
-            origin_by_rank.extend(st.buckets[key].iter().map(|&d| origins[d as usize]));
-            group_start.push(origin_by_rank.len() as u32);
-        }
-        let mut loads: Vec<(u32, u32)> = st
-            .vtouched
-            .iter()
-            .map(|&v| (v, st.vload[v as usize]))
-            .filter(|&(_, load)| load > 0)
-            .collect();
-        loads.sort_unstable_by_key(|&(v, _)| v);
-        st.teardown(t);
-        scratch.dummy_state = st;
-
-        DummyEntry {
-            origin_by_rank,
-            group_start,
-            loads,
-            cost,
-            ledger,
-            charged_sorts,
-            max_congestion,
-            max_dilation,
-            trace,
-        }
-    }
-
     /// Replays a cached dummy dispersal's charges into this query's
     /// ledger and stats — byte-identical to having dispersed inline.
     fn apply_dummy_entry(&mut self, entry: &DummyEntry) {
@@ -1041,22 +922,86 @@ impl<'r> Exec<'r> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Cross-job dispersal fusion (the engine's fused round plan)
-// ---------------------------------------------------------------------------
+/// Constructs and disperses the `(node, l)` dummy flock, capturing its
+/// charges and stats into a cacheable [`DummyEntry`] instead of a
+/// query (the caller applies entries uniformly on hit and miss alike).
+/// The flock runs on the incremental dispersal state reserved for
+/// builds (the query's state is checked out by the caller while a
+/// build runs), so a build pays moved-tokens-proportional work instead
+/// of per-round full rescans.
+fn build_dummy_entry(r: &Router, scratch: &mut Scratch, node: NodeId, l: u64) -> DummyEntry {
+    let nd = r.hier.node(node);
+    let t = nd.part_count();
+    let part_of = &r.part_of[node];
+    let mut st = std::mem::take(&mut scratch.dummy_state);
+    st.prepare(r.graph.n(), t);
+    // 2L dummies per vertex of X*_j, marked j, born at home. Birth
+    // vertices double as the escort-back targets of every future merge
+    // against this entry.
+    let mut origins: Vec<u32> = Vec::new();
+    for (j, part) in nd.parts.iter().enumerate() {
+        for &v in &part.all {
+            for _ in 0..2 * l {
+                st.push_token(t, v, j as u16, part_of);
+                origins.push(v);
+            }
+        }
+    }
 
-/// One job's incrementally maintained dispersal state inside a fused
-/// Task 3 call.
+    // A throwaway query is the charge sink: the dispersal's effects
+    // land in the entry (from a zero baseline), not in any query.
+    let mut sink = Exec::new(r);
+    disperse(r, scratch, &mut sink, &mut st, node, false);
+    let Exec { ledger, stats, .. } = sink;
+
+    // Final (part, mark) buckets and per-vertex landing loads — the
+    // dummy-side inputs of every future merge at this key — read
+    // straight off the incremental state: the live buckets hold token
+    // indices ascending per key (exactly the stable counting sort's
+    // concatenated rank order), and the live per-vertex loads are the
+    // landing loads of the final positions.
+    let mut group_start: Vec<u32> = Vec::with_capacity(t * t + 1);
+    let mut origin_by_rank: Vec<u32> = Vec::with_capacity(origins.len());
+    group_start.push(0);
+    for key in 0..t * t {
+        origin_by_rank.extend(st.buckets[key].iter().map(|&d| origins[d as usize]));
+        group_start.push(origin_by_rank.len() as u32);
+    }
+    let mut loads: Vec<(u32, u32)> = st
+        .vtouched
+        .iter()
+        .map(|&v| (v, st.vload[v as usize]))
+        .filter(|&(_, load)| load > 0)
+        .collect();
+    loads.sort_unstable_by_key(|&(v, _)| v);
+    let cost = st.total_cost;
+    st.teardown(t);
+    scratch.dummy_state = st;
+
+    DummyEntry {
+        origin_by_rank,
+        group_start,
+        loads,
+        cost,
+        ledger,
+        charged_sorts: stats.charged_sorts,
+        max_congestion: stats.max_congestion,
+        max_dilation: stats.max_dilation,
+        trace: stats.max_load_trace,
+    }
+}
+
+/// A flock's incrementally maintained dispersal state over one Task 3
+/// call.
 ///
-/// The per-job (solo) dispersal rebuilds its `(part, mark)` counting
-/// sort and rescans every token's vertex load on every shuffler round,
-/// even though a round only moves the `⌊(m_ij/2)·|T_il|⌋` tokens the
-/// dispersal tables select — the rescans are what caps dense batches
-/// near the dummy:real ratio. The fused round plan instead keeps each
-/// job's grouping and load accounting *live* across rounds:
+/// A round only moves the `⌊(m_ij/2)·|T_il|⌋` tokens the dispersal
+/// tables select, so instead of rebuilding the `(part, mark)` counting
+/// sort and rescanning every token's vertex load each shuffler round,
+/// the state keeps the grouping and load accounting *live* across
+/// rounds:
 ///
-/// * `buckets[part · t + mark]` holds the job's token indices in
-///   ascending order — exactly the bucket the per-round counting sort
+/// * `buckets[part · t + mark]` holds the flock's token indices in
+///   ascending order — exactly the bucket a per-round counting sort
 ///   would produce, because that sort is stable over the ascending
 ///   token scan. Moved tokens are drained from their bucket's consumed
 ///   prefix and re-inserted in index order.
@@ -1064,13 +1009,13 @@ impl<'r> Exec<'r> {
 ///   load maxima (the Lemma 6.6 quantities) under single-token
 ///   increments/decrements, so round charges read them in `O(t)`.
 ///
-/// Every maintained value is byte-identical to what the solo rescan
+/// Every maintained value is byte-identical to what a full rescan
 /// computes; only the work to obtain it changes — proportional to the
 /// moved tokens and the buckets they leave or enter, instead of
 /// `O(tokens)` every round.
 #[derive(Debug, Default)]
-struct FusedDisperse {
-    /// Flock positions, aligned with the job's Task 2 worklist slice.
+struct DisperseState {
+    /// Flock positions, aligned with the query's Task 2 worklist slice.
     pos: Vec<u32>,
     /// Flock marks (constant during a dispersal).
     mark: Vec<u16>,
@@ -1098,16 +1043,14 @@ struct FusedDisperse {
     /// one ledger charge per dispersal; per-phase sums make that
     /// byte-identical to charging every round separately).
     portal_total: u64,
-    /// The job's observed load `L` (the dummy-cache key at this node).
-    l: u64,
     /// Upper bound on the longest bucket (exact after every full round
     /// scan; only raised by pushes and merges in between) — the
-    /// quiescence early-out of [`disperse_fused`] compares it against
-    /// the round table's smallest moving length.
+    /// quiescence early-out of [`disperse`] compares it against the
+    /// round table's smallest moving length.
     max_bucket: u32,
 }
 
-impl FusedDisperse {
+impl DisperseState {
     /// Estimated heap bytes the pooled state retains.
     fn approx_bytes(&self) -> usize {
         let mut b = (self.pos.capacity()
@@ -1213,9 +1156,7 @@ impl FusedDisperse {
     /// bucket membership by staging each destination's arrivals and
     /// folding them in with one backward in-place merge per touched
     /// bucket. Work is proportional to the moved tokens and the
-    /// buckets they leave or enter, never the whole flock — this is
-    /// the fused path's round cost, replacing the solo path's full
-    /// regroup-and-rescan.
+    /// buckets they leave or enter, never the whole flock.
     fn apply_moves(&mut self, t: usize, part_of: &[u16]) {
         for &key in &self.touched_buckets {
             let cnt = self.moved_prefix[key as usize] as usize;
@@ -1285,319 +1226,171 @@ impl FusedDisperse {
     }
 }
 
-/// What a fused job carries besides its [`Exec`] state: the Task 2
-/// worklist and the data its epilogue needs.
-enum FusedKind<'a> {
-    /// A route job (epilogue needs the instance for the chain egress).
-    Route(&'a RoutingInstance),
-    /// A sort job (epilogue needs each token's owner vertex).
-    Sort(Vec<u32>),
-}
-
-/// One job of a fused batch group.
-struct FusedJob<'r, 'a> {
-    exec: Exec<'r>,
-    toks: Vec<usize>,
-    kind: FusedKind<'a>,
-}
-
-/// One job's contiguous worklist slice at the current Task 2 node.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    job: usize,
-    lo: usize,
-    hi: usize,
-}
-
-/// Executes a group of co-scheduled jobs in lockstep over the Task 2
-/// recursion, fusing each node's Task 3 dispersal across the group:
-/// one shared round loop scans every job's flock with per-job grouping
-/// keys and per-job (forked-ledger) charge attribution, against a
-/// single dummy-dispersal entry per `(node, L)` shared by the whole
-/// group. Per-job outcomes are independent of the grouping
-/// (`tests/batch_determinism`, `tests/property`).
-pub(crate) fn run_fused<'a>(
-    r: &Router,
-    scratch: &mut Scratch,
-    jobs: &[JobRef<'a>],
-) -> Vec<JobOutcome> {
-    // Each job charges its own forked ledger: the demultiplexing
-    // targets every shared-scan charge site writes through.
-    run_fused_with(r, scratch, jobs, RoundLedger::new().fork_many(jobs.len()))
-}
-
-/// Runs one job as a singleton group, charging into `ledger` — the solo
-/// [`Router::route`]/[`Router::sort`] path. Because groups of every
-/// width run the same pipeline, solo outcomes are byte-identical to the
-/// same job inside any fused batch.
-pub(crate) fn run_single(
-    r: &Router,
-    scratch: &mut Scratch,
-    job: JobRef<'_>,
-    ledger: RoundLedger,
-) -> JobOutcome {
-    run_fused_with(r, scratch, &[job], vec![ledger]).pop().expect("one job, one outcome")
-}
-
-/// [`run_fused`] core with caller-supplied per-job ledgers.
-fn run_fused_with<'a>(
-    r: &Router,
-    scratch: &mut Scratch,
-    jobs: &[JobRef<'a>],
-    ledgers: Vec<RoundLedger>,
-) -> Vec<JobOutcome> {
-    debug_assert_eq!(jobs.len(), ledgers.len());
+/// Runs one job alone through the pipeline on `scratch` — the single
+/// execution path behind [`Router::route`]/[`Router::sort`] (a fresh
+/// scratch) and every engine and service job (a pooled one).
+pub(crate) fn run_single(r: &Router, scratch: &mut Scratch, job: JobRef<'_>) -> JobOutcome {
     scratch.reset_for(r);
+    let mut exec = Exec::new(r);
     let root = r.hier.root();
-    let mut ledgers = ledgers.into_iter();
-    let mut slots: Vec<FusedJob<'_, 'a>> = jobs
-        .iter()
-        .map(|&job| {
-            let mut exec = Exec::new(r, ledgers.next().expect("one ledger per job"));
-            let (toks, kind) = match job {
-                JobRef::Route(inst) => {
-                    let toks = exec.route_prologue(scratch, inst).unwrap_or_default();
-                    (toks, FusedKind::Route(inst))
+    match job {
+        JobRef::Route(inst) => {
+            if let Some(mut toks) = exec.route_prologue(scratch, inst) {
+                task2(r, scratch, &mut exec, &mut toks, root);
+            }
+            JobOutcome::Route(exec.route_epilogue(scratch, inst))
+        }
+        JobRef::Sort(inst) => {
+            let owner = match exec.sort_prologue(scratch, inst) {
+                Some((mut toks, owner)) => {
+                    task2(r, scratch, &mut exec, &mut toks, root);
+                    owner
                 }
-                JobRef::Sort(inst) => match exec.sort_prologue(scratch, inst) {
-                    Some((toks, owner)) => (toks, FusedKind::Sort(owner)),
-                    None => (Vec::new(), FusedKind::Sort(Vec::new())),
-                },
+                None => Vec::new(),
             };
-            FusedJob { exec, toks, kind }
-        })
-        .collect();
-
-    let spans: Vec<Span> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !s.toks.is_empty())
-        .map(|(job, s)| Span { job, lo: 0, hi: s.toks.len() })
-        .collect();
-    task2_fused(r, scratch, &mut slots, root, &spans);
-
-    slots
-        .into_iter()
-        .map(|slot| match slot.kind {
-            FusedKind::Route(inst) => JobOutcome::Route(slot.exec.route_epilogue(scratch, inst)),
-            FusedKind::Sort(owner) => JobOutcome::Sort(slot.exec.sort_epilogue(scratch, &owner)),
-        })
-        .collect()
+            JobOutcome::Sort(exec.sort_epilogue(scratch, &owner))
+        }
+    }
 }
 
-/// Task 2 over every span's worklist slice in lockstep: per-job marker
-/// rewrites, one fused Task 3 per node, per-job `M*` hops and stable
-/// partitions, then recursion into each part with the surviving spans.
-fn task2_fused(
-    r: &Router,
-    scratch: &mut Scratch,
-    slots: &mut [FusedJob<'_, '_>],
-    node: NodeId,
-    spans: &[Span],
-) {
-    if spans.is_empty() {
-        return;
-    }
+/// Task 2 over the worklist slice `toks` at `node`: marker rewrite,
+/// Task 3, the `M*` hop and a stable partition by part, then recursion
+/// into each part's contiguous slice.
+fn task2(r: &Router, scratch: &mut Scratch, exec: &mut Exec<'_>, toks: &mut [usize], node: NodeId) {
     let nd = r.hier.node(node);
     if nd.is_leaf() {
-        // §6.4 leaf case, per job: three meet-in-the-middle passes
-        // over the precomputed leaf network; effect: exact delivery by
-        // rank.
-        for sp in spans {
-            let FusedJob { exec, toks, .. } = &mut slots[sp.job];
-            for &t in &toks[sp.lo..sp.hi] {
-                let target = nd.vertices[exec.marker[t] as usize];
-                exec.pos[t] = target;
-                scratch.bump_vertex(target);
-            }
-            let lc = scratch.max_vertex_load().max(1);
-            scratch.reset_vertices();
-            exec.ledger.charge("query/task2/leaf", 6 * lc * r.cost.leafnet_unit[node]);
-            exec.stats.charged_sorts += 3;
+        // §6.4 leaf case: three meet-in-the-middle passes over the
+        // precomputed leaf network; effect: exact delivery by rank.
+        for &t in toks.iter() {
+            let target = nd.vertices[exec.marker[t] as usize];
+            exec.pos[t] = target;
+            scratch.bump_vertex(target);
         }
+        let lc = scratch.max_vertex_load().max(1);
+        scratch.reset_vertices();
+        exec.ledger.charge("query/task2/leaf", 6 * lc * r.cost.leafnet_unit[node]);
+        exec.stats.charged_sorts += 3;
         return;
     }
 
-    // Marker rewrite per job: global best rank -> (part, local rank),
-    // through the precomputed rank → part table.
+    // Marker rewrite: global best rank -> (part, local rank), through
+    // the precomputed rank → part table.
     let prefix = &r.best_prefix[node];
     let rank_part = &r.rank_part[node];
-    for sp in spans {
-        let FusedJob { exec, toks, .. } = &mut slots[sp.job];
-        for &t in &toks[sp.lo..sp.hi] {
-            let iz = exec.marker[t];
-            let j = rank_part[iz as usize] as usize;
-            debug_assert!(j < nd.parts.len(), "marker {iz} beyond best count");
-            exec.mark_of[t] = j as u16;
-            exec.marker[t] = iz - prefix[j];
-        }
+    for &t in toks.iter() {
+        let iz = exec.marker[t];
+        let j = rank_part[iz as usize] as usize;
+        debug_assert!(j < nd.parts.len(), "marker {iz} beyond best count");
+        exec.mark_of[t] = j as u16;
+        exec.marker[t] = iz - prefix[j];
     }
-    let rewritten: u64 = spans.iter().map(|sp| (sp.hi - sp.lo) as u64).sum();
+    let rewritten = toks.len() as u64;
     // marker u32 read + write, mark u16 write, rank_part u16 read.
     profile::record(profile::Phase::Task2, rewritten, nd.parts.len() as u64, rewritten * 12);
 
-    // Fused Task 3: every job's flock through one shared round plan.
-    task3_fused(r, scratch, slots, node, spans);
+    task3(r, scratch, exec, toks, node);
 
-    // M* hop per job (Property 3.1(3)): tokens that landed on bad
-    // vertices follow the matching into the good child. A vertex of
-    // part j is bad exactly when it carries an `M*` edge, so the dense
+    // M* hop (Property 3.1(3)): tokens that landed on bad vertices
+    // follow the matching into the good child. A vertex of part j is
+    // bad exactly when it carries an `M*` edge, so the dense
     // `mstar_edge` map doubles as the membership test.
-    for sp in spans {
-        let FusedJob { exec, toks, .. } = &mut slots[sp.job];
-        scratch.mc.reset();
-        for &t in &toks[sp.lo..sp.hi] {
-            let j = exec.mark_of[t] as usize;
-            let v = exec.pos[t];
-            let ei = r.mstar_edge[node][v as usize];
-            debug_assert_eq!(
-                ei != u32::MAX,
-                r.hier.node(nd.parts[j].child).vertices.binary_search(&v).is_err(),
-                "M* edge map disagrees with child membership"
-            );
-            if ei != u32::MAX {
-                let fp = &r.mstar_flat[node][j];
-                scratch.mc.add_flat(fp, ei as usize, 1);
-                exec.pos[t] = fp.target(ei as usize);
-            }
+    scratch.mc.reset();
+    for &t in toks.iter() {
+        let j = exec.mark_of[t] as usize;
+        let v = exec.pos[t];
+        let ei = r.mstar_edge[node][v as usize];
+        debug_assert_eq!(
+            ei != u32::MAX,
+            r.hier.node(nd.parts[j].child).vertices.binary_search(&v).is_err(),
+            "M* edge map disagrees with child membership"
+        );
+        if ei != u32::MAX {
+            let fp = &r.mstar_flat[node][j];
+            scratch.mc.add_flat(fp, ei as usize, 1);
+            exec.pos[t] = fp.target(ei as usize);
         }
-        let mstar_cost = observe_mc(&mut exec.stats, &scratch.mc);
-        exec.ledger.charge("query/task2/mstar", mstar_cost);
     }
+    let mstar_cost = observe_mc(&mut exec.stats, &scratch.mc);
+    exec.ledger.charge("query/task2/mstar", mstar_cost);
 
-    // Stable per-job partition by part, collecting the child spans.
+    // Stable partition by part. The counting sort's bucket offsets are
+    // the child slice bounds; they go on the scratch's bounds stack,
+    // because the recursion rebuilds the buckets.
     let t_parts = nd.parts.len();
-    let mut child_spans: Vec<Vec<Span>> = vec![Vec::new(); t_parts];
-    for sp in spans {
-        let FusedJob { exec, toks, .. } = &mut slots[sp.job];
-        let slice = &mut toks[sp.lo..sp.hi];
-        let mut tmp = std::mem::take(&mut scratch.toks_tmp);
-        tmp.clear();
-        tmp.extend_from_slice(slice);
-        {
-            let mark_of = &exec.mark_of;
-            scratch.groups.build(t_parts, tmp.iter().map(|&t| u32::from(mark_of[t])));
+    let mut tmp = std::mem::take(&mut scratch.toks_tmp);
+    tmp.clear();
+    tmp.extend_from_slice(toks);
+    scratch.groups.build(t_parts, tmp.iter().map(|&t| u32::from(exec.mark_of[t])));
+    let mut w = 0;
+    for j in 0..t_parts {
+        for &i in scratch.groups.group(j) {
+            toks[w] = tmp[i as usize];
+            w += 1;
         }
-        let mut w = 0;
-        for j in 0..t_parts {
-            for &i in scratch.groups.group(j) {
-                slice[w] = tmp[i as usize];
-                w += 1;
-            }
-        }
-        debug_assert_eq!(w, slice.len());
-        // Child spans come straight from the counting sort's bucket
-        // offsets — no per-token rescan of the group keys.
-        for (j, child) in child_spans.iter_mut().enumerate() {
-            let (start, end) =
-                (scratch.groups.start_of(j) as usize, scratch.groups.start_of(j + 1) as usize);
-            if end > start {
-                child.push(Span { job: sp.job, lo: sp.lo + start, hi: sp.lo + end });
-            }
-        }
-        debug_assert_eq!(scratch.groups.start_of(t_parts) as usize, slice.len());
-        scratch.toks_tmp = tmp;
     }
-    for (j, child) in child_spans.iter().enumerate() {
-        task2_fused(r, scratch, slots, nd.parts[j].child, child);
+    debug_assert_eq!(w, toks.len());
+    scratch.toks_tmp = tmp;
+    let base = scratch.child_bounds.len();
+    scratch.child_bounds.extend((0..=t_parts).map(|j| scratch.groups.start_of(j)));
+    for (j, part) in nd.parts.iter().enumerate() {
+        let (lo, hi) =
+            (scratch.child_bounds[base + j] as usize, scratch.child_bounds[base + j + 1] as usize);
+        if hi > lo {
+            task2(r, scratch, exec, &mut toks[lo..hi], part.child);
+        }
     }
+    scratch.child_bounds.truncate(base);
 }
 
-/// Task 3 fused across the group: per-job flocks dispersed through one
-/// shared round loop ([`disperse_fused`]), then merged against a single
-/// shared [`DummyEntry`] per distinct `(node, L)`.
-fn task3_fused(
-    r: &Router,
-    scratch: &mut Scratch,
-    slots: &mut [FusedJob<'_, '_>],
-    node: NodeId,
-    spans: &[Span],
-) {
+/// Task 3 at `node` for the worklist slice `toks`: the flock disperses
+/// through [`disperse`], then merges against the dummy dispersal
+/// cached for its observed load `L`.
+fn task3(r: &Router, scratch: &mut Scratch, exec: &mut Exec<'_>, toks: &[usize], node: NodeId) {
     let nd = r.hier.node(node);
     let t = nd.part_count();
-    let n = r.graph.n();
+    exec.stats.task3_calls += 1;
 
-    // Per-job prep: observed load L, flock segment, incremental state.
-    // The states live in the scratch pool; take them for the call.
-    let mut states = std::mem::take(&mut scratch.fused);
-    if states.len() < spans.len() {
-        states.resize_with(spans.len(), FusedDisperse::default);
+    let mut st = std::mem::take(&mut scratch.job_state);
+    st.prepare(r.graph.n(), t);
+    let part_of = &r.part_of[node];
+    for &tk in toks {
+        st.push_token(t, exec.pos[tk], exec.mark_of[tk], part_of);
     }
-    for (ai, sp) in spans.iter().enumerate() {
-        let FusedJob { exec, toks, .. } = &mut slots[sp.job];
-        exec.stats.task3_calls += 1;
-        let st = &mut states[ai];
-        st.prepare(n, t);
-        let part_of = &r.part_of[node];
-        for &tk in &toks[sp.lo..sp.hi] {
-            st.push_token(t, exec.pos[tk], exec.mark_of[tk], part_of);
-        }
-        // L: max real load on any vertex of X — read straight off the
-        // freshly built incremental accounting (the per-part maxima
-        // cover every loaded vertex), replacing a separate count pass.
-        st.l = u64::from(st.pmax[..t].iter().copied().max().unwrap_or(0)).max(1);
-        // pos u32 + mark u16 read, bucket u32 + vload u32 write.
-        let pushed = (sp.hi - sp.lo) as u64;
-        profile::record(profile::Phase::Task3, pushed, (t * t) as u64, pushed * 14);
-    }
+    // L: max real load on any vertex of X — read straight off the
+    // freshly built incremental accounting (the per-part maxima cover
+    // every loaded vertex), replacing a separate count pass.
+    let l = u64::from(st.pmax[..t].iter().copied().max().unwrap_or(0)).max(1);
+    // pos u32 + mark u16 read, bucket u32 + vload u32 write.
+    let pushed = toks.len() as u64;
+    profile::record(profile::Phase::Task3, pushed, (t * t) as u64, pushed * 14);
 
-    // One shared dummy entry per distinct observed load: taken from the
-    // cross-batch cache or built once — never once per job. Built
-    // before the dispersal sweep (the loads are known from prep, and
-    // the builds are independent of the real flocks) so each job's
-    // dispersal can run straight into its merge below.
-    let mut entries: Vec<(u64, DummyEntry)> = Vec::new();
-    for st in &states[..spans.len()] {
-        if !entries.iter().any(|&(l, _)| l == st.l) {
-            let entry = match scratch.dummies.take(node, st.l) {
-                Some(entry) => entry,
-                None => Exec::new(r, RoundLedger::new()).build_dummy_entry(scratch, node, st.l),
-            };
-            entries.push((st.l, entry));
-        }
+    let entry = match scratch.dummies.take(node, l) {
+        Some(entry) => entry,
+        None => build_dummy_entry(r, scratch, node, l),
+    };
+    disperse(r, scratch, exec, &mut st, node, true);
+    exec.apply_dummy_entry(&entry);
+    merge(r, scratch, exec, &mut st, node, &entry);
+    exec.ledger.charge("query/task3/reverse", entry.cost);
+    for (&tk, &p) in toks.iter().zip(&st.pos) {
+        exec.pos[tk] = p;
     }
-
-    // Per job, in one cache-hot pass over the job's state: the full
-    // dispersal round loop, the dummy-charge replay, the merge, the
-    // escort-trip charge, and the position writeback. Jobs don't
-    // interact during dispersal (the sharing is the round tables and
-    // the dummy entries, both read-only here), so running each job's
-    // rounds to completion is byte-identical to sweeping all jobs
-    // round by round — and keeps the job's buckets and loads resident
-    // instead of cycling the whole group through cache every round.
-    for (ai, sp) in spans.iter().enumerate() {
-        let FusedJob { exec, toks, .. } = &mut slots[sp.job];
-        let st = &mut states[ai];
-        disperse_fused(r, scratch, exec, st, node, true);
-        let entry =
-            &entries.iter().find(|&&(l, _)| l == st.l).expect("entry built for every load").1;
-        exec.apply_dummy_entry(entry);
-        merge_fused(r, scratch, exec, st, node, entry);
-        exec.ledger.charge("query/task3/reverse", entry.cost);
-        for (i, &tk) in toks[sp.lo..sp.hi].iter().enumerate() {
-            exec.pos[tk] = st.pos[i];
-        }
-        st.teardown(t);
-    }
-    for (l, entry) in entries {
-        scratch.dummies.put(node, l, entry);
-    }
-    scratch.fused = states;
+    st.teardown(t);
+    scratch.dummies.put(node, l, entry);
+    scratch.job_state = st;
 }
 
-/// The fused dispersal round loop (§6.1, Lemma 6.2) for one job of the
-/// group: all `λ` rounds run back to back over the job's incremental
-/// state (buckets and per-part load maxima maintained move by move,
-/// not rescanned), so the state stays cache-resident for the whole
-/// dispersal and the merge that follows. Charges land in the job's
-/// forked ledger; congestion/dilation accumulate through the shared
-/// scratch accumulator, reset per round, so the per-job
-/// demultiplexing is exact.
-fn disperse_fused(
+/// The dispersal round loop (§6.1, Lemma 6.2): all `λ` rounds run back
+/// to back over the flock's incremental state (buckets and per-part
+/// load maxima maintained move by move, not rescanned), so the state
+/// stays cache-resident for the whole dispersal and the merge that
+/// follows. Charges land in `exec`'s ledger; congestion and dilation
+/// accumulate through the scratch accumulator, reset per round.
+fn disperse(
     r: &Router,
     scratch: &mut Scratch,
     exec: &mut Exec<'_>,
-    st: &mut FusedDisperse,
+    st: &mut DisperseState,
     node: NodeId,
     check: bool,
 ) {
@@ -1635,7 +1428,7 @@ fn disperse_fused(
         exec.stats.charged_sorts += 2 * portal_parts;
         st.portal_total += portal_charge;
 
-        // Quiescence early-out: when even the job's largest bucket is
+        // Quiescence early-out: when even the flock's largest bucket is
         // below the round's smallest moving length, every entry's move
         // count floors to zero — the whole scan (and its table reads)
         // is a no-op, and skipping it leaves costs, stats, and state
@@ -1647,7 +1440,7 @@ fn disperse_fused(
         }
 
         // Move ⌊(m_ij/2)·|T_il|⌋ tokens from part i to part j,
-        // scanning this job's round-start buckets.
+        // scanning the round-start buckets.
         let flat = &r.rounds_flat[node][q];
         scratch.mc.reset();
         let mut max_bucket = 0u32;
@@ -1705,7 +1498,7 @@ fn disperse_fused(
         st.apply_moves(t, part_of);
     }
 
-    // Job epilogue: final-round trace, the dispersal charge, and the
+    // Epilogue: final-round trace, the dispersal charge, and the
     // Lemma 6.2 dispersion-envelope check.
     if lambda > 0 {
         let max_load = st.pmax[..t].iter().copied().max().unwrap_or(0);
@@ -1742,8 +1535,8 @@ fn disperse_fused(
     }
 }
 
-/// §6.3 merge for one job of the group: pair reals with dummies per
-/// (part, mark); dummies escort reals to their birth vertices. Reals
+/// §6.3 merge: pair reals with dummies per (part, mark); dummies
+/// escort reals to their birth vertices. Reals
 /// that exceed the local dummy supply (small-`n` slack, DESIGN.md
 /// substitution 6) fall back to explicit shortest paths — the walk in
 /// the BFS tree rooted at a round-robin target vertex, through
@@ -1752,15 +1545,15 @@ fn disperse_fused(
 /// shared across groups with the same mark, so the order must be
 /// deterministic or target choices (and charged costs) vary run to
 /// run. The real-token groups and
-/// per-part load maxima come from the job's incremental dispersal
+/// per-part load maxima come from the flock's incremental dispersal
 /// state (no rescan of the flock); the dummy side (final buckets,
-/// landing loads, origins) comes precomputed from the group-shared
+/// landing loads, origins) comes precomputed from the cached
 /// [`DummyEntry`].
-fn merge_fused(
+fn merge(
     r: &Router,
     scratch: &mut Scratch,
     exec: &mut Exec<'_>,
-    st: &mut FusedDisperse,
+    st: &mut DisperseState,
     node: NodeId,
     dummy: &DummyEntry,
 ) {
@@ -1965,38 +1758,6 @@ mod tests {
         let inst = SortInstance::from_triples(&triples);
         let out = r.sort(&inst).expect("valid");
         assert!(out.is_sorted(&inst, 128, 1));
-    }
-
-    #[test]
-    fn move_cost_accumulates() {
-        let mut mc = MoveCost::new();
-        mc.add(&Path::new(vec![0, 1, 2]), 2);
-        mc.add(&Path::new(vec![3, 1]), 1);
-        // Edge (0,1) load 2, (1,2) load 2, (1,3) load 1; hops max 2.
-        assert_eq!(mc.cost(), 4);
-    }
-
-    #[test]
-    fn flat_move_cost_matches_reference() {
-        let g = generators::random_regular(64, 4, 11).expect("generator");
-        let paths: Vec<Path> =
-            (0..32u32).map(|v| Path::new(g.shortest_path(v, 63 - v).expect("connected"))).collect();
-        let fp = expander_graphs::FlatPaths::from_paths(&g, paths.iter());
-        let mut reference = MoveCost::new();
-        let mut flat = FlatMoveCost::new(g.edge_id_count());
-        for (i, p) in paths.iter().enumerate() {
-            let times = (i % 3) as u64; // exercise the times == 0 skip
-            reference.add(p, times);
-            flat.add_flat(&fp, i, times);
-        }
-        assert_eq!(flat.cost(), reference.cost());
-        // Reset truly clears: a fresh accumulation matches again.
-        flat.reset();
-        assert_eq!(flat.cost(), 0);
-        flat.add_flat(&fp, 0, 5);
-        let mut fresh = MoveCost::new();
-        fresh.add(&paths[0], 5);
-        assert_eq!(flat.cost(), fresh.cost());
     }
 
     #[test]

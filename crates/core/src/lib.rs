@@ -24,7 +24,7 @@
 //! | Routing ⇄ sorting equivalence (Appendix F) | [`equivalence`] |
 //! | Arbitrary degrees via the expander split `G⋄` (Appendix E) | [`general`] |
 //! | Instances, the one routing outcome and its verifier, load `L`, query statistics | [`token`] |
-//! | Batched/fused multi-query amortization (Theorem 1.1 at scale) | [`engine`] |
+//! | Batched multi-query amortization (Theorem 1.1 at scale) | [`engine`] |
 //! | Streaming admission over the batch engine (beyond the paper) | [`service`] |
 //! | Corollary 1.4 general graphs via expander decomposition | [`decomposed`] |
 //! | §1.2 comparison baselines (GKS17, CS20) | [`baselines`] |
@@ -41,16 +41,15 @@
 //!   answers an expander-sorting instance (Theorem 5.6).
 //! * [`engine`] — the batched multi-query engine: [`QueryEngine`]
 //!   shards a batch of routing/sorting jobs across a deterministic
-//!   worker pool over one preprocessed router, with pooled per-worker
-//!   scratches, cross-query dummy-dispersal caching, and cross-job
-//!   dispersal fusion; outcomes are byte-identical to individual
-//!   queries at every thread count and fusion width.
+//!   worker pool over one preprocessed router, each job running alone
+//!   on a pooled per-worker scratch with cross-query dummy-dispersal
+//!   caching; outcomes are byte-identical to individual queries at
+//!   every thread count.
 //! * [`service`] — the streaming front end over the engine:
 //!   [`RoutingService`] accepts a continuous job stream through
-//!   sharded intake queues, forms fusion groups by deadline and
-//!   density, executes them on the engine, and streams outcomes back
-//!   through per-tenant completion queues under a bounded in-flight
-//!   budget; [`service::ArrivalSchedule`] is the seeded replayable
+//!   sharded intake queues, executes each job on the engine as it
+//!   arrives, and streams outcomes back through per-tenant completion
+//!   queues under a bounded in-flight budget; [`service::ArrivalSchedule`] is the seeded replayable
 //!   workload for its determinism contract and benchmarks.
 //! * [`exec`] — the physical query execution: Task 2/Task 3 recursion,
 //!   shuffler-driven dispersal (Definition 6.1, Lemmas 6.2/6.6), the

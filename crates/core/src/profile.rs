@@ -12,7 +12,7 @@
 //! and the whole layer compiles to nothing — the hot loops carry zero
 //! overhead, which is why these counters live here and not in
 //! [`QueryStats`](crate::token::QueryStats) (whose values are part of
-//! the fused-vs-solo byte-identity contract).
+//! the pooled-vs-solo byte-identity contract).
 //!
 //! Byte counts are traffic *estimates* from the known element widths
 //! of the arenas each phase streams (`u32` positions/bucket entries,

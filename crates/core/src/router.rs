@@ -703,18 +703,11 @@ impl Router {
     }
 
     /// Executes one *validated* job: the single entry point behind
-    /// [`Router::route`], [`Router::sort`], and the batch engine. The
-    /// caller provides the (possibly pooled) scratch and the (possibly
-    /// batch-forked) ledger the query charges into. Runs as a singleton
-    /// group of the fused pipeline, so the outcome is byte-identical to
-    /// the same job inside any fused batch.
-    pub(crate) fn execute(
-        &self,
-        job: JobRef<'_>,
-        scratch: &mut Scratch,
-        ledger: RoundLedger,
-    ) -> JobOutcome {
-        crate::exec::run_single(self, scratch, job, ledger)
+    /// [`Router::route`], [`Router::sort`], the batch engine and the
+    /// service. The caller provides the (possibly pooled) scratch; the
+    /// outcome is byte-identical whichever scratch serves the job.
+    pub(crate) fn execute(&self, job: JobRef<'_>, scratch: &mut Scratch) -> JobOutcome {
+        crate::exec::run_single(self, scratch, job)
     }
 
     /// Answers a Task 1 routing query (Definition 4.1).
@@ -743,7 +736,7 @@ impl Router {
     pub fn route(&self, inst: &RoutingInstance) -> Result<RoutingOutcome, InstanceError> {
         let job = JobRef::Route(inst);
         self.validate(job)?;
-        match self.execute(job, &mut Scratch::new(self), RoundLedger::new()) {
+        match self.execute(job, &mut Scratch::new(self)) {
             JobOutcome::Route(out) => Ok(out),
             JobOutcome::Sort(_) => unreachable!("route job produced a sort outcome"),
         }
@@ -763,7 +756,7 @@ impl Router {
     pub fn sort(&self, inst: &SortInstance) -> Result<SortOutcome, InstanceError> {
         let job = JobRef::Sort(inst);
         self.validate(job)?;
-        match self.execute(job, &mut Scratch::new(self), RoundLedger::new()) {
+        match self.execute(job, &mut Scratch::new(self)) {
             JobOutcome::Sort(out) => Ok(out),
             JobOutcome::Route(_) => unreachable!("sort job produced a route outcome"),
         }
@@ -907,7 +900,7 @@ mod tests {
         let mut r = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router");
         let inst = RoutingInstance::permutation(256, 7);
         let mut scratch = Scratch::new(&r);
-        match r.execute(JobRef::Route(&inst), &mut scratch, RoundLedger::new()) {
+        match r.execute(JobRef::Route(&inst), &mut scratch) {
             JobOutcome::Route(out) => assert!(out.fully_delivered()),
             JobOutcome::Sort(_) => unreachable!(),
         }
@@ -915,7 +908,7 @@ mod tests {
         // epoch half of the scratch tag can catch the change.
         let (u, v) = g.edges().next().expect("edge");
         r.repair(&[GraphEdit::RemoveEdge(u, v)]).expect("repair");
-        let pooled = match r.execute(JobRef::Route(&inst), &mut scratch, RoundLedger::new()) {
+        let pooled = match r.execute(JobRef::Route(&inst), &mut scratch) {
             JobOutcome::Route(out) => out,
             JobOutcome::Sort(_) => unreachable!(),
         };

@@ -1,14 +1,12 @@
 //! The streaming routing service: continuous job admission over the
 //! batched [`QueryEngine`].
 //!
-//! [`QueryEngine::run`] takes a *closed* batch — the caller must
-//! already hold every co-scheduled job for the fusion speedups to
-//! materialize. Real traffic is an open stream, so this module adds the
-//! missing front end: a long-lived [`RoutingService`] whose workers
-//! poll sharded intake queues, form fusion groups by **deadline and
-//! density**, execute each closed group through the engine's
-//! group-execution entry point, and stream completed [`JobOutcome`]s
-//! back through per-tenant completion queues.
+//! [`QueryEngine::run`] takes a *closed* batch: the caller must already
+//! hold every job. Real traffic is an open stream, so this module adds
+//! the missing front end: a long-lived [`RoutingService`] whose workers
+//! poll sharded intake queues, execute each job as it arrives through
+//! the engine's pooled-scratch path, and stream completed
+//! [`JobOutcome`]s back through per-tenant completion queues.
 //!
 //! # Data flow
 //!
@@ -18,29 +16,26 @@
 //!        │ backpressure: bounded in-flight budget — `submit` blocks,
 //!        │ `try_submit` fails fast with `SubmitError::Saturated`
 //!        ▼
-//! admission scheduler (per worker): grow a group until
-//!        • it reaches the target fusion width            (density), or
-//!        • the oldest job's deadline budget is half spent (deadline), or
-//!        • the intake has gone quiescent / is draining    (liveness)
+//! worker: pull one job (own shard first, then steal)
 //!        ▼
-//! QueryEngine::run_group_validated  (pooled scratch, fused dispersal)
+//! QueryEngine::run_validated  (pooled scratch, dummy cache)
 //!        ▼
 //! per-tenant completion queues ─► recv / try_recv (ticket, outcome)
 //! ```
 //!
 //! # Determinism contract
 //!
-//! The scheduler decides *grouping*, never *results*: per-job outcomes
-//! and ledgers are byte-identical to routing the same jobs through
-//! closed [`QueryEngine::run`] batches — at every thread count, arrival
-//! timing, and submission interleaving. This is inherited, not
-//! re-proven: every grouping runs the same fused pipeline, and
-//! grouping-invariance is enforced by `tests/batch_determinism.rs` and
-//! `tests/property.rs`; the service-level contract (a fixed
-//! [`ArrivalSchedule`] replayed at 1 vs 4 threads, or permuted)
-//! is enforced by `tests/service_determinism.rs`. Timing-derived
-//! [`ServiceStats`] (latency percentiles, width histogram, queries/s)
-//! are *reported*, never fed back into results.
+//! Per-job outcomes and ledgers are byte-identical to routing the same
+//! jobs through closed [`QueryEngine::run`] batches — at every thread
+//! count, arrival timing, and submission interleaving. This is
+//! inherited, not re-proven: every job runs alone through the same
+//! pipeline, and which pooled scratch serves it is unobservable
+//! (`tests/batch_determinism.rs`, `tests/property.rs`). The
+//! service-level contract (a fixed [`ArrivalSchedule`] replayed at 1
+//! vs 4 threads, or permuted) is enforced by
+//! `tests/service_determinism.rs`. Timing-derived [`ServiceStats`]
+//! (latency percentiles, queries/s) are *reported*, never fed back
+//! into results.
 //!
 //! # Example
 //!
@@ -70,7 +65,7 @@
 //! assert_eq!(stats.completed, 4);
 //! ```
 
-use crate::engine::{Job, JobOutcome, JobRef, QueryEngine};
+use crate::engine::{Job, JobOutcome, QueryEngine};
 use crate::token::InstanceError;
 use congest_sim::parallel::{build_threads, run_workers, IdleBackoff};
 use std::collections::VecDeque;
@@ -115,13 +110,6 @@ pub struct ServiceConfig {
     /// Worker-thread count (`None`: `EXPANDER_BUILD_THREADS`, then
     /// `available_parallelism` — the same resolution as the engine).
     pub threads: Option<usize>,
-    /// Fusion width at which a growing group closes on density
-    /// (`None`: the engine's automatic cap of 32 jobs per group).
-    pub target_width: Option<usize>,
-    /// Per-job deadline budget: a group closes once its oldest job's
-    /// budget is half spent, bounding the formation latency a job can
-    /// pay waiting for co-scheduled density.
-    pub deadline: Duration,
     /// In-flight budget: jobs admitted but not yet received back. At
     /// the cap, [`submit`](ServiceHandle::submit) blocks and
     /// [`try_submit`](ServiceHandle::try_submit) fails fast.
@@ -129,9 +117,6 @@ pub struct ServiceConfig {
     /// Completion-queue count; submissions name a tenant in
     /// `0..tenants` and outcomes come back on that tenant's queue.
     pub tenants: usize,
-    /// Intake silence after which a partial group stops waiting for
-    /// density and closes.
-    pub quiescent_after: Duration,
     /// Idle time after which a worker trims the engine's pooled
     /// scratches back under the scratch cap (once per idle period), so
     /// a long-lived idle service releases the memory of its last
@@ -143,15 +128,16 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             threads: None,
-            target_width: None,
-            deadline: Duration::from_millis(2),
             max_in_flight: usize::MAX,
             tenants: 1,
-            quiescent_after: Duration::from_micros(200),
             trim_after: Duration::from_millis(10),
         }
     }
 }
+
+/// The longest nap of an idle worker's backoff: it bounds how late an
+/// idle worker notices an arrival.
+const IDLE_NAP_CAP: Duration = Duration::from_micros(200);
 
 /// One admitted job waiting in an intake shard.
 #[derive(Debug)]
@@ -180,7 +166,6 @@ struct TenantQueue {
 struct Shared<'e, 'r> {
     engine: &'e QueryEngine<'r>,
     config: ServiceConfig,
-    width: usize,
     /// One intake shard per worker; submissions round-robin across
     /// shards and workers steal from later shards when theirs runs dry.
     shards: Vec<Mutex<VecDeque<Pending>>>,
@@ -197,6 +182,14 @@ struct Shared<'e, 'r> {
 impl Shared<'_, '_> {
     fn intake_is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.lock().expect("unpoisoned").is_empty())
+    }
+
+    /// The next job for worker `index`: from its own shard first, then
+    /// stolen from the others.
+    fn next_job(&self, index: usize) -> Option<Pending> {
+        let n = self.shards.len();
+        (0..n)
+            .find_map(|off| self.shards[(index + off) % n].lock().expect("unpoisoned").pop_front())
     }
 }
 
@@ -313,12 +306,9 @@ impl ServiceHandle<'_, '_, '_> {
 /// Per-worker tallies, merged into [`ServiceStats`] after the join.
 #[derive(Debug, Default)]
 struct WorkerStats {
-    groups: u64,
     trims: u64,
-    /// `widths[w]` = groups closed at width `w`.
-    widths: Vec<u64>,
-    /// Group-formation latency samples (oldest job's submission → group
-    /// close), microseconds.
+    /// Formation latency samples (submission → execution start),
+    /// microseconds.
     formation_us: Vec<u64>,
     /// Service latency samples (submission → completion enqueue),
     /// microseconds.
@@ -348,14 +338,13 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Outcomes delivered to completion queues across all tenants.
     pub completed: u64,
-    /// Fusion groups executed.
+    /// Job executions; each execution runs one job, so this equals
+    /// `completed`.
     pub groups: u64,
     /// Quiescent-period scratch trims performed by idle workers.
     pub trims: u64,
-    /// `(width, groups closed at that width)`, ascending by width.
-    pub width_histogram: Vec<(usize, u64)>,
-    /// Nearest-rank `[p50, p95, p99]` of group-formation latency
-    /// (oldest job's submission → group close), microseconds.
+    /// Nearest-rank `[p50, p95, p99]` of formation latency (submission
+    /// → execution start), microseconds.
     pub formation_latency_us: [u64; 3],
     /// Nearest-rank `[p50, p95, p99]` of service latency (submission →
     /// completion enqueue), microseconds.
@@ -398,12 +387,10 @@ impl RoutingService {
         B: FnOnce(&ServiceHandle<'_, '_, '_>) -> T + Send,
     {
         let workers = build_threads(config.threads);
-        let width = config.target_width.unwrap_or(crate::engine::MAX_AUTO_FUSION_WIDTH).max(1);
         let tenants = config.tenants.max(1);
         let shared = Shared {
             engine,
             config,
-            width,
             shards: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             next_shard: AtomicUsize::new(0),
             next_ticket: AtomicU64::new(0),
@@ -435,22 +422,14 @@ impl RoutingService {
         let elapsed = started.elapsed();
 
         let mut stats = ServiceStats { elapsed, ..ServiceStats::default() };
-        let mut widths: Vec<u64> = Vec::new();
         let mut formation: Vec<u64> = Vec::new();
         let mut service: Vec<u64> = Vec::new();
         for ws in worker_stats {
-            stats.groups += ws.groups;
             stats.trims += ws.trims;
-            if widths.len() < ws.widths.len() {
-                widths.resize(ws.widths.len(), 0);
-            }
-            for (w, count) in ws.widths.iter().enumerate() {
-                widths[w] += count;
-            }
             formation.extend(ws.formation_us);
             service.extend(ws.service_us);
         }
-        stats.width_histogram = widths.into_iter().enumerate().filter(|&(_, c)| c > 0).collect();
+        stats.groups = formation.len() as u64;
         stats.formation_latency_us = crate::percentiles(formation.into_iter());
         stats.service_latency_us = crate::percentiles(service.into_iter());
         for tq in &shared.tenants {
@@ -473,90 +452,46 @@ impl RoutingService {
     }
 }
 
-/// One worker's poll → group → execute loop.
+/// One worker's poll → execute loop.
 fn worker_loop(sh: &Shared<'_, '_>, index: usize) -> WorkerStats {
     let mut stats = WorkerStats::default();
-    let mut group: Vec<Pending> = Vec::new();
-    let mut backoff = IdleBackoff::new(sh.config.quiescent_after.max(Duration::from_micros(50)));
+    let mut backoff = IdleBackoff::new(IDLE_NAP_CAP);
     let mut last_activity = Instant::now();
     let mut trimmed_this_idle = false;
 
     loop {
-        // Pull from the worker's own shard first, then steal from the
-        // others, up to the width the group still wants.
-        let mut pulled = 0;
-        for off in 0..sh.shards.len() {
-            let want = sh.width - group.len();
-            if want == 0 {
-                break;
-            }
-            let shard = &sh.shards[(index + off) % sh.shards.len()];
-            let mut q = shard.lock().expect("unpoisoned");
-            let take = want.min(q.len());
-            group.extend(q.drain(..take));
-            pulled += take;
-        }
-        if pulled > 0 {
+        if let Some(pending) = sh.next_job(index) {
+            execute(sh, pending, &mut stats);
             backoff.reset();
             last_activity = Instant::now();
             trimmed_this_idle = false;
-        }
-
-        let draining = sh.draining.load(Ordering::Acquire);
-        if group.is_empty() {
-            if draining && sh.intake_is_empty() {
-                return stats;
-            }
-            // Quiescent with nothing queued: give the engine's pooled
-            // scratches their cap trim once per idle period, then back
-            // off (spin → yield → nap).
-            if !trimmed_this_idle && last_activity.elapsed() >= sh.config.trim_after {
-                sh.engine.trim_scratches();
-                stats.trims += 1;
-                trimmed_this_idle = true;
-            }
-            backoff.idle();
             continue;
         }
-
-        // Close the group on density, deadline, quiescence, or drain —
-        // whichever happens first.
-        let density = group.len() >= sh.width;
-        let deadline_half_spent =
-            group[0].submitted_at.elapsed().saturating_mul(2) >= sh.config.deadline;
-        let quiescent = last_activity.elapsed() >= sh.config.quiescent_after;
-        if density || deadline_half_spent || quiescent || draining {
-            execute_group(sh, &mut group, &mut stats);
-            backoff.reset();
-            last_activity = Instant::now();
-        } else {
-            backoff.idle();
+        if sh.draining.load(Ordering::Acquire) && sh.intake_is_empty() {
+            return stats;
         }
+        // Quiescent with nothing queued: give the engine's pooled
+        // scratches their cap trim once per idle period, then back off
+        // (spin → yield → nap).
+        if !trimmed_this_idle && last_activity.elapsed() >= sh.config.trim_after {
+            sh.engine.trim_scratches();
+            stats.trims += 1;
+            trimmed_this_idle = true;
+        }
+        backoff.idle();
     }
 }
 
-/// Executes one closed group and streams its outcomes to the tenants'
-/// completion queues.
-fn execute_group(sh: &Shared<'_, '_>, group: &mut Vec<Pending>, stats: &mut WorkerStats) {
-    // Formation latency ends when the group closes, before execution.
-    stats.formation_us.push(group[0].submitted_at.elapsed().as_micros() as u64);
-    let refs: Vec<JobRef<'_>> = group.iter().map(|p| p.job.as_ref()).collect();
-    let outcomes = sh.engine.run_group_validated(&refs);
-    debug_assert_eq!(outcomes.len(), group.len());
-
-    stats.groups += 1;
-    if stats.widths.len() <= group.len() {
-        stats.widths.resize(group.len() + 1, 0);
-    }
-    stats.widths[group.len()] += 1;
-
-    for (pending, outcome) in group.drain(..).zip(outcomes) {
-        stats.service_us.push(pending.submitted_at.elapsed().as_micros() as u64);
-        let tq = &sh.tenants[pending.tenant];
-        tq.done.lock().expect("unpoisoned").push_back((pending.ticket, outcome));
-        tq.completed.fetch_add(1, Ordering::Relaxed);
-        tq.ready.notify_all();
-    }
+/// Executes one job and streams its outcome to its tenant's completion
+/// queue.
+fn execute(sh: &Shared<'_, '_>, pending: Pending, stats: &mut WorkerStats) {
+    stats.formation_us.push(pending.submitted_at.elapsed().as_micros() as u64);
+    let outcome = sh.engine.run_validated(pending.job.as_ref());
+    stats.service_us.push(pending.submitted_at.elapsed().as_micros() as u64);
+    let tq = &sh.tenants[pending.tenant];
+    tq.done.lock().expect("unpoisoned").push_back((pending.ticket, outcome));
+    tq.completed.fetch_add(1, Ordering::Relaxed);
+    tq.ready.notify_all();
 }
 
 /// One arrival of an [`ArrivalSchedule`]: a job offered to `tenant` at
@@ -723,8 +658,7 @@ mod tests {
         assert_eq!(stats.tenants.len(), 2);
         assert_eq!(stats.tenants[0].admitted, 3);
         assert_eq!(stats.tenants[1].admitted, 3);
-        assert!(stats.groups >= 1);
-        assert_eq!(stats.width_histogram.iter().map(|&(w, c)| w as u64 * c).sum::<u64>(), 6);
+        assert_eq!(stats.groups, 6, "one execution per job");
         assert!(stats.queries_per_sec > 0.0);
     }
 

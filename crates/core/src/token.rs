@@ -280,8 +280,8 @@ impl Error for InstanceError {}
 pub struct QueryStats {
     /// Maximum per-vertex load observed during dispersal, per shuffler
     /// iteration (Lemma 6.6's quantity), worst over all Task 3 calls.
-    /// `u32` suffices: per-round loads are bounded by flock size ×
-    /// fusion width, far below `2³²` (see `tests/overflow_bounds.rs`).
+    /// `u32` suffices: per-round loads are bounded by the flock size,
+    /// far below `2³²` (see `tests/overflow_bounds.rs`).
     pub max_load_trace: Vec<u32>,
     /// Tokens delivered through the small-`n` fallback instead of the
     /// dummy-escort pairing (DESIGN.md substitution 6). Zero at

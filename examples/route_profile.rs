@@ -1,4 +1,4 @@
-//! Phase-breakdown profile of a fused query batch: tokens moved,
+//! Phase-breakdown profile of a query batch: tokens moved,
 //! buckets touched, and estimated bytes traversed per execution phase
 //! (Task 2 / Task 3 prep / dispersal scans / merge).
 //!
@@ -37,7 +37,7 @@ fn main() {
     let batch = 64;
     let g = generators::random_regular(n, 4, 9).expect("generator");
     let router = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("expander input");
-    let engine = QueryEngine::new(&router).with_fusion_width(Some(batch));
+    let engine = QueryEngine::new(&router);
 
     let jobs: Vec<Job> =
         (0..batch).map(|i| Job::Route(RoutingInstance::permutation(n, 1000 + i as u64))).collect();
@@ -48,7 +48,7 @@ fn main() {
     let out = engine.run(&jobs).expect("valid jobs");
 
     println!(
-        "batch: {} jobs on n = {n} (fusion width {batch}), {} total charged rounds\n",
+        "batch: {} jobs on n = {n}, {} total charged rounds\n",
         out.stats.jobs, out.stats.total_rounds
     );
     if out.stats.profile.is_empty() {

@@ -57,30 +57,18 @@ fn main() {
     );
 
     // Batch-engine throughput, so sweeps track the amortized query
-    // path alongside the single-query wall time — fused (the default
-    // cross-job dispersal fusion) against the per-job baseline path.
+    // path alongside the single-query wall time.
     let b = 8usize;
     let batch: Vec<RoutingInstance> =
         (0..b as u64).map(|s| RoutingInstance::permutation(n, 100 + s)).collect();
-    let perjob = QueryEngine::new(&router).with_fusion_width(Some(1));
-    let t4 = Instant::now();
-    let (outs_pj, _) = perjob.route_batch(&batch).expect("valid instances");
-    let dt_pj = t4.elapsed();
-    assert!(outs_pj.iter().all(|o| o.fully_delivered()), "undelivered batch tokens");
-    println!(
-        "engine batch per-job (B = {b}, L = 1): {dt_pj:.2?}  ({:.1} queries/s)",
-        b as f64 / dt_pj.as_secs_f64(),
-    );
     let engine = QueryEngine::new(&router);
-    let t5 = Instant::now();
+    let t4 = Instant::now();
     let (outs, stats) = engine.route_batch(&batch).expect("valid instances");
-    let dt = t5.elapsed();
+    let dt = t4.elapsed();
     assert!(outs.iter().all(|o| o.fully_delivered()), "undelivered batch tokens");
     println!(
-        "engine batch fused   (B = {b}, L = 1): {dt:.2?}  ({:.1} queries/s, {} total rounds, \
-         {:.2}× per-job)",
+        "engine batch (B = {b}, L = 1): {dt:.2?}  ({:.1} queries/s, {} total rounds)",
         b as f64 / dt.as_secs_f64(),
         stats.total_rounds,
-        dt_pj.as_secs_f64() / dt.as_secs_f64()
     );
 }

@@ -1,15 +1,15 @@
 //! Sustained streaming throughput: open-loop arrivals through
-//! [`RoutingService`] versus the closed-batch fused ceiling of
+//! [`RoutingService`] against the closed-batch reference of
 //! [`QueryEngine::run`] on the same jobs.
 //!
 //! For each graph size the harness replays a fixed seeded
 //! [`ArrivalSchedule`] twice — once in real time (arrivals spaced at
 //! the offered rate; measures latency under load) and once saturated
 //! (back-to-back submission; measures sustained queries/s) — and
-//! prints sustained qps, group-formation and service-latency
-//! percentiles, the fused-width histogram, and the ratio of the
-//! saturated service to the closed batch, which holds every job up
-//! front and is therefore the fusion-density ceiling.
+//! prints sustained qps, formation (submission → execution start) and
+//! service-latency percentiles, and the ratio of the saturated service
+//! to the closed batch, which holds every job up front and so pays no
+//! intake overhead.
 //!
 //! ```sh
 //! cargo run --release --example service_throughput             # n = 512 and 4096
@@ -44,9 +44,9 @@ fn run_size(n: usize, jobs: usize, tenants: usize) {
     println!("Router::preprocess: {:.2?}", t0.elapsed());
     let engine = QueryEngine::new(&router);
 
-    // Ceiling: the same jobs as one closed fused batch. Warm once so
-    // the scratch pool and dummy caches are populated for every
-    // contender alike.
+    // Reference: the same jobs as one closed batch. Warm once so the
+    // scratch pool and dummy caches are populated for every contender
+    // alike.
     let schedule = ArrivalSchedule::permutations(n, jobs, tenants, 0.0, 9000 + n as u64);
     let batch_jobs = schedule.jobs();
     engine.run(&batch_jobs).expect("valid jobs");
@@ -54,10 +54,10 @@ fn run_size(n: usize, jobs: usize, tenants: usize) {
     let batch = engine.run(&batch_jobs).expect("valid jobs");
     let closed = t1.elapsed();
     let closed_qps = jobs as f64 / closed.as_secs_f64();
-    println!("closed batch (fused ceiling): {closed:.2?}  ({closed_qps:.1} queries/s)");
+    println!("closed batch (reference):     {closed:.2?}  ({closed_qps:.1} queries/s)");
 
     // Saturated service: arrivals offered back to back; sustained
-    // throughput is bounded by admission + grouping overhead only.
+    // throughput is bounded by admission and intake overhead only.
     let config = ServiceConfig { tenants, ..ServiceConfig::default() };
     let (outs, stats) =
         RoutingService::serve(&engine, config.clone(), |handle| schedule.drive(handle, false));
@@ -72,14 +72,13 @@ fn run_size(n: usize, jobs: usize, tenants: usize) {
     }
     let ratio = closed_qps / stats.queries_per_sec;
     println!(
-        "service (saturated):          {:.2?}  ({:.1} queries/s, {ratio:.2}× off the ceiling)",
+        "service (saturated):          {:.2?}  ({:.1} queries/s, {ratio:.2}× off the reference)",
         stats.elapsed, stats.queries_per_sec
     );
     let [f50, f95, f99] = stats.formation_latency_us;
     let [s50, s95, s99] = stats.service_latency_us;
-    println!("  group formation p50/p95/p99: {f50}/{f95}/{f99} µs");
+    println!("  formation p50/p95/p99: {f50}/{f95}/{f99} µs");
     println!("  service latency p50/p95/p99: {s50}/{s95}/{s99} µs");
-    println!("  groups: {}, width histogram: {:?}", stats.groups, stats.width_histogram);
 
     // Real-time open loop at ~70% of the saturated rate: latency when
     // the service has headroom.

@@ -94,6 +94,9 @@ fn query_allocations_do_not_scale_with_dispersal_rounds() {
     assert!(again <= allocs + allocs / 4, "second query allocated more: {again} vs {allocs}");
 }
 
+/// Named for the cross-job fusion that batches once ran through; every
+/// batch job now runs alone on a pooled scratch, and the same budget
+/// holds for the round loop of each.
 #[test]
 fn fused_rounds_allocate_nothing_in_steady_state() {
     let _serial = serial();
@@ -107,34 +110,34 @@ fn fused_rounds_allocate_nothing_in_steady_state() {
     let root = router.hierarchy().root();
     let rounds = router.shuffler(root).expect("root shuffler").len() as u64;
 
-    // Explicit fusion width > 1: the whole batch runs as one fused
-    // group through `exec::run_fused`'s shared round plan.
-    let engine = QueryEngine::new(&router).with_threads(Some(1)).with_fusion_width(Some(b));
+    let engine = QueryEngine::new(&router).with_threads(Some(1));
+    // First batch warms the pool and the dummy caches.
     let (first, _) = allocations_during(|| engine.route_batch(&insts).expect("valid"));
     assert!(first.0.iter().all(|o| o.fully_delivered()));
 
-    // Steady state: the fused round loop (buckets, moves, incremental
-    // loads, congestion accounting) must allocate nothing per round —
-    // everything lives in the pooled scratch and the per-job fused
-    // states. What remains is per-job prologue/epilogue output
-    // (positions, ledger, stats: ~18 allocations per job today),
-    // independent of the round count. The budget is a per-job
-    // constant chosen below one allocation per (round × job): a
+    // Steady state: the dispersal round loop (buckets, moves,
+    // incremental loads, congestion accounting) and the Task 2
+    // recursion allocate nothing — everything lives in the pooled
+    // scratch, and the dummy flocks come from its cache. What remains
+    // is per-job output (positions, ledger, stats) and the per-job
+    // worklist and markers, independent of the round count. The budget
+    // is a per-job constant below one allocation per (round × job): a
     // single per-round buffer creeping back into the loop adds
-    // `rounds × jobs` (= 528 here) and trips the assert.
+    // `rounds × jobs` and trips the assert.
     let (second, warm) = allocations_during(|| engine.route_batch(&insts).expect("valid"));
     assert!(second.0.iter().all(|o| o.fully_delivered()));
     let budget = 24 * b as u64;
     assert!(budget < rounds * b as u64, "budget must sit below one alloc per round-step");
-    eprintln!("warm fused batch: {warm} allocations (budget {budget}, rounds = {rounds})");
+    eprintln!("warm batch: {warm} allocations (budget {budget}, rounds = {rounds})");
     assert!(
         warm < budget,
-        "fused batch allocated {warm} times (budget {budget}: rounds = {rounds}, jobs = {b})"
+        "warm batch allocated {warm} times (budget {budget}: rounds = {rounds}, jobs = {b})"
     );
 
-    // And it stays flat across further batches (no per-batch growth).
+    // And the steady state really is steady: a third batch does not
+    // allocate more than the second (no growth per batch).
     let (_, third) = allocations_during(|| engine.route_batch(&insts).expect("valid"));
-    assert!(third <= warm + warm / 8, "third fused batch allocated more: {third} vs {warm}");
+    assert!(third <= warm + warm / 8, "third batch allocated more: {third} vs {warm}");
 }
 
 #[test]
@@ -156,11 +159,11 @@ fn pooled_batch_reuses_scratch_across_jobs() {
     let (first, _) = allocations_during(|| engine.route_batch(&insts).expect("valid"));
     assert!(first.0.iter().all(|o| o.fully_delivered()));
 
-    // Steady state: with the pool warm, per-job allocations must drop
-    // well below a cold solo query's — the scratch (two edge-space
-    // vectors, the dense load counters) and the dummy flocks are reused,
-    // so what remains is per-job outputs (positions, ledger, stats) and
-    // the small per-node recursion vectors.
+    // With the pool warm, per-job allocations drop well below a cold
+    // solo query's: the scratch (two edge-space vectors, the dense load
+    // counters) and the dummy flocks are reused, so what remains is
+    // per-job output (positions, ledger, stats) and the per-job
+    // worklist and markers.
     let (second, warm) = allocations_during(|| engine.route_batch(&insts).expect("valid"));
     assert!(second.0.iter().all(|o| o.fully_delivered()));
     let per_job_warm = warm / b as u64;
@@ -169,9 +172,4 @@ fn pooled_batch_reuses_scratch_across_jobs() {
         2 * per_job_warm < cold_solo,
         "warm pooled job allocates {per_job_warm}, cold solo query {cold_solo}"
     );
-
-    // And the steady state really is steady: a third batch does not
-    // allocate more than the second (no growth per batch).
-    let (_, third) = allocations_during(|| engine.route_batch(&insts).expect("valid"));
-    assert!(third <= warm + warm / 8, "third batch allocated more: {third} vs {warm}");
 }

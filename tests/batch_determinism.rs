@@ -5,10 +5,9 @@
 //! merged batch ledger must be byte-identical (a) at every worker
 //! thread count, (b) under any submission order (shuffled, then mapped
 //! back), (c) to individual `Router::route`/`Router::sort` calls, and
-//! (d) at every dispersal fusion width (the per-job baseline at width
-//! 1, pairs, the whole batch as one group, and the automatic policy) —
-//! the scratch pool, the dummy-dispersal cache, and the fused round
-//! plan are accelerators, never observable.
+//! (d) on a warm engine's repeat batch — the scratch pool, the
+//! dummy-dispersal cache, and the escort trees are accelerators, never
+//! observable, whichever worker's scratch serves a job.
 
 use expander_core::{
     Job, JobOutcome, QueryEngine, Router, RouterConfig, RoutingInstance, SortInstance,
@@ -44,46 +43,6 @@ fn fingerprint(out: &JobOutcome) -> String {
         }
         JobOutcome::Sort(o) => {
             format!("sort|{:?}|{:?}|{}|{:?}", o.positions, o.stats, o.ledger, o.ledger)
-        }
-    }
-}
-
-#[test]
-fn batch_is_fusion_width_invariant() {
-    for n in SIZES {
-        let r = router(n);
-        let jobs = jobs(n);
-        // Width 1 is the legacy per-job execution path: the oracle the
-        // fused round plan must reproduce byte for byte.
-        let baseline = QueryEngine::new(&r)
-            .with_fusion_width(Some(1))
-            .with_threads(Some(1))
-            .run(&jobs)
-            .expect("valid");
-        for width in [2, 3, jobs.len(), jobs.len() + 7] {
-            for threads in [1usize, 4] {
-                let fused = QueryEngine::new(&r)
-                    .with_fusion_width(Some(width))
-                    .with_threads(Some(threads))
-                    .run(&jobs)
-                    .expect("valid");
-                for (i, (a, b)) in baseline.outcomes.iter().zip(&fused.outcomes).enumerate() {
-                    assert_eq!(
-                        fingerprint(a),
-                        fingerprint(b),
-                        "n = {n}: job {i} differs at fusion width {width}, threads {threads}"
-                    );
-                }
-                assert_eq!(
-                    baseline.stats.merged, fused.stats.merged,
-                    "n = {n}: merged ledgers differ at fusion width {width}"
-                );
-            }
-        }
-        // The automatic policy is just another width choice.
-        let auto = QueryEngine::new(&r).with_threads(Some(2)).run(&jobs).expect("valid");
-        for (i, (a, b)) in baseline.outcomes.iter().zip(&auto.outcomes).enumerate() {
-            assert_eq!(fingerprint(a), fingerprint(b), "n = {n}: job {i} differs under auto width");
         }
     }
 }

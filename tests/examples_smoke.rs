@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-const EXAMPLES: [&str; 11] = [
+const EXAMPLES: [&str; 10] = [
     "quickstart",
     "baseline_comparison",
     "mst_expander",
@@ -15,7 +15,6 @@ const EXAMPLES: [&str; 11] = [
     "sorting_pipeline",
     "general_degree",
     "scale_probe",
-    "batch_throughput",
     "service_throughput",
     "zoo_report",
     "churn_report",

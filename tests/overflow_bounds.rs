@@ -2,10 +2,13 @@
 //! counters: the narrowed accumulators must agree with wide (u64 /
 //! hash-map) reference paths all the way up to their asserted bounds
 //! (per-edge loads and per-round vertex loads sit far below `2³²` for
-//! any supported instance — max flock size × fusion width — but the
-//! agreement must hold *near* the bound, not just at everyday values).
+//! any supported instance — the maximum flock size — but the agreement
+//! must hold *near* the bound, not just at everyday values).
 
-use expander_core::exec::{FlatMoveCost, MoveCost};
+mod common;
+
+use common::MoveCost;
+use expander_core::exec::FlatMoveCost;
 use expander_core::token::QueryStats;
 use expander_graphs::{generators, Path};
 use proptest::prelude::*;

@@ -3,6 +3,8 @@
 //! A single router is built once per process (preprocessing is the
 //! expensive part) and arbitrary instances are thrown at it.
 
+mod common;
+
 use expander_core::ops;
 use expander_core::{
     Job, JobOutcome, QueryEngine, Router, RouterConfig, RoutingInstance, SortInstance,
@@ -21,19 +23,23 @@ fn shared_router() -> &'static Router {
     })
 }
 
-/// Shared routers for the fusion-equivalence property (one per size,
-/// preprocessing amortized across all cases).
-fn fusion_router(n: usize) -> &'static Router {
+/// One long-lived engine per size for the pooled-scratch property:
+/// its scratches, dummy caches and escort trees stay warm across every
+/// case, so each batch runs on scratches that earlier batches of other
+/// densities left behind (preprocessing amortized across all cases).
+fn pooled_engine(n: usize) -> &'static QueryEngine<'static> {
     static R64: OnceLock<Router> = OnceLock::new();
     static R256: OnceLock<Router> = OnceLock::new();
+    static E64: OnceLock<QueryEngine<'static>> = OnceLock::new();
+    static E256: OnceLock<QueryEngine<'static>> = OnceLock::new();
     let build = move || {
         let g = generators::random_regular(n, 4, 1234).expect("generator");
         Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router")
     };
     match n {
-        64 => R64.get_or_init(build),
-        256 => R256.get_or_init(build),
-        _ => unreachable!("unsupported fusion test size"),
+        64 => E64.get_or_init(|| QueryEngine::new(R64.get_or_init(build))),
+        256 => E256.get_or_init(|| QueryEngine::new(R256.get_or_init(build))),
+        _ => unreachable!("unsupported pooled-engine test size"),
     }
 }
 
@@ -149,17 +155,19 @@ proptest! {
     }
 
     #[test]
-    fn fused_batches_match_per_job_path(
+    fn pooled_engine_batches_match_fresh_solo_queries(
         n_pick in 0usize..2,
         shape in proptest::collection::vec((0u64..1_000_000, 0usize..3), 1..9),
-        width_pick in 0usize..3,
     ) {
-        // Cross-job dispersal fusion is an accelerator only: for random
+        // Pooled scratches are accelerators only: for random
         // mixed-density batches (dense permutations, sparse partial
-        // permutations, sorts) the fused outcomes must be byte-identical
-        // to the per-job baseline path at every fusion width.
+        // permutations, sorts) through one long-lived engine, every job
+        // must be byte-identical to a solo query on a fresh scratch,
+        // whatever dummy-cache entries, escort trees and buffer sizes
+        // the earlier batches left in the pool.
         let n = [64usize, 256][n_pick];
-        let r = fusion_router(n);
+        let engine = pooled_engine(n);
+        let r = engine.router();
         let jobs: Vec<Job> = shape
             .iter()
             .map(|&(seed, kind)| match kind {
@@ -168,26 +176,18 @@ proptest! {
                 _ => Job::Sort(SortInstance::random(n, 1 + (seed as usize % 2), seed)),
             })
             .collect();
-        let b = jobs.len();
-        let width = [1usize, 2, b][width_pick];
-        let base = QueryEngine::new(r)
-            .with_fusion_width(Some(1))
-            .with_threads(Some(1))
-            .run(&jobs)
-            .expect("valid batch");
-        let fused = QueryEngine::new(r)
-            .with_fusion_width(Some(width))
-            .with_threads(Some(1))
-            .run(&jobs)
-            .expect("valid batch");
-        for (i, (a, b)) in base.outcomes.iter().zip(&fused.outcomes).enumerate() {
+        let batch = engine.run(&jobs).expect("valid batch");
+        for (i, (job, pooled)) in jobs.iter().zip(&batch.outcomes).enumerate() {
+            let fresh = match job {
+                Job::Route(inst) => JobOutcome::Route(r.route(inst).expect("valid")),
+                Job::Sort(inst) => JobOutcome::Sort(r.sort(inst).expect("valid")),
+            };
             prop_assert_eq!(
-                outcome_fingerprint(a),
-                outcome_fingerprint(b),
-                "job {} differs at fusion width {}", i, width
+                outcome_fingerprint(pooled),
+                outcome_fingerprint(&fresh),
+                "job {} differs from a fresh-scratch solo query", i
             );
         }
-        prop_assert_eq!(&base.stats.merged, &fused.stats.merged);
     }
 
     #[test]
@@ -259,7 +259,8 @@ proptest! {
         // The dense edge-id accumulator must charge exactly what the
         // HashMap reference charges, path for path, including the
         // times == 0 and zero-hop skips.
-        use expander_core::exec::{FlatMoveCost, MoveCost};
+        use common::MoveCost;
+        use expander_core::exec::FlatMoveCost;
         use expander_graphs::FlatPaths;
         let g = shared_router().graph();
         let paths: Vec<Path> = walks

@@ -4,8 +4,8 @@
 //! A fixed seeded `ArrivalSchedule` replayed through `RoutingService`
 //! must produce per-job outcomes byte-identical to routing the same
 //! jobs as one closed `QueryEngine::run` batch — at 1 and 4 worker
-//! threads and under any submission-order permutation. The scheduler
-//! chooses groupings; groupings are unobservable. Backpressure must be
+//! threads and under any submission-order permutation. Which worker and
+//! which pooled scratch serve a job is unobservable. Backpressure must be
 //! exact: with an in-flight cap of K, the (K+1)-th fail-fast submission
 //! is rejected, and no admitted outcome is ever lost.
 
@@ -98,16 +98,9 @@ fn backpressure_cap_is_exact_and_lossless() {
     let r = router(n);
     let engine = QueryEngine::new(&r);
     const K: usize = 3;
-    // A deadline and quiescence window far beyond the test's runtime:
-    // with a single worker and nothing pulled yet, the first K jobs sit
-    // in the intake while we probe the cap.
-    let config = ServiceConfig {
-        threads: Some(1),
-        max_in_flight: K,
-        deadline: Duration::from_secs(60),
-        quiescent_after: Duration::from_secs(60),
-        ..ServiceConfig::default()
-    };
+    // Completed jobs stay in flight until received, so the cap holds
+    // however far the single worker has got with the first K jobs.
+    let config = ServiceConfig { threads: Some(1), max_in_flight: K, ..ServiceConfig::default() };
     let (fingerprints, stats) = RoutingService::serve(&engine, config, |handle| {
         let mut tickets = Vec::new();
         for seed in 0..K as u64 {
