@@ -28,7 +28,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Resolves the build thread count: `explicit` (clamped to ≥ 1) if
 /// given, else the `EXPANDER_BUILD_THREADS` environment variable
@@ -145,95 +144,6 @@ where
     slots.into_iter().map(|s| s.expect("every task index executed")).collect()
 }
 
-/// Runs `body` on the calling thread while `n` long-lived workers run
-/// `worker(0), …, worker(n - 1)` on scoped threads, then joins the
-/// workers and returns `body`'s result plus every worker's result in
-/// index order.
-///
-/// This is the long-lived-poller counterpart of [`run_tasks`]: instead
-/// of a fixed task list with a completion barrier, each worker is an
-/// open loop (an intake poller, a queue consumer) that decides for
-/// itself when to exit — typically by observing, through shared state,
-/// a shutdown flag that `body` sets before returning. The caller is
-/// responsible for that protocol; a worker that never exits deadlocks
-/// the join.
-///
-/// # Panics
-///
-/// Propagates a panic from `body` or any worker.
-pub fn run_workers<T, W, B, F>(n: usize, worker: F, body: B) -> (T, Vec<W>)
-where
-    T: Send,
-    W: Send,
-    B: FnOnce() -> T + Send,
-    F: Fn(usize) -> W + Sync,
-{
-    std::thread::scope(|s| {
-        let handles: Vec<_> = {
-            let worker = &worker;
-            (0..n).map(|i| s.spawn(move || worker(i))).collect()
-        };
-        let out = body();
-        let results =
-            handles.into_iter().map(|h| h.join().expect("service worker panicked")).collect();
-        (out, results)
-    })
-}
-
-/// Escalating idle backoff for long-lived polling workers.
-///
-/// A poller that finds no work calls [`idle`](IdleBackoff::idle) each
-/// empty iteration: the first few calls spin, the next few yield the
-/// scheduler slot, and from then on the worker naps with exponentially
-/// growing sleeps capped at the configured bound — so an idle worker
-/// costs (micro)seconds of sleep instead of a spinning core, while a
-/// busy one reacts within a spin. Any successful poll should call
-/// [`reset`](IdleBackoff::reset).
-#[derive(Debug)]
-pub struct IdleBackoff {
-    step: u32,
-    cap: Duration,
-}
-
-/// `idle()` calls that spin before the backoff starts yielding.
-const BACKOFF_SPINS: u32 = 8;
-/// Additional `idle()` calls that yield before the backoff sleeps.
-const BACKOFF_YIELDS: u32 = 8;
-
-impl IdleBackoff {
-    /// A fresh backoff whose naps never exceed `cap`.
-    pub fn new(cap: Duration) -> Self {
-        IdleBackoff { step: 0, cap }
-    }
-
-    /// Signals one fruitless poll: spins, yields, or naps depending on
-    /// how long the caller has been idle.
-    pub fn idle(&mut self) {
-        self.step = self.step.saturating_add(1);
-        if self.step <= BACKOFF_SPINS {
-            std::hint::spin_loop();
-        } else if self.step <= BACKOFF_SPINS + BACKOFF_YIELDS {
-            std::thread::yield_now();
-        } else {
-            let exp = (self.step - BACKOFF_SPINS - BACKOFF_YIELDS).min(20);
-            let nap = Duration::from_micros(1 << exp.min(10)).min(self.cap);
-            std::thread::sleep(nap);
-        }
-    }
-
-    /// Signals a successful poll: the next idle streak starts from the
-    /// spin stage again.
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
-    /// Whether the backoff has escalated past spinning and yielding —
-    /// i.e. the caller has been idle long enough to be sleeping.
-    pub fn is_sleeping(&self) -> bool {
-        self.step > BACKOFF_SPINS + BACKOFF_YIELDS
-    }
-}
-
 /// Like [`run_tasks`] but consumes `items`, passing each by value to
 /// `f` along with its index; results come back in item order.
 ///
@@ -320,48 +230,6 @@ mod tests {
         assert_eq!(build_threads(Some(3)), 3);
         assert_eq!(build_threads(Some(0)), 1, "explicit 0 clamps to 1");
         assert!(build_threads(None) >= 1);
-    }
-
-    #[test]
-    fn run_workers_joins_workers_after_body() {
-        use std::sync::atomic::AtomicBool;
-        let stop = AtomicBool::new(false);
-        let polls = AtomicUsize::new(0);
-        let (body_out, worker_outs) = run_workers(
-            3,
-            |i| {
-                let mut backoff = IdleBackoff::new(Duration::from_micros(200));
-                while !stop.load(Ordering::Acquire) {
-                    polls.fetch_add(1, Ordering::Relaxed);
-                    backoff.idle();
-                }
-                i * 2
-            },
-            || {
-                // The workers run while the body does: wait for a first
-                // poll (spawned threads may start after the body).
-                while polls.load(Ordering::Relaxed) == 0 {
-                    std::thread::yield_now();
-                }
-                stop.store(true, Ordering::Release);
-                "done"
-            },
-        );
-        assert_eq!(body_out, "done");
-        assert_eq!(worker_outs, vec![0, 2, 4]);
-        assert!(polls.load(Ordering::Relaxed) > 0);
-    }
-
-    #[test]
-    fn idle_backoff_escalates_and_resets() {
-        let mut b = IdleBackoff::new(Duration::from_micros(50));
-        assert!(!b.is_sleeping());
-        for _ in 0..40 {
-            b.idle();
-        }
-        assert!(b.is_sleeping(), "a long idle streak ends in naps");
-        b.reset();
-        assert!(!b.is_sleeping(), "progress restarts the spin stage");
     }
 
     #[test]

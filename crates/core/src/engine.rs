@@ -204,7 +204,8 @@ pub struct BatchOutcome {
 /// Workers check a scratch out per job and return it afterwards, so a
 /// batch of `B` jobs materializes at most `max(live workers)` scratches
 /// — `O(threads)`, not `O(B)` — and each scratch's dummy-dispersal
-/// cache warms across all the jobs that pass through it.
+/// cache warms across all the jobs that pass through it. A scratch
+/// that returns above the engine's cap is dropped instead of pooled.
 #[derive(Debug, Default)]
 pub(crate) struct ScratchPool {
     slots: Mutex<Vec<Scratch>>,
@@ -218,14 +219,14 @@ impl ScratchPool {
         self.slots.lock().expect("unpoisoned").pop().unwrap_or_else(|| Scratch::new(r))
     }
 
-    /// Returns a scratch to the pool, applying the high-water trim
-    /// when its retained footprint exceeds `cap_bytes` (see
-    /// [`QueryEngine::with_scratch_cap`]).
-    fn restore(&self, mut scratch: Scratch, r: &Router, cap_bytes: usize) {
-        if scratch.footprint_bytes() > cap_bytes {
-            scratch.trim(r);
+    /// Returns a scratch to the pool if its retained footprint is at or
+    /// under `cap_bytes`, and drops it otherwise: the next checkout then
+    /// builds a fresh [`Scratch::new`], with empty caches and buffers at
+    /// the router's dimensions.
+    fn restore(&self, scratch: Scratch, cap_bytes: usize) {
+        if scratch.footprint_bytes() <= cap_bytes {
+            self.slots.lock().expect("unpoisoned").push(scratch);
         }
-        self.slots.lock().expect("unpoisoned").push(scratch);
     }
 }
 
@@ -265,15 +266,19 @@ pub struct QueryEngine<'r> {
     router: &'r Router,
     threads: Option<usize>,
     pool: ScratchPool,
+    /// Retained bytes above which a returning scratch is dropped
+    /// ([`DEFAULT_SCRATCH_CAP_BYTES`] outside the tests).
     scratch_cap: usize,
 }
 
-/// Default per-scratch retained-bytes cap (64 MiB). The merge
+/// Per-scratch retained-bytes cap (64 MiB): a scratch that returns to
+/// the pool above it is dropped, so a long-lived engine's footprint
+/// tracks its current workload instead of its peak one. The merge
 /// fallback's escort trees may fill half of it, and legs to further
 /// targets take the exact search, so the trees cannot push a scratch
-/// over the default cap on their own: on both benchmark workloads a
-/// warm scratch retains about 31–36 MB and keeps its dummy cache
-/// between batches.
+/// over the cap on their own: on both benchmark workloads a warm
+/// scratch retains about 31–36 MB and stays pooled, dummy cache and
+/// all, between batches.
 pub(crate) const DEFAULT_SCRATCH_CAP_BYTES: usize = 64 << 20;
 
 impl<'r> QueryEngine<'r> {
@@ -286,28 +291,6 @@ impl<'r> QueryEngine<'r> {
             pool: ScratchPool::default(),
             scratch_cap: DEFAULT_SCRATCH_CAP_BYTES,
         }
-    }
-
-    /// Caps the heap bytes a pooled scratch may retain between batches
-    /// (dense buffers plus the dummy-dispersal and escort-tree
-    /// caches). A scratch returning to the pool above the cap is
-    /// trimmed back to the router's dimensions — its caches rebuild
-    /// lazily on the next batch — so a long-lived engine's footprint
-    /// tracks its *current* workload instead of pinning the peak one
-    /// forever. Defaults to 64 MiB per scratch; outputs are
-    /// byte-identical for every setting.
-    ///
-    /// The cap does not choose how escort legs are charged: the merge
-    /// fallback's escort trees hold at most half the *default* cap at
-    /// any setting, and legs to targets past that take the exact
-    /// [`Graph::bfs_tree_walk_into`](expander_graphs::Graph::bfs_tree_walk_into)
-    /// search. A cap below what a warm scratch retains (about 31–36 MB
-    /// on both benchmark workloads) trims it on every restore, so its
-    /// caches rebuild each batch.
-    #[must_use]
-    pub fn with_scratch_cap(mut self, bytes: usize) -> Self {
-        self.scratch_cap = bytes;
-        self
     }
 
     /// Overrides the worker-thread count (`None` restores the
@@ -374,24 +357,8 @@ impl<'r> QueryEngine<'r> {
     pub(crate) fn run_validated(&self, job: JobRef<'_>) -> JobOutcome {
         let mut scratch = self.pool.checkout(self.router);
         let out = self.router.execute(job, &mut scratch);
-        self.pool.restore(scratch, self.router, self.scratch_cap);
+        self.pool.restore(scratch, self.scratch_cap);
         out
-    }
-
-    /// Applies the scratch-cap trim (see
-    /// [`with_scratch_cap`](Self::with_scratch_cap)) to every pooled
-    /// scratch *now*, instead of waiting for the next checkout/restore
-    /// cycle. Batch runs trim on every restore, so closed batches never
-    /// need this; a long-lived service calls it during quiescent
-    /// periods so an idle engine's retained footprint falls back under
-    /// the cap without waiting for traffic.
-    pub fn trim_scratches(&self) {
-        let mut slots = self.pool.slots.lock().expect("unpoisoned");
-        for scratch in slots.iter_mut() {
-            if scratch.footprint_bytes() > self.scratch_cap {
-                scratch.trim(self.router);
-            }
-        }
     }
 
     /// Routes a batch of Task 1 instances, returning the per-instance
@@ -494,40 +461,38 @@ mod tests {
     }
 
     #[test]
-    fn scratch_cap_trims_pooled_footprint_without_changing_outputs() {
+    fn over_cap_scratches_are_dropped_without_changing_outputs() {
         let r = router(512, 3);
         let jobs = dense_jobs(512);
 
-        // Default cap: the warmed scratch keeps its caches between
-        // batches (footprint well below 64 MiB, so no trim fires), and
-        // every escort target gets a tree.
+        // Default cap: every escort target gets a tree.
         let engine = QueryEngine::new(&r).with_threads(Some(1));
         let base = engine.run(&jobs).expect("valid");
-        engine.run(&jobs).expect("valid");
-        let warm_bytes = pooled(&engine, Scratch::footprint_bytes);
-        assert!(warm_bytes > 0);
         assert!(base.stats.query.fallback_tokens > 0, "the batch takes escort legs");
 
-        // Cap of zero, on a scratch whose escort trees get no budget:
+        // Cap of zero, seeded with one zero-budget scratch per job:
         // every fallback leg takes the exact search, and every restore
-        // exceeds the cap, so the pooled scratch comes back trimmed to
-        // the router's dimensions — strictly smaller than the warm
-        // footprint. Outputs and ledgers stay byte-identical: the
-        // caches are accelerators only, and both escort paths charge
-        // the same walk.
-        let capped = QueryEngine::new(&r).with_threads(Some(1)).with_scratch_cap(0);
-        seed(&capped, Scratch::with_escort_budget(&r, 0));
-        let search = capped.run(&jobs).expect("valid");
-        capped.run(&jobs).expect("valid");
-        let trimmed_bytes = pooled(&capped, Scratch::footprint_bytes);
-        assert!(
-            trimmed_bytes < warm_bytes,
-            "trim should shed cache bytes: {trimmed_bytes} vs warm {warm_bytes}"
-        );
-        for (a, b) in base.outcomes.iter().zip(&search.outcomes) {
-            assert_eq!(outcome_bytes(a), outcome_bytes(b));
+        // exceeds the cap, so each scratch is dropped and the pool ends
+        // empty. The next batch runs each job on a fresh default
+        // scratch. Outputs and ledgers stay byte-identical: the caches
+        // are accelerators only, and both escort paths charge the same
+        // walk.
+        let mut capped = QueryEngine::new(&r).with_threads(Some(1));
+        capped.scratch_cap = 0;
+        for _ in &jobs {
+            seed(&capped, Scratch::with_escort_budget(&r, 0));
         }
-        assert_eq!(base.stats.merged, search.stats.merged);
+        let pooled_count = || capped.pool.slots.lock().expect("unpoisoned").len();
+        let search = capped.run(&jobs).expect("valid");
+        assert_eq!(pooled_count(), 0, "over-cap scratches are dropped");
+        let fresh = capped.run(&jobs).expect("valid");
+        assert_eq!(pooled_count(), 0, "over-cap scratches are dropped");
+        for batch in [&search, &fresh] {
+            for (a, b) in base.outcomes.iter().zip(&batch.outcomes) {
+                assert_eq!(outcome_bytes(a), outcome_bytes(b));
+            }
+            assert_eq!(base.stats.merged, batch.stats.merged);
+        }
     }
 
     #[test]
@@ -579,15 +544,16 @@ mod tests {
         // target's tree as the cap, half of it as the tree budget holds
         // fewer trees than the batch has escort targets (the trees
         // outweigh the rest of the scratch at this size). The extra
-        // legs take the search, the scratch returns under its cap
-        // untrimmed, and the next batch hits its dummy cache.
+        // legs take the search, the scratch returns under its cap and
+        // stays pooled, and the next batch hits its dummy cache.
         let r = router(1024, 5);
         let jobs = dense_jobs(1024);
         let full = QueryEngine::new(&r).with_threads(Some(1));
         let base = full.run(&jobs).expect("valid");
         let (cap, all_trees) = pooled(&full, |s| (s.footprint_bytes(), s.cache_probe().0));
 
-        let engine = QueryEngine::new(&r).with_threads(Some(1)).with_scratch_cap(cap);
+        let mut engine = QueryEngine::new(&r).with_threads(Some(1));
+        engine.scratch_cap = cap;
         seed(&engine, Scratch::with_escort_budget(&r, cap / 2));
         let first = engine.run(&jobs).expect("valid");
         let (trees, searched, entries, hits) = pooled(&engine, Scratch::cache_probe);

@@ -112,22 +112,11 @@ impl FlatMoveCost {
 
     /// Grows the edge-id space to at least `edge_space` without
     /// disturbing accumulated load (pooled reuse across routers of
-    /// different sizes; only [`Self::shrink_to_edge_space`] shrinks
-    /// it).
+    /// different sizes; it never shrinks).
     pub fn ensure_edge_space(&mut self, edge_space: usize) {
         if self.edge_load.len() < edge_space {
             self.edge_load.resize(edge_space, 0);
         }
-    }
-
-    /// Resets and shrinks the accumulator back to `edge_space`,
-    /// releasing capacity retained from a larger router (the scratch
-    /// pool's high-water trim).
-    pub fn shrink_to_edge_space(&mut self, edge_space: usize) {
-        self.reset();
-        self.edge_load.truncate(edge_space);
-        self.edge_load.shrink_to_fit();
-        self.touched.shrink_to_fit();
     }
 
     /// Charges `times` traversals of an explicit vertex walk (a path
@@ -460,18 +449,6 @@ impl EscortCache {
         self.trees.clear();
     }
 
-    /// Releases all tree and search storage and truncates the
-    /// per-target slots to `n` (the scratch pool's high-water trim;
-    /// both rebuild lazily).
-    fn trim(&mut self, n: usize) {
-        self.trees = Vec::new();
-        self.slot.truncate(n);
-        self.slot.shrink_to_fit();
-        self.slot.fill(u32::MAX);
-        self.search = TreeWalkScratch::default();
-        self.walk = Vec::new();
-    }
-
     /// Estimated heap bytes retained by the cache.
     fn approx_bytes(&self) -> usize {
         let trees: usize = self
@@ -517,13 +494,11 @@ impl EscortCache {
 }
 
 /// Bytes of escort trees one scratch may hold: half the engine's
-/// default scratch cap. The other half holds the dense buffers, the
-/// dummy cache and the dispersal states, so at the default cap a warm
-/// scratch returns to the pool untrimmed and keeps its dummy cache for
-/// the next batch. At n = 4096 the budget holds 682 trees. It does not
-/// follow [`QueryEngine::with_scratch_cap`](crate::QueryEngine::with_scratch_cap):
-/// which legs take the search depends on the traffic's targets and `n`
-/// alone.
+/// scratch cap. The other half holds the dense buffers, the dummy
+/// cache and the dispersal states, so a warm scratch returns to the
+/// pool under the cap and keeps its dummy cache for the next batch. At
+/// n = 4096 the budget holds 682 trees. Which legs take the search
+/// depends on the traffic's targets and `n` alone.
 const ESCORT_TREE_BUDGET_BYTES: usize = crate::engine::DEFAULT_SCRATCH_CAP_BYTES / 2;
 
 /// Reusable query buffers, shared across every `disperse`/`merge`/
@@ -618,7 +593,8 @@ impl Scratch {
 
     /// Estimated heap bytes this scratch retains (dense buffers plus
     /// the dummy/escort caches and the dispersal states) — the scratch
-    /// pool's high-water trim compares it against the engine's cap.
+    /// pool drops a returning scratch whose footprint exceeds the
+    /// engine's cap.
     pub(crate) fn footprint_bytes(&self) -> usize {
         let mut b = (self.vertex_load.capacity()
             + self.vertex_touched.capacity()
@@ -649,35 +625,6 @@ impl Scratch {
             }
         }
         b
-    }
-
-    /// High-water trim: drops the re-derivable caches and releases
-    /// buffer capacity beyond `r`'s dimensions, bounding a pooled
-    /// scratch's footprint by O(router size) instead of the largest
-    /// workload it ever served. Caches (dummy entries, escort trees,
-    /// dispersal states) rebuild lazily, so trimming costs warm-up, never
-    /// correctness.
-    pub(crate) fn trim(&mut self, r: &Router) {
-        let n = r.graph.n();
-        self.dummies.clear();
-        self.escort.trim(n);
-        self.job_state = DisperseState::default();
-        self.dummy_state = DisperseState::default();
-        self.groups = DenseGroups::default();
-        self.toks_tmp = Vec::new();
-        self.child_bounds = Vec::new();
-        self.vertex_load.truncate(n);
-        self.vertex_load.shrink_to_fit();
-        self.vertex_touched = Vec::new();
-        self.part_load.truncate(r.max_parts);
-        self.part_load.shrink_to_fit();
-        self.fallback_rr.truncate(r.max_parts);
-        self.fallback_rr.shrink_to_fit();
-        let edge_space = r.graph.edge_id_count();
-        self.mc.shrink_to_edge_space(edge_space);
-        self.fallback_mc.shrink_to_edge_space(edge_space);
-        self.env_count = Vec::new();
-        self.env_tot = Vec::new();
     }
 
     /// Counts one token at vertex `v`.

@@ -46,10 +46,10 @@
 //!   caching; outcomes are byte-identical to individual queries at
 //!   every thread count.
 //! * [`service`] — the streaming front end over the engine:
-//!   [`RoutingService`] accepts a continuous job stream through
-//!   sharded intake queues, executes each job on the engine as it
-//!   arrives, and streams outcomes back through per-tenant completion
-//!   queues under a bounded in-flight budget; [`service::ArrivalSchedule`] is the seeded replayable
+//!   [`RoutingService`] accepts a continuous job stream through one
+//!   FIFO intake, executes each job on the engine as it arrives, and
+//!   streams outcomes back through per-tenant completion queues under
+//!   a bounded in-flight budget; [`service::ArrivalSchedule`] is the seeded replayable
 //!   workload for its determinism contract and benchmarks.
 //! * [`exec`] — the physical query execution: Task 2/Task 3 recursion,
 //!   shuffler-driven dispersal (Definition 6.1, Lemmas 6.2/6.6), the

@@ -167,17 +167,4 @@ mod tests {
         assert_eq!(r.total().bytes_traversed, 4);
         assert!(RouteProfile::default().is_empty());
     }
-
-    #[cfg(feature = "profile")]
-    #[test]
-    fn record_take_reset_roundtrip() {
-        reset();
-        record(Phase::Disperse, 5, 7, 11);
-        let snap = take();
-        assert_eq!(snap.disperse.tokens_moved, 5);
-        assert_eq!(snap.disperse.buckets_touched, 7);
-        assert_eq!(snap.disperse.bytes_traversed, 11);
-        reset();
-        assert!(take().is_empty());
-    }
 }

@@ -4,19 +4,18 @@
 //! [`QueryEngine::run`] takes a *closed* batch: the caller must already
 //! hold every job. Real traffic is an open stream, so this module adds
 //! the missing front end: a long-lived [`RoutingService`] whose workers
-//! poll sharded intake queues, execute each job as it arrives through
-//! the engine's pooled-scratch path, and stream completed
-//! [`JobOutcome`]s back through per-tenant completion queues.
+//! wait on one FIFO intake, execute each job as it arrives through the
+//! engine's pooled-scratch path, and stream completed [`JobOutcome`]s
+//! back through per-tenant completion queues.
 //!
 //! # Data flow
 //!
 //! ```text
-//! submit(tenant, job) ─► intake shard (one VecDeque per worker,
-//!        │                round-robin; workers steal when theirs runs dry)
+//! submit(tenant, job) ─► FIFO intake (one VecDeque, admission order)
 //!        │ backpressure: bounded in-flight budget — `submit` blocks,
 //!        │ `try_submit` fails fast with `SubmitError::Saturated`
 //!        ▼
-//! worker: pull one job (own shard first, then steal)
+//! worker: park until a job arrives, pull the oldest one
 //!        ▼
 //! QueryEngine::run_validated  (pooled scratch, dummy cache)
 //!        ▼
@@ -67,10 +66,10 @@
 
 use crate::engine::{Job, JobOutcome, QueryEngine};
 use crate::token::InstanceError;
-use congest_sim::parallel::{build_threads, run_workers, IdleBackoff};
+use congest_sim::parallel::build_threads;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Admission ticket of one submitted job: a service-wide sequence
@@ -117,29 +116,15 @@ pub struct ServiceConfig {
     /// Completion-queue count; submissions name a tenant in
     /// `0..tenants` and outcomes come back on that tenant's queue.
     pub tenants: usize,
-    /// Idle time after which a worker trims the engine's pooled
-    /// scratches back under the scratch cap (once per idle period), so
-    /// a long-lived idle service releases the memory of its last
-    /// traffic peak.
-    pub trim_after: Duration,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            threads: None,
-            max_in_flight: usize::MAX,
-            tenants: 1,
-            trim_after: Duration::from_millis(10),
-        }
+        ServiceConfig { threads: None, max_in_flight: usize::MAX, tenants: 1 }
     }
 }
 
-/// The longest nap of an idle worker's backoff: it bounds how late an
-/// idle worker notices an arrival.
-const IDLE_NAP_CAP: Duration = Duration::from_micros(200);
-
-/// One admitted job waiting in an intake shard.
+/// One admitted job waiting in the intake.
 #[derive(Debug)]
 struct Pending {
     ticket: Ticket,
@@ -161,35 +146,44 @@ struct TenantQueue {
     completed: AtomicU64,
 }
 
+/// The FIFO intake: admitted jobs in admission order, and whether the
+/// session is draining (the body has returned, so no job will arrive).
+#[derive(Debug, Default)]
+struct Intake {
+    queue: VecDeque<Pending>,
+    draining: bool,
+}
+
 /// State shared between the submission side and the workers.
 #[derive(Debug)]
 struct Shared<'e, 'r> {
     engine: &'e QueryEngine<'r>,
     config: ServiceConfig,
-    /// One intake shard per worker; submissions round-robin across
-    /// shards and workers steal from later shards when theirs runs dry.
-    shards: Vec<Mutex<VecDeque<Pending>>>,
-    next_shard: AtomicUsize,
+    intake: Mutex<Intake>,
+    /// Signalled on every admission and once when draining starts.
+    arrived: Condvar,
     next_ticket: AtomicU64,
     /// Jobs admitted and not yet received back; guarded by a mutex (not
     /// an atomic) so a saturated `submit` can block on `vacancy`.
     in_flight: Mutex<usize>,
     vacancy: Condvar,
     tenants: Vec<TenantQueue>,
-    draining: AtomicBool,
 }
 
 impl Shared<'_, '_> {
-    fn intake_is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().expect("unpoisoned").is_empty())
-    }
-
-    /// The next job for worker `index`: from its own shard first, then
-    /// stolen from the others.
-    fn next_job(&self, index: usize) -> Option<Pending> {
-        let n = self.shards.len();
-        (0..n)
-            .find_map(|off| self.shards[(index + off) % n].lock().expect("unpoisoned").pop_front())
+    /// The oldest admitted job, parking the worker while the intake is
+    /// empty; `None` once the session drains and the intake is empty.
+    fn next_job(&self) -> Option<Pending> {
+        let mut intake = self.intake.lock().expect("unpoisoned");
+        loop {
+            if let Some(pending) = intake.queue.pop_front() {
+                return Some(pending);
+            }
+            if intake.draining {
+                return None;
+            }
+            intake = self.arrived.wait(intake).expect("unpoisoned");
+        }
     }
 }
 
@@ -250,13 +244,13 @@ impl ServiceHandle<'_, '_, '_> {
         let ticket = sh.next_ticket.fetch_add(1, Ordering::Relaxed);
         tq.outstanding.fetch_add(1, Ordering::Release);
         tq.admitted.fetch_add(1, Ordering::Relaxed);
-        let shard = sh.next_shard.fetch_add(1, Ordering::Relaxed) % sh.shards.len();
-        sh.shards[shard].lock().expect("unpoisoned").push_back(Pending {
+        sh.intake.lock().expect("unpoisoned").queue.push_back(Pending {
             ticket,
             tenant,
             job,
             submitted_at: Instant::now(),
         });
+        sh.arrived.notify_one();
         Ok(ticket)
     }
 
@@ -306,7 +300,6 @@ impl ServiceHandle<'_, '_, '_> {
 /// Per-worker tallies, merged into [`ServiceStats`] after the join.
 #[derive(Debug, Default)]
 struct WorkerStats {
-    trims: u64,
     /// Formation latency samples (submission → execution start),
     /// microseconds.
     formation_us: Vec<u64>,
@@ -341,8 +334,6 @@ pub struct ServiceStats {
     /// Job executions; each execution runs one job, so this equals
     /// `completed`.
     pub groups: u64,
-    /// Quiescent-period scratch trims performed by idle workers.
-    pub trims: u64,
     /// Nearest-rank `[p50, p95, p99]` of formation latency (submission
     /// → execution start), microseconds.
     pub formation_latency_us: [u64; 3],
@@ -391,41 +382,41 @@ impl RoutingService {
         let shared = Shared {
             engine,
             config,
-            shards: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            next_shard: AtomicUsize::new(0),
+            intake: Mutex::new(Intake::default()),
+            arrived: Condvar::new(),
             next_ticket: AtomicU64::new(0),
             in_flight: Mutex::new(0),
             vacancy: Condvar::new(),
             tenants: (0..tenants).map(|_| TenantQueue::default()).collect(),
-            draining: AtomicBool::new(false),
         };
         let started = Instant::now();
-        // Set the draining flag on the way out of `body` even when it
-        // unwinds: otherwise a panicking body would leave the workers
-        // polling forever and `thread::scope`'s join would never let
-        // the panic propagate.
-        struct DrainOnDrop<'a>(&'a AtomicBool);
-        impl Drop for DrainOnDrop<'_> {
+        // Start draining on the way out of `body` even when it unwinds:
+        // otherwise a panicking body would leave the workers parked
+        // forever and `thread::scope`'s join would never let the panic
+        // propagate.
+        struct DrainOnDrop<'a, 'e, 'r>(&'a Shared<'e, 'r>);
+        impl Drop for DrainOnDrop<'_, '_, '_> {
             fn drop(&mut self) {
-                self.0.store(true, Ordering::Release);
+                self.0.intake.lock().unwrap_or_else(PoisonError::into_inner).draining = true;
+                self.0.arrived.notify_all();
             }
         }
-        let (out, worker_stats) = run_workers(
-            workers,
-            |i| worker_loop(&shared, i),
-            || {
-                let _drain = DrainOnDrop(&shared.draining);
-                let handle = ServiceHandle { shared: &shared };
-                body(&handle)
-            },
-        );
+        let (out, worker_stats) = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(|| worker_loop(&shared))).collect();
+            let out = {
+                let _drain = DrainOnDrop(&shared);
+                body(&ServiceHandle { shared: &shared })
+            };
+            let stats: Vec<WorkerStats> =
+                handles.into_iter().map(|h| h.join().expect("service worker panicked")).collect();
+            (out, stats)
+        });
         let elapsed = started.elapsed();
 
         let mut stats = ServiceStats { elapsed, ..ServiceStats::default() };
         let mut formation: Vec<u64> = Vec::new();
         let mut service: Vec<u64> = Vec::new();
         for ws in worker_stats {
-            stats.trims += ws.trims;
             formation.extend(ws.formation_us);
             service.extend(ws.service_us);
         }
@@ -452,34 +443,13 @@ impl RoutingService {
     }
 }
 
-/// One worker's poll → execute loop.
-fn worker_loop(sh: &Shared<'_, '_>, index: usize) -> WorkerStats {
+/// One worker's wait → execute loop, until the session drains.
+fn worker_loop(sh: &Shared<'_, '_>) -> WorkerStats {
     let mut stats = WorkerStats::default();
-    let mut backoff = IdleBackoff::new(IDLE_NAP_CAP);
-    let mut last_activity = Instant::now();
-    let mut trimmed_this_idle = false;
-
-    loop {
-        if let Some(pending) = sh.next_job(index) {
-            execute(sh, pending, &mut stats);
-            backoff.reset();
-            last_activity = Instant::now();
-            trimmed_this_idle = false;
-            continue;
-        }
-        if sh.draining.load(Ordering::Acquire) && sh.intake_is_empty() {
-            return stats;
-        }
-        // Quiescent with nothing queued: give the engine's pooled
-        // scratches their cap trim once per idle period, then back off
-        // (spin → yield → nap).
-        if !trimmed_this_idle && last_activity.elapsed() >= sh.config.trim_after {
-            sh.engine.trim_scratches();
-            stats.trims += 1;
-            trimmed_this_idle = true;
-        }
-        backoff.idle();
+    while let Some(pending) = sh.next_job() {
+        execute(sh, pending, &mut stats);
     }
+    stats
 }
 
 /// Executes one job and streams its outcome to its tenant's completion
@@ -685,8 +655,8 @@ mod tests {
         let r = router(128, 3);
         let engine = QueryEngine::new(&r);
         // Without the drain-on-unwind guard this would deadlock: the
-        // workers would poll forever and the scope join would never
-        // let the panic out.
+        // workers would stay parked and the scope join would never let
+        // the panic out.
         RoutingService::serve(&engine, ServiceConfig::default(), |h| {
             h.submit(0, Job::Route(RoutingInstance::permutation(128, 1))).expect("admitted");
             panic!("body panicked");

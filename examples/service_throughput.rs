@@ -22,7 +22,7 @@
 //! delivery contract CI's service-smoke step leans on.
 
 use expander_routing::prelude::*;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn env_usize(key: &str) -> Option<usize> {
     std::env::var(key).ok().and_then(|s| s.trim().parse().ok())
@@ -107,17 +107,4 @@ fn main() {
             run_size(4096, 64, tenants);
         }
     }
-    // Idle-trim probe: a service left quiescent after a burst gives the
-    // pool its cap trim back (satellite for long-lived deployments).
-    let g = generators::random_regular(512, 4, 7).expect("generator");
-    let router = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("expander input");
-    let engine = QueryEngine::new(&router).with_scratch_cap(0);
-    let config = ServiceConfig { trim_after: Duration::from_millis(2), ..ServiceConfig::default() };
-    let (_, stats) = RoutingService::serve(&engine, config, |handle| {
-        handle.submit(0, Job::Route(RoutingInstance::permutation(512, 1))).expect("admitted");
-        let _ = handle.recv(0);
-        std::thread::sleep(Duration::from_millis(20));
-    });
-    assert!(stats.trims >= 1, "idle service never trimmed: {stats:?}");
-    println!("idle service trimmed pooled scratches {} time(s) under a 0-byte cap", stats.trims);
 }

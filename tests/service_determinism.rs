@@ -14,7 +14,6 @@ use expander_core::{
     Job, JobOutcome, QueryEngine, Router, RouterConfig, RoutingInstance, SubmitError,
 };
 use expander_graphs::generators;
-use std::time::Duration;
 
 fn router(n: usize) -> Router {
     let g = generators::random_regular(n, 4, 0xBA7C).expect("generator");
@@ -174,23 +173,31 @@ fn blocking_submit_waits_out_saturation() {
 }
 
 #[test]
-fn quiescent_service_trims_pooled_scratches() {
+fn arrivals_to_parked_workers_match_closed_batches() {
+    // Each job is submitted only after the previous outcome came back,
+    // so every arrival finds the intake empty and the workers parked on
+    // it (or about to park): only the submission's wake-up can start
+    // the job.
     let n = 256;
     let r = router(n);
-    // A zero scratch cap makes every pooled scratch over-cap, so an
-    // idle-period trim must fire and shrink the pool's footprint.
-    let engine = QueryEngine::new(&r).with_scratch_cap(0);
-    let config = ServiceConfig {
-        threads: Some(1),
-        trim_after: Duration::from_millis(5),
-        ..ServiceConfig::default()
-    };
-    let (_, stats) = RoutingService::serve(&engine, config, |handle| {
-        handle.submit(0, Job::Route(RoutingInstance::permutation(n, 1))).expect("admitted");
-        let _ = handle.recv(0).expect("one outcome");
-        // Stay idle long enough for the worker's quiescent trim.
-        std::thread::sleep(Duration::from_millis(60));
+    let engine = QueryEngine::new(&r);
+    let schedule = ArrivalSchedule::permutations(n, 16, 1, 0.0, 0x9A4C);
+    let batch = engine.run(&schedule.jobs()).expect("valid");
+    let config = ServiceConfig { threads: Some(2), ..ServiceConfig::default() };
+    let (streamed, stats) = RoutingService::serve(&engine, config, |handle| {
+        let mut streamed = Vec::new();
+        for ev in &schedule.events {
+            let ticket = handle.submit(ev.tenant, ev.job.clone()).expect("admitted");
+            let (got, out) = handle.recv(ev.tenant).expect("one job outstanding");
+            assert_eq!(got, ticket);
+            streamed.push(fingerprint(&out));
+        }
+        streamed
     });
-    assert!(stats.trims >= 1, "idle service never trimmed its scratches: {stats:?}");
-    assert_eq!(stats.completed, 1);
+    // `serve` returned once the body did, with every job served.
+    assert_eq!(stats.admitted, 16);
+    assert_eq!(stats.completed, 16);
+    for (i, (s, o)) in streamed.iter().zip(&batch.outcomes).enumerate() {
+        assert_eq!(s, &fingerprint(o), "job {i} differs from the closed batch");
+    }
 }
