@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md §4 calls out:
+//! Ablation studies for the substitutions `docs/ARCHITECTURE.md` lists:
 //! shuffler normalizer, cut-player strategy, packing escalation, and
 //! leaf size. Run via `cargo bench --bench ablations`
 //! (`-- --test` runs each ablation once at its smallest size).
@@ -21,7 +21,7 @@ fn main() {
 }
 
 /// A1: the fractional-matching normalizer — paper's literal `6|X|/k`
-/// vs the tight `max |X*_i|` (DESIGN.md substitution 6).
+/// vs the tight `max |X*_i|` (substitution 6 in `docs/ARCHITECTURE.md`).
 fn a1_normalizer() {
     section("A1  shuffler normalizer: paper 6|X|/k vs tight max|X*_i|");
     println!(

@@ -1,5 +1,5 @@
-//! The experiment harness: regenerates every series in DESIGN.md §5
-//! (E1–E13), one table per paper claim. Run via `cargo bench` (this
+//! The experiment harness: regenerates the E1–E14 series, one table
+//! per paper claim (each function's docs name its claim). Run via `cargo bench` (this
 //! target sets `harness = false`; the measured quantity is *charged
 //! CONGEST rounds*, not wall-clock).
 //!
@@ -31,7 +31,7 @@ fn n_sweep() -> Vec<usize> {
 
 fn main() {
     println!("deterministic expander routing — experiment harness");
-    println!("metric: charged CONGEST rounds (see DESIGN.md cost model)");
+    println!("metric: charged CONGEST rounds (Fact 2.2 cost model, congest_sim::cost)");
 
     e1_tradeoff();
     e2_single_shot();

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
-//! Shared helpers for the experiment harness (see DESIGN.md §5 for the
-//! experiment index E1–E13 and EXPERIMENTS.md for recorded results).
+//! Shared helpers for the experiment harness (`benches/experiments.rs`
+//! indexes the experiments E1–E14, one function per paper claim).
 
 use expander_core::{Router, RouterConfig, RoutingInstance};
 use expander_graphs::{generators, Graph};

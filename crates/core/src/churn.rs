@@ -210,6 +210,12 @@ impl ChurnRouter {
 
     /// Applies `edits` to the live graph and queues them for the next
     /// structural catch-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics through [`Graph::apply_edit`] when an edit names a vertex
+    /// outside the live graph's id space or inserts a self-loop; the
+    /// edits before it stay applied.
     pub fn apply(&mut self, edits: &[GraphEdit]) {
         for &e in edits {
             self.graph.apply_edit(e);

@@ -1483,9 +1483,9 @@ fn disperse(
 }
 
 /// §6.3 merge: pair reals with dummies per (part, mark); dummies
-/// escort reals to their birth vertices. Reals
-/// that exceed the local dummy supply (small-`n` slack, DESIGN.md
-/// substitution 6) fall back to explicit shortest paths — the walk in
+/// escort reals to their birth vertices. Reals that exceed the local
+/// dummy supply (substitution 6 in `docs/ARCHITECTURE.md`) fall back to
+/// explicit shortest paths — the walk in
 /// the BFS tree rooted at a round-robin target vertex, through
 /// [`EscortCache`] — measured and counted. Group iteration runs in
 /// ascending dense-key order — the fallback round-robin counters are

@@ -4,13 +4,15 @@
 //! The paper uses AKS networks (`O(log n)` depth, impractical
 //! constants); we substitute Batcher's odd-even mergesort
 //! (`O(log² n)` depth, all comparators ascending, valid for arbitrary
-//! widths) — DESIGN.md substitution 1. Leaf nodes get an *embedded*
-//! network: every comparator pair carries an explicit path in the
-//! leaf's virtual graph, flattened to the base graph, so layer costs
-//! are measured (§6.4's `Q(I_AKS)`).
+//! widths) — substitution 1 in `docs/ARCHITECTURE.md`. Leaf nodes get
+//! an *embedded* network: every comparator pair carries an explicit
+//! path in the leaf's virtual graph, flattened to the base graph, so
+//! layer costs are measured (§6.4's `Q(I_AKS)`).
 
-use expander_decomp::{Hierarchy, NodeId};
-use expander_graphs::{Embedding, PathSet};
+use expander_decomp::{Hierarchy, HostGraph, NodeId};
+use expander_graphs::{Embedding, Path, PathSet, VertexId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Comparator layers of Batcher's odd-even mergesort over `m`
 /// positions. Every comparator `(a, b)` has `a < b` and routes the
@@ -84,28 +86,35 @@ impl EmbeddedNetwork {
     /// virtual graph (edge cost `(1 + load)²`, so paths spread out —
     /// the same low-congestion outcome the paper gets by laying the
     /// network down with Task 2), flattened to the base graph.
+    ///
+    /// One search workspace serves every comparator of the node, and
+    /// all layers flatten in one batch through the node's flatten
+    /// embedding.
     pub fn build(h: &Hierarchy, node: NodeId) -> EmbeddedNetwork {
         let nd = h.node(node);
-        let m = nd.vertices.len();
-        let host = expander_decomp::HostGraph::from_edges(
-            h.graph().n(),
-            nd.vertices.clone(),
-            &nd.virtual_edges,
-        );
-        let mut layers = Vec::new();
-        for layer_pairs in odd_even_layers(m) {
-            let mut emb = Embedding::new();
-            let mut load: std::collections::HashMap<(u32, u32), u64> =
-                std::collections::HashMap::new();
-            for &(a, b) in &layer_pairs {
-                let va = nd.vertices[a];
-                let vb = nd.vertices[b];
-                let path = spread_path_in_host(&host, va, vb, &mut load);
-                emb.push(va, vb, path);
-            }
-            let flat = h.flatten_from(node, &emb);
-            layers.push(EmbeddedLayer { pairs: layer_pairs, paths: flat.to_path_set() });
-        }
+        let host = HostGraph::from_edges(h.graph().n(), nd.vertices.clone(), &nd.virtual_edges);
+        let mut search = SpreadSearch::new(&host);
+        let layer_pairs = odd_even_layers(nd.vertices.len());
+        let embs: Vec<Embedding> = layer_pairs
+            .iter()
+            .map(|pairs| {
+                search.start_layer();
+                let mut emb = Embedding::new();
+                for &(a, b) in pairs {
+                    let (va, vb) = (nd.vertices[a], nd.vertices[b]);
+                    emb.push(va, vb, search.route(va, vb));
+                }
+                emb
+            })
+            .collect();
+        let layers = layer_pairs
+            .into_iter()
+            .zip(h.flatten_from(node, &embs))
+            .map(|(pairs, flat)| EmbeddedLayer {
+                pairs,
+                paths: PathSet::from_paths(flat.into_parts().1),
+            })
+            .collect();
         EmbeddedNetwork { node, layers }
     }
 
@@ -122,57 +131,90 @@ impl EmbeddedNetwork {
     }
 }
 
-/// Congestion-aware routing: Dijkstra with edge cost `(1 + load)²`,
-/// bumping the loads along the chosen path. Within one layer the pairs
-/// spread over the host instead of piling onto hub edges.
-fn spread_path_in_host(
-    host: &expander_decomp::HostGraph,
-    from: u32,
-    to: u32,
-    load: &mut std::collections::HashMap<(u32, u32), u64>,
-) -> expander_graphs::Path {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let lf = host.to_local(from);
-    let lt = host.to_local(to);
-    let n = host.n();
-    let mut dist = vec![u64::MAX; n];
-    let mut parent = vec![u32::MAX; n];
-    let mut heap = BinaryHeap::new();
-    dist[lf as usize] = 0;
-    parent[lf as usize] = lf;
-    heap.push(Reverse((0u64, lf)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if u == lt {
-            break;
+/// Congestion-aware routing in one host graph: Dijkstra with edge cost
+/// `(1 + load)²`, bumping the loads along each chosen path, so within
+/// one layer the pairs spread over the host instead of piling onto hub
+/// edges.
+///
+/// Loads are indexed by the host's canonical pair ids
+/// ([`HostGraph::neighbor_eids_local`]), so parallel copies of a pair
+/// share one load. The search buffers live as long as the workspace.
+struct SpreadSearch<'h> {
+    host: &'h HostGraph,
+    /// Paths of the current layer through each pair id.
+    load: Vec<u64>,
+    dist: Vec<u64>,
+    /// `(parent, pair id of the hop from it)` per local vertex.
+    parent: Vec<(u32, u32)>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    walk: Vec<u32>,
+}
+
+impl<'h> SpreadSearch<'h> {
+    /// A workspace over `host` with every load zero.
+    fn new(host: &'h HostGraph) -> Self {
+        SpreadSearch {
+            host,
+            load: vec![0; host.edge_space()],
+            dist: vec![u64::MAX; host.n()],
+            parent: vec![(u32::MAX, u32::MAX); host.n()],
+            heap: BinaryHeap::new(),
+            walk: Vec::new(),
         }
-        if d > dist[u as usize] {
-            continue;
-        }
-        for &v in host.neighbors_local(u) {
-            let key = (u.min(v), u.max(v));
-            let l = load.get(&key).copied().unwrap_or(0);
-            let w = (1 + l) * (1 + l);
-            let nd = d + w;
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                parent[v as usize] = u;
-                heap.push(Reverse((nd, v)));
+    }
+
+    /// Zeroes every load: the next route starts a new layer.
+    fn start_layer(&mut self) {
+        self.load.fill(0);
+    }
+
+    /// The cheapest path from `from` to `to` (global ids) under the
+    /// current loads, whose hops then carry one more load each. The
+    /// heap pops the least `(distance, local index)`, and a vertex
+    /// keeps the first parent that reached its final distance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is unreachable from `from`.
+    fn route(&mut self, from: VertexId, to: VertexId) -> Path {
+        let host = self.host;
+        let (lf, lt) = (host.to_local(from), host.to_local(to));
+        self.dist.fill(u64::MAX);
+        self.parent.fill((u32::MAX, u32::MAX));
+        self.heap.clear();
+        self.dist[lf as usize] = 0;
+        self.parent[lf as usize] = (lf, u32::MAX);
+        self.heap.push(Reverse((0, lf)));
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if u == lt {
+                break;
+            }
+            if d > self.dist[u as usize] {
+                continue;
+            }
+            for (&v, &e) in host.neighbors_local(u).iter().zip(host.neighbor_eids_local(u)) {
+                let l = self.load[e as usize];
+                let nd = d + (1 + l) * (1 + l);
+                if nd < self.dist[v as usize] {
+                    self.dist[v as usize] = nd;
+                    self.parent[v as usize] = (u, e);
+                    self.heap.push(Reverse((nd, v)));
+                }
             }
         }
+        assert!(self.parent[lt as usize].0 != u32::MAX, "leaf virtual graph disconnected");
+        self.walk.clear();
+        self.walk.push(lt);
+        let mut cur = lt;
+        while cur != lf {
+            let (p, e) = self.parent[cur as usize];
+            self.load[e as usize] += 1;
+            self.walk.push(p);
+            cur = p;
+        }
+        self.walk.reverse();
+        host.path_to_global(&self.walk)
     }
-    assert!(parent[lt as usize] != u32::MAX, "leaf virtual graph disconnected");
-    let mut walk = vec![lt];
-    let mut cur = lt;
-    while cur != lf {
-        cur = parent[cur as usize];
-        walk.push(cur);
-    }
-    walk.reverse();
-    for w in walk.windows(2) {
-        *load.entry((w[0].min(w[1]), w[0].max(w[1]))).or_insert(0) += 1;
-    }
-    host.path_to_global(&walk)
 }
 
 #[cfg(test)]

@@ -438,26 +438,32 @@ impl Router {
                         po[v as usize] = pi as u16;
                     }
                 }
+                // One flatten batch per node: the shuffler rounds, then
+                // the parts' M* embeddings.
+                let mut round_embs = hier.flatten_from(
+                    id,
+                    sh.rounds
+                        .iter()
+                        .map(|r| &r.embedding)
+                        .chain(nd.parts.iter().map(|p| &p.matching_embedding)),
+                );
+                let part_embs = round_embs.split_off(sh.rounds.len());
                 let mut flats = Vec::with_capacity(sh.rounds.len());
                 let mut tables = Vec::with_capacity(sh.rounds.len());
-                for round in &sh.rounds {
-                    let flat = hier.flatten_from(id, &round.embedding);
+                for (round, flat) in sh.rounds.iter().zip(round_embs) {
                     flats.push(FlatPaths::from_embedding(graph, &flat));
                     tables.push(RoundTable::build(round, t, flats.last().expect("just pushed")));
                 }
                 let mut worst_mstar = 4u64;
                 let mut part_arenas = Vec::with_capacity(nd.parts.len());
-                let mut part_embs = Vec::with_capacity(nd.parts.len());
                 let mut bad_edge = vec![u32::MAX; graph.n()];
-                for p in &nd.parts {
-                    let flat = hier.flatten_from(id, &p.matching_embedding);
+                for flat in &part_embs {
                     let q = flat.quality().max(2) as u64;
                     worst_mstar = worst_mstar.max(q * q);
                     for (i, &(b, _)) in flat.virtual_edges().iter().enumerate() {
                         bad_edge[b as usize] = i as u32;
                     }
-                    part_arenas.push(FlatPaths::from_embedding(graph, &flat));
-                    part_embs.push(flat);
+                    part_arenas.push(FlatPaths::from_embedding(graph, flat));
                 }
                 let prep = NodePrep::Internal {
                     sh: Box::new(sh),

@@ -4,10 +4,10 @@
 //! The paper's cut player (Lemma B.2) brute-forces subset pairs after
 //! learning the cluster graph; we substitute the constructive
 //! separation of [RST14, Lemma 3.3] applied to a seeded projection
-//! `μ = R_{i-1}·r` (DESIGN.md substitution 2). The separation's four
-//! properties are *checked* at runtime and the potential decay of
-//! Lemma B.5 is asserted numerically wherever the exact walk matrix is
-//! maintained.
+//! `μ = R_{i-1}·r` (substitution 2 in `docs/ARCHITECTURE.md`). The
+//! separation's four properties are *checked* at runtime and the
+//! potential decay of Lemma B.5 is asserted numerically wherever the
+//! exact walk matrix is maintained.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -11,8 +11,8 @@
 //!
 //! Round accounting: each recursion level charges the distributed
 //! sparse-cut cost at the paper's modeled rate (the deterministic
-//! CONGEST construction is CS20's own result; DESIGN.md substitution 4
-//! applies here too).
+//! CONGEST construction is CS20's own result; substitution 4 in
+//! `docs/ARCHITECTURE.md` applies here too).
 
 use congest_sim::{cost, RoundLedger};
 use expander_graphs::{metrics, Graph, VertexId};

@@ -1,7 +1,7 @@
 //! The one-shot hierarchical decomposition (paper §3, Appendix A).
 //!
-//! Construction summary (DESIGN.md substitution 4 documents how this
-//! differs from the literal CS20 recursion):
+//! Construction summary (substitution 4 in `docs/ARCHITECTURE.md`
+//! documents how this differs from the literal CS20 recursion):
 //!
 //! 1. Partition the current node's vertex set into `k ≈ n^ε` ID-ordered
 //!    parts.
@@ -111,11 +111,11 @@ pub enum BuildError {
         /// Vertices left outside and unmatched.
         unmatched: usize,
     },
-    /// The force-attach stage (Property 3.1(1), DESIGN.md substitution
-    /// 5) could not connect a leftover vertex to any surviving part:
-    /// the node's virtual graph stranded it. Weak expanders off the
-    /// certification happy path can reach this; it was an `assert!`
-    /// before the robustness audit.
+    /// The force-attach stage (Property 3.1(1), substitution 5 in
+    /// `docs/ARCHITECTURE.md`) could not connect a leftover vertex to
+    /// any surviving part: the node's virtual graph stranded it. Weak
+    /// expanders off the certification happy path can reach this; it
+    /// was an `assert!` before the robustness audit.
     Stranded {
         /// The vertex that could not be attached.
         vertex: VertexId,
@@ -542,12 +542,20 @@ impl Hierarchy {
         self.nodes.iter().map(|nd| nd.level).max().unwrap_or(0)
     }
 
-    /// Flattens an embedding whose paths live in `node`'s virtual graph
-    /// down to paths in `G` (Definition 3.3 / Corollary 3.4).
-    pub fn flatten_from(&self, node: NodeId, emb: &Embedding) -> Embedding {
+    /// Flattens embeddings whose paths live in `node`'s virtual graph
+    /// down to paths in `G` (Definition 3.3 / Corollary 3.4), one
+    /// result per embedding in batch order. The whole batch composes
+    /// through one index of the node's flatten embedding, and each
+    /// result equals flattening its embedding alone
+    /// ([`Embedding::compose_after`]).
+    pub fn flatten_from<'a>(
+        &self,
+        node: NodeId,
+        batch: impl IntoIterator<Item = &'a Embedding>,
+    ) -> Vec<Embedding> {
         match &self.nodes[node].flat {
-            None => emb.clone(),
-            Some(flat) => flat.compose_after(emb),
+            None => batch.into_iter().cloned().collect(),
+            Some(flat) => flat.compose_after(batch),
         }
     }
 
@@ -765,7 +773,7 @@ fn try_splice(
     // embedding, a changed ancestor flat changes every descendant's.
     let flat = match parent_flat {
         None => gp.embedding.clone(),
-        Some(pf) => pf.compose_after(&gp.embedding),
+        Some(pf) => pf.compose_after([&gp.embedding]).remove(0),
     };
     if child.flat.as_ref() != Some(&flat) {
         return None;
@@ -1060,8 +1068,8 @@ impl Builder<'_, '_> {
             (outside, pairs, emb)
         } else {
             // Internal nodes must cover X exactly (Property 3.1(1));
-            // force-attach stragglers via shortest paths (DESIGN.md
-            // substitution 5). A straggler the virtual graph
+            // force-attach stragglers via shortest paths (substitution
+            // 5 in docs/ARCHITECTURE.md). A straggler the virtual graph
             // disconnects from every surviving part is a structured
             // build failure, not a panic: hostile (non-expander)
             // inputs do reach this stage.
@@ -1203,7 +1211,7 @@ impl Builder<'_, '_> {
         // Flatten through the parent.
         let flat = match parent_flat {
             None => embedding_to_parent.clone(),
-            Some(parent_flat) => parent_flat.compose_after(&embedding_to_parent),
+            Some(parent_flat) => parent_flat.compose_after([&embedding_to_parent]).remove(0),
         };
         let flat_quality = flat.quality().max(2);
 

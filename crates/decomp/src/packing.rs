@@ -5,9 +5,9 @@
 //! as a set of low-congestion low-dilation paths in the host graph. The
 //! reference algorithm is the parallel-DFS maximal-path packing of
 //! [CS20, GPV93]; we substitute a capacitated multi-source BFS blocking
-//! packing (DESIGN.md substitution 3) with geometric cap escalation.
-//! The achieved congestion/dilation is *measured* and flows into every
-//! downstream round charge.
+//! packing (substitution 3 in `docs/ARCHITECTURE.md`) with geometric
+//! cap escalation. The achieved congestion/dilation is *measured* and
+//! flows into every downstream round charge.
 
 use crate::host::HostGraph;
 use expander_graphs::{Embedding, VertexId};

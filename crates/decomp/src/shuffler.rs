@@ -44,8 +44,8 @@ pub struct ShufflerParams {
     /// Cut-player strategy (ablation knob).
     pub cut_strategy: CutStrategy,
     /// Use the paper's literal normalizer `n' = 6|X|/k` instead of the
-    /// tight `max_i |X*_i|` (ablation knob; see DESIGN.md
-    /// substitution 6 — the literal constant mixes ~6× slower).
+    /// tight `max_i |X*_i|` (ablation knob; see substitution 6 in
+    /// `docs/ARCHITECTURE.md` — the literal constant mixes ~6× slower).
     pub paper_normalizer: bool,
 }
 
@@ -149,8 +149,9 @@ pub fn build_shuffler(
     // max_i |X*_i| instead: the degree constraint still holds and the
     // induced walk moves up to 6x more mass per iteration, which at
     // laptop-scale n is the difference between mixing inside the
-    // O(log n) budget and not (DESIGN.md substitution 6). The literal
-    // constant is kept behind `paper_normalizer` for the ablation.
+    // O(log n) budget and not (substitution 6 in docs/ARCHITECTURE.md).
+    // The literal constant is kept behind `paper_normalizer` for the
+    // ablation.
     let normalizer = if params.paper_normalizer {
         ((6 * nd.vertices.len()) as f64 / h.k() as f64).max(max_part as f64)
     } else {
@@ -312,15 +313,19 @@ pub fn build_shuffler(
     let (quality_flat, round_qualities_flat) = if h.node(node).flat.is_none() {
         (quality_hx, rounds.iter().map(|r| r.embedding.quality().max(2)).collect())
     } else {
+        // One flatten batch: every round, then their union, whose
+        // parallel-copy rotation runs across the rounds.
         let mut union_emb = Embedding::new();
-        let mut per_round = Vec::with_capacity(rounds.len());
         for r in &rounds {
             for (u, v, p) in r.embedding.iter() {
                 union_emb.push(u, v, p.clone());
             }
-            per_round.push(h.flatten_from(node, &r.embedding).quality().max(2));
         }
-        (h.flatten_from(node, &union_emb).quality().max(2), per_round)
+        let batch = rounds.iter().map(|r| &r.embedding).chain([&union_emb]);
+        let mut qualities: Vec<usize> =
+            h.flatten_from(node, batch).iter().map(|f| f.quality().max(2)).collect();
+        let union_quality = qualities.pop().expect("the union is the last batch entry");
+        (union_quality, qualities)
     };
 
     Shuffler {

@@ -109,46 +109,55 @@ impl Embedding {
         self
     }
 
-    /// Composition `self ∘ f`: embeds `f`'s virtual graph into this
-    /// embedding's host graph (`f : H₁ → H₂`, `self : H₂ → H₃`).
+    /// Composition `self ∘ f` for every `f` in `batch`: embeds each
+    /// inner embedding's virtual graph into this embedding's host
+    /// graph (`f : H₁ → H₂`, `self : H₂ → H₃`), in batch order.
+    ///
+    /// One edge index serves the whole batch. Parallel copies are
+    /// handed out round-robin, and the rotation starts over for every
+    /// inner embedding, so each result equals composing its embedding
+    /// alone.
     ///
     /// # Panics
     ///
-    /// Panics if some edge used by `f`'s paths has no embedding in
-    /// `self` — that indicates a broken hierarchy.
-    pub fn compose_after(&self, f: &Embedding) -> Embedding {
-        // One EdgeIndex for the whole composition: rebuilding it per
-        // mapped path turns flattening quadratic in the embedding size.
-        let index = EdgeIndex::build(self);
-        let mut uses = HashMap::new();
-        let mut out = Embedding::new();
-        for (u, v, p) in f.iter() {
-            let mapped = self
-                .map_walk_indexed(p.vertices(), &index, &mut uses)
-                .expect("inner embedding uses an edge missing from the outer embedding");
-            out.push(u, v, mapped);
-        }
-        out
+    /// Panics if some edge used by an inner embedding's paths has no
+    /// embedding in `self` — that indicates a broken hierarchy.
+    pub fn compose_after<'a>(
+        &self,
+        batch: impl IntoIterator<Item = &'a Embedding>,
+    ) -> Vec<Embedding> {
+        // One EdgeIndex for the whole batch: rebuilding it per mapped
+        // path, or per inner embedding, turns flattening quadratic.
+        let mut index = EdgeIndex::build(self);
+        batch
+            .into_iter()
+            .map(|f| {
+                index.restart_rotation();
+                let mut out = Embedding::new();
+                for (u, v, p) in f.iter() {
+                    let mapped = self
+                        .map_walk_indexed(p.vertices(), &mut index)
+                        .expect("inner embedding uses an edge missing from the outer embedding");
+                    out.push(u, v, mapped);
+                }
+                out
+            })
+            .collect()
     }
 
     /// Routes a walk in this embedding's virtual graph down to the
     /// host graph, splicing the embedded path of every virtual hop.
-    /// Consecutive duplicate vertices are skipped; `uses` distributes
+    /// Consecutive duplicate vertices are skipped; `index` hands out
     /// parallel-edge copies round-robin. Returns `None` if some hop
     /// has no embedded edge.
-    fn map_walk_indexed(
-        &self,
-        walk: &[VertexId],
-        index: &EdgeIndex<'_>,
-        uses: &mut HashMap<(VertexId, VertexId), usize>,
-    ) -> Option<Path> {
+    fn map_walk_indexed(&self, walk: &[VertexId], index: &mut EdgeIndex) -> Option<Path> {
         let mut out: Vec<VertexId> = vec![walk[0]];
         for w in walk.windows(2) {
             let (a, b) = (w[0], w[1]);
             if a == b {
                 continue;
             }
-            let (i, rev) = index.lookup(a, b, uses)?;
+            let (i, rev) = index.lookup(a, b)?;
             let p = &self.paths[i];
             let verts = p.vertices();
             if rev {
@@ -161,35 +170,53 @@ impl Embedding {
     }
 }
 
-struct EdgeIndex<'a> {
-    by_pair: HashMap<(VertexId, VertexId), Vec<(usize, bool)>>,
-    _marker: std::marker::PhantomData<&'a ()>,
+/// The embedded copies of every unordered virtual pair, with the
+/// round-robin cursor over them.
+struct EdgeIndex {
+    by_pair: HashMap<(VertexId, VertexId), Copies>,
+    /// Which inner embedding of the batch is being mapped; a cursor
+    /// stamped with an older one starts over at the first copy.
+    rotation: u32,
 }
 
-impl<'a> EdgeIndex<'a> {
-    fn build(e: &'a Embedding) -> Self {
-        let mut by_pair: HashMap<(VertexId, VertexId), Vec<(usize, bool)>> = HashMap::new();
+struct Copies {
+    /// `(edge index, stored max -> min)` per parallel copy.
+    slots: Vec<(usize, bool)>,
+    /// Uses of this pair so far in rotation `rotation`.
+    used: usize,
+    rotation: u32,
+}
+
+impl EdgeIndex {
+    fn build(e: &Embedding) -> Self {
+        let mut by_pair: HashMap<(VertexId, VertexId), Copies> = HashMap::new();
         for (i, &(u, v)) in e.edges.iter().enumerate() {
             let key = (u.min(v), u.max(v));
             let reversed_in_key = u > v;
-            by_pair.entry(key).or_default().push((i, reversed_in_key));
+            by_pair
+                .entry(key)
+                .or_insert_with(|| Copies { slots: Vec::new(), used: 0, rotation: 0 })
+                .slots
+                .push((i, reversed_in_key));
         }
-        EdgeIndex { by_pair, _marker: std::marker::PhantomData }
+        EdgeIndex { by_pair, rotation: 0 }
+    }
+
+    /// Starts the round-robin over for the next inner embedding.
+    fn restart_rotation(&mut self) {
+        self.rotation += 1;
     }
 
     /// Finds an embedded copy for virtual hop `a -> b`; returns
     /// `(index, traverse_reversed)`.
-    fn lookup(
-        &self,
-        a: VertexId,
-        b: VertexId,
-        uses: &mut HashMap<(VertexId, VertexId), usize>,
-    ) -> Option<(usize, bool)> {
-        let key = (a.min(b), a.max(b));
-        let copies = self.by_pair.get(&key)?;
-        let slot = uses.entry(key).or_insert(0);
-        let (idx, stored_rev) = copies[*slot % copies.len()];
-        *slot += 1;
+    fn lookup(&mut self, a: VertexId, b: VertexId) -> Option<(usize, bool)> {
+        let copies = self.by_pair.get_mut(&(a.min(b), a.max(b)))?;
+        if copies.rotation != self.rotation {
+            copies.rotation = self.rotation;
+            copies.used = 0;
+        }
+        let (idx, stored_rev) = copies.slots[copies.used % copies.slots.len()];
+        copies.used += 1;
         // stored_rev: the stored path runs max->min. We need a->b.
         let need_rev = a > b;
         Some((idx, stored_rev != need_rev))
@@ -226,7 +253,7 @@ mod tests {
         let mut outer = Embedding::new();
         outer.push(0, 2, path(&[0, 1, 2]));
         outer.push(2, 4, path(&[2, 3, 4]));
-        let composed = outer.compose_after(&inner);
+        let composed = outer.compose_after([&inner]).remove(0);
         assert_eq!(composed.len(), 1);
         assert_eq!(composed.path(0).vertices(), &[0, 1, 2, 3, 4]);
     }
@@ -238,7 +265,7 @@ mod tests {
         let mut outer = Embedding::new();
         outer.push(0, 2, path(&[0, 1, 2]));
         outer.push(2, 4, path(&[2, 3, 4]));
-        let composed = outer.compose_after(&inner);
+        let composed = outer.compose_after([&inner]).remove(0);
         assert_eq!(composed.path(0).vertices(), &[4, 3, 2, 1, 0]);
     }
 
@@ -250,9 +277,25 @@ mod tests {
         let mut inner = Embedding::new();
         inner.push(0, 1, path(&[0, 1]));
         inner.push(0, 1, path(&[0, 1]));
-        let composed = outer.compose_after(&inner);
-        let mids: Vec<u32> = (0..2).map(|i| composed.path(i).vertices()[1]).collect();
-        assert_eq!(mids, vec![5, 6], "round-robin over parallel copies");
+        let mids = |composed: &Embedding| -> Vec<u32> {
+            (0..composed.len()).map(|i| composed.path(i).vertices()[1]).collect()
+        };
+        let composed = outer.compose_after([&inner]).remove(0);
+        assert_eq!(mids(&composed), vec![5, 6], "round-robin over parallel copies");
+        // In a batch the rotation starts over for every inner
+        // embedding, so each result equals a separate composition.
+        let batch = outer.compose_after([&inner, &inner]);
+        assert_eq!(batch.len(), 2);
+        for composed in &batch {
+            assert_eq!(mids(composed), vec![5, 6], "rotation restarts per inner embedding");
+        }
+        // An odd number of uses first: a rotation carried over would
+        // start the next embedding at the second copy.
+        let mut once = Embedding::new();
+        once.push(0, 1, path(&[0, 1]));
+        let batch = outer.compose_after([&once, &inner]);
+        assert_eq!(mids(&batch[0]), vec![5]);
+        assert_eq!(mids(&batch[1]), vec![5, 6], "rotation restarts per inner embedding");
     }
 
     #[test]
@@ -291,7 +334,7 @@ mod tests {
         outer.push(0, 1, path(&[0, 1]));
         let mut inner = Embedding::new();
         inner.push(0, 1, Path::new(vec![0, 0, 1, 1]));
-        let composed = outer.compose_after(&inner);
+        let composed = outer.compose_after([&inner]).remove(0);
         assert_eq!(composed.path(0).vertices(), &[0, 1]);
     }
 }

@@ -1,8 +1,19 @@
-//! The hash-map movement-cost oracle the dense `FlatMoveCost` is
-//! checked against (`tests/property.rs`, `tests/overflow_bounds.rs`).
+//! Hash-map oracles for the dense production code:
+//!
+//! * [`MoveCost`], the movement cost `FlatMoveCost` is checked against
+//!   (`tests/property.rs`, `tests/overflow_bounds.rs`);
+//! * [`oracle_leaf_network`], the leaf sorting network
+//!   `EmbeddedNetwork::build` is checked against
+//!   (`tests/leaf_networks.rs`).
+//!
+//! Each test binary that includes this module uses only some of it.
+#![allow(dead_code)]
 
-use expander_graphs::Path;
-use std::collections::HashMap;
+use expander_core::network::{odd_even_layers, EmbeddedLayer, EmbeddedNetwork};
+use expander_decomp::{Hierarchy, HostGraph, NodeId};
+use expander_graphs::{Embedding, Path};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Measured movement cost accumulator: `max edge load × max hops`,
 /// keyed by normalized vertex pairs.
@@ -34,6 +45,74 @@ impl MoveCost {
         let c = self.edge_load.values().copied().max().unwrap_or(0);
         c * self.max_hops
     }
+}
+
+/// The leaf network `EmbeddedNetwork::build` must equal: every
+/// comparator runs a fresh Dijkstra with loads keyed by `(min, max)`
+/// local pairs, and every layer flattens on its own.
+pub fn oracle_leaf_network(h: &Hierarchy, node: NodeId) -> EmbeddedNetwork {
+    let nd = h.node(node);
+    let host = HostGraph::from_edges(h.graph().n(), nd.vertices.clone(), &nd.virtual_edges);
+    let mut layers = Vec::new();
+    for pairs in odd_even_layers(nd.vertices.len()) {
+        let mut emb = Embedding::new();
+        let mut load = HashMap::new();
+        for &(a, b) in &pairs {
+            let (va, vb) = (nd.vertices[a], nd.vertices[b]);
+            emb.push(va, vb, oracle_spread_path(&host, va, vb, &mut load));
+        }
+        let flat = h.flatten_from(node, [&emb]).remove(0);
+        layers.push(EmbeddedLayer { pairs, paths: flat.to_path_set() });
+    }
+    EmbeddedNetwork { node, layers }
+}
+
+/// Dijkstra with edge cost `(1 + load)²` from fresh buffers, bumping
+/// the loads along the chosen path.
+fn oracle_spread_path(
+    host: &HostGraph,
+    from: u32,
+    to: u32,
+    load: &mut HashMap<(u32, u32), u64>,
+) -> Path {
+    let lf = host.to_local(from);
+    let lt = host.to_local(to);
+    let n = host.n();
+    let mut dist = vec![u64::MAX; n];
+    let mut parent = vec![u32::MAX; n];
+    let mut heap = BinaryHeap::new();
+    dist[lf as usize] = 0;
+    parent[lf as usize] = lf;
+    heap.push(Reverse((0u64, lf)));
+    while let Some(Reverse((d, u))) = heap.pop() {
+        if u == lt {
+            break;
+        }
+        if d > dist[u as usize] {
+            continue;
+        }
+        for &v in host.neighbors_local(u) {
+            let l = load.get(&(u.min(v), u.max(v))).copied().unwrap_or(0);
+            let nd = d + (1 + l) * (1 + l);
+            if nd < dist[v as usize] {
+                dist[v as usize] = nd;
+                parent[v as usize] = u;
+                heap.push(Reverse((nd, v)));
+            }
+        }
+    }
+    assert!(parent[lt as usize] != u32::MAX, "leaf virtual graph disconnected");
+    let mut walk = vec![lt];
+    let mut cur = lt;
+    while cur != lf {
+        cur = parent[cur as usize];
+        walk.push(cur);
+    }
+    walk.reverse();
+    for w in walk.windows(2) {
+        *load.entry((w[0].min(w[1]), w[0].max(w[1]))).or_insert(0) += 1;
+    }
+    host.path_to_global(&walk)
 }
 
 #[test]
