@@ -76,69 +76,6 @@ impl HostGraph {
         HostGraph { vertices, local, adj, eids, edge_count: edges.len(), edge_space }
     }
 
-    /// Inserts an undirected edge between two host vertices (global
-    /// ids) and returns its dense local pair id.
-    ///
-    /// Mirrors [`Graph::insert_edge`]: the copy is appended to both
-    /// endpoints' adjacency lists, a parallel copy of a live pair
-    /// reuses its id, and a brand-new pair gets the next high-water id
-    /// — tombstoned ids of fully-removed pairs are never resurrected,
-    /// so packer congestion vectors sized by [`edge_space`] stay valid
-    /// across edits.
-    ///
-    /// [`edge_space`]: HostGraph::edge_space
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is not a host vertex or `u == v`.
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> u32 {
-        let (lu, lv) = (self.to_local(u), self.to_local(v));
-        assert!(lu != lv, "self-loops are not supported");
-        let id = self.pair_eid(lu, lv).unwrap_or_else(|| {
-            let id = self.edge_space as u32;
-            self.edge_space += 1;
-            id
-        });
-        self.adj[lu as usize].push(lv);
-        self.eids[lu as usize].push(id);
-        self.adj[lv as usize].push(lu);
-        self.eids[lv as usize].push(id);
-        self.edge_count += 1;
-        id
-    }
-
-    /// Removes one copy of the undirected edge between two host
-    /// vertices (global ids); returns its pair id, or `None` if they
-    /// are not adjacent.
-    ///
-    /// Mirrors [`Graph::remove_edge`]: the first copy in each
-    /// endpoint's adjacency goes, and the pair id becomes a tombstone
-    /// once the last copy does ([`edge_space`] never shrinks).
-    ///
-    /// [`edge_space`]: HostGraph::edge_space
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is not a host vertex.
-    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Option<u32> {
-        let (lu, lv) = (self.to_local(u), self.to_local(v));
-        if lu == lv {
-            return None;
-        }
-        let slot_u = self.adj[lu as usize].iter().position(|&w| w == lv)?;
-        let id = self.eids[lu as usize][slot_u];
-        self.adj[lu as usize].remove(slot_u);
-        self.eids[lu as usize].remove(slot_u);
-        let slot_v = self.adj[lv as usize]
-            .iter()
-            .position(|&w| w == lu)
-            .expect("undirected invariant: edge present in both adjacencies");
-        self.adj[lv as usize].remove(slot_v);
-        self.eids[lv as usize].remove(slot_v);
-        self.edge_count -= 1;
-        Some(id)
-    }
-
     /// Number of host vertices.
     pub fn n(&self) -> usize {
         self.vertices.len()
@@ -309,31 +246,6 @@ mod tests {
         for l in [l1, l2, l3] {
             assert_eq!(h.neighbor_eids_local(l).len(), h.neighbors_local(l).len());
         }
-    }
-
-    #[test]
-    fn mutations_mirror_graph_semantics() {
-        let mut h = HostGraph::from_edges(10, vec![1, 2, 3, 4], &[(1, 2), (2, 3), (3, 4)]);
-        let (l1, l2, l3, l4) = (h.to_local(1), h.to_local(2), h.to_local(3), h.to_local(4));
-        // New pair: next high-water id; adjacency appended at both ends.
-        let e14 = h.insert_edge(1, 4);
-        assert_eq!(e14 as usize, 3);
-        assert_eq!(h.m(), 4);
-        assert_eq!(h.neighbors_local(l1), &[l2, l4]);
-        // Parallel copy of a live pair shares its id.
-        let e12 = h.pair_eid(l1, l2).expect("edge");
-        assert_eq!(h.insert_edge(2, 1), e12);
-        assert_eq!(h.m(), 5);
-        // Removal takes the first copy; the survivor keeps the id.
-        assert_eq!(h.remove_edge(1, 2), Some(e12));
-        assert_eq!(h.pair_eid(l1, l2), Some(e12));
-        // Tombstoned ids are never resurrected.
-        let e23 = h.pair_eid(l2, l3).expect("edge");
-        assert_eq!(h.remove_edge(3, 2), Some(e23));
-        assert!(h.pair_eid(l2, l3).is_none());
-        assert_eq!(h.edge_space(), 4, "id space is a high-water mark");
-        assert_eq!(h.insert_edge(2, 3), 4, "re-inserted pair gets a fresh id");
-        assert_eq!(h.remove_edge(1, 3), None, "non-adjacent removal is a no-op");
     }
 
     #[test]

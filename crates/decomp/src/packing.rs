@@ -8,6 +8,22 @@
 //! packing (substitution 3 in `docs/ARCHITECTURE.md`) with geometric
 //! cap escalation. The achieved congestion/dilation is *measured* and
 //! flows into every downstream round charge.
+//!
+//! Packing is the costly stage of every cut-matching game, so each
+//! phase does only the work its outcome depends on:
+//!
+//! - **Early exit.** The BFS computes depths only, and stops as soon as
+//!   it discovers the last live sink (`sink_cap > 0`). That sink was
+//!   discovered from one level up, so every shallower vertex already
+//!   has its final depth: every vertex a walk can use, and every
+//!   candidate parent of one. The set of reached sinks is the full
+//!   BFS's too, so the exit changes no outcome.
+//! - **Lazy parents.** Before any claim moves a load, parents are
+//!   resolved only along the walks up from reached sinks, memoized per
+//!   phase, instead of for every discovered vertex.
+//! - **Scratch reuse.** The BFS marks, parents, claimed stamps, queue
+//!   and reached-sink list live in the [`Packer`], stamped by its phase
+//!   counter, so neither a phase nor a call clears or allocates them.
 
 use crate::host::HostGraph;
 use expander_graphs::{Embedding, VertexId};
@@ -23,9 +39,29 @@ pub struct PackResult {
     pub phases: u32,
 }
 
+/// A vertex's BFS depth, valid in the phase that stamped it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    phase: u32,
+    depth: u32,
+}
+
+/// A vertex's resolved BFS parent and the edge to it, valid in the
+/// phase that stamped it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Parent {
+    phase: u32,
+    vertex: u32,
+    eid: u32,
+}
+
 /// A path packer with congestion state that persists across calls, so
 /// several per-part packings within one cut-matching iteration share
 /// the host's edge budget (the games run "simultaneously" in the paper).
+///
+/// The packer also owns every call's BFS scratch, indexed by host-local
+/// id and stamped by a phase counter that runs on across calls: a new
+/// phase invalidates the last one without a clearing pass.
 #[derive(Debug)]
 pub struct Packer<'h> {
     host: &'h HostGraph,
@@ -33,12 +69,30 @@ pub struct Packer<'h> {
     /// sits in the BFS inner loop, so it must be a flat vector, not a
     /// hash map.
     edge_load: Vec<u32>,
+    /// Stamp of the current phase; 0 is never a live stamp.
+    phase: u32,
+    mark: Vec<Mark>,
+    parent: Vec<Parent>,
+    /// Phase in which each source was last claimed by a sink.
+    claimed: Vec<u32>,
+    queue: Vec<u32>,
+    reached: Vec<u32>,
 }
 
 impl<'h> Packer<'h> {
     /// A packer with no edges loaded.
     pub fn new(host: &'h HostGraph) -> Self {
-        Packer { host, edge_load: vec![0; host.edge_space()] }
+        let n = host.n();
+        Packer {
+            host,
+            edge_load: vec![0; host.edge_space()],
+            phase: 0,
+            mark: vec![Mark::default(); n],
+            parent: vec![Parent::default(); n],
+            claimed: vec![0; n],
+            queue: Vec::new(),
+            reached: Vec::new(),
+        }
     }
 
     /// Current maximum per-edge load.
@@ -46,11 +100,28 @@ impl<'h> Packer<'h> {
         self.edge_load.iter().copied().max().unwrap_or(0)
     }
 
+    /// Starts a phase: a stamp no scratch entry carries yet.
+    fn next_phase(&mut self) -> u32 {
+        if self.phase == u32::MAX {
+            self.mark.fill(Mark::default());
+            self.parent.fill(Parent::default());
+            self.claimed.fill(0);
+            self.phase = 0;
+        }
+        self.phase += 1;
+        self.phase
+    }
+
     /// Packs one path per source towards any sink with remaining
     /// capacity, under a per-edge congestion cap and a BFS depth cap.
     ///
     /// `sink_cap` is indexed by host-local id and is decremented as
     /// sinks absorb paths; sources must have `sink_cap == 0`.
+    ///
+    /// Each phase runs a multi-source BFS from the unmatched sources
+    /// through edges with residual capacity, resolves parents along the
+    /// walks up from the reached sinks, then claims sinks. The BFS stops
+    /// at the last live sink, which is exact (see the module docs).
     ///
     /// Every phase's outcome is a pure function of the *passable edge
     /// set* (residual capacity under the caps), never of BFS queue
@@ -72,128 +143,111 @@ impl<'h> Packer<'h> {
         congestion_cap: u32,
         dilation_cap: u32,
     ) -> PackResult {
-        let n = self.host.n();
-        assert_eq!(sink_cap.len(), n, "sink capacity indexed by host-local id");
+        assert_eq!(sink_cap.len(), self.host.n(), "sink capacity indexed by host-local id");
         for &s in sources {
             assert_eq!(sink_cap[s as usize], 0, "source {s} doubles as sink");
         }
         let mut result = PackResult::default();
         let mut remaining: Vec<u32> = sources.to_vec();
-        // BFS scratch, epoch-stamped by phase number so a new phase
-        // invalidates the previous one without O(n) reinit passes.
-        let mut seen = vec![0u32; n];
-        let mut claimed = vec![0u32; n];
-        let mut parent = vec![u32::MAX; n];
-        let mut parent_eid = vec![u32::MAX; n];
-        let mut depth = vec![u32::MAX; n];
-        let mut is_source = vec![false; n];
-        let mut queue: Vec<u32> = Vec::with_capacity(remaining.len());
-        let mut reached_sinks: Vec<u32> = Vec::new();
+        let mut live = sink_cap.iter().filter(|&&c| c > 0).count();
 
-        loop {
-            if remaining.is_empty() {
-                break;
-            }
+        while !remaining.is_empty() {
             result.phases += 1;
-            let phase = result.phases;
-            // Multi-source BFS through edges with residual capacity.
-            // Only depths are taken from this pass (they do not depend
-            // on queue order); parents are resolved in a second pass.
+            let phase = self.next_phase();
+            let Packer { host, edge_load, mark, parent, claimed, queue, reached, .. } = self;
+            // Multi-source BFS through edges with residual capacity,
+            // depths only, until every live sink is discovered. Depth-0
+            // vertices are exactly this phase's sources.
             queue.clear();
-            reached_sinks.clear();
+            reached.clear();
             for &s in &remaining {
-                seen[s as usize] = phase;
-                depth[s as usize] = 0;
-                is_source[s as usize] = true;
+                mark[s as usize] = Mark { phase, depth: 0 };
                 queue.push(s);
             }
             let mut head = 0;
-            while head < queue.len() {
+            while head < queue.len() && reached.len() < live {
                 let u = queue[head];
                 head += 1;
-                let du = depth[u as usize];
+                let du = mark[u as usize].depth;
                 if du >= dilation_cap {
-                    continue;
+                    // The queue is in depth order: nothing left expands.
+                    break;
                 }
-                let nbrs = self.host.neighbors_local(u);
-                let eids = self.host.neighbor_eids_local(u);
+                let nbrs = host.neighbors_local(u);
+                let eids = host.neighbor_eids_local(u);
                 for (&v, &eid) in nbrs.iter().zip(eids) {
-                    if seen[v as usize] == phase {
+                    if mark[v as usize].phase == phase || edge_load[eid as usize] >= congestion_cap
+                    {
                         continue;
                     }
-                    if self.edge_load[eid as usize] >= congestion_cap {
-                        continue;
-                    }
-                    seen[v as usize] = phase;
-                    depth[v as usize] = du + 1;
-                    is_source[v as usize] = false;
+                    mark[v as usize] = Mark { phase, depth: du + 1 };
                     if sink_cap[v as usize] > 0 {
-                        reached_sinks.push(v);
+                        reached.push(v);
                     }
                     queue.push(v);
                 }
             }
-            // Resolve each discovered vertex's parent as the minimum
-            // (neighbor id, edge id) among passable neighbors one
-            // level up — a function of depths and loads only.
-            for &v in &queue {
-                if is_source[v as usize] {
-                    parent[v as usize] = v;
-                    continue;
-                }
-                let dv = depth[v as usize];
-                let nbrs = self.host.neighbors_local(v);
-                let eids = self.host.neighbor_eids_local(v);
-                let mut best: Option<(u32, u32)> = None;
-                for (&u, &eid) in nbrs.iter().zip(eids) {
-                    if seen[u as usize] == phase
-                        && depth[u as usize] + 1 == dv
-                        && self.edge_load[eid as usize] < congestion_cap
-                        && best.is_none_or(|b| (u, eid) < b)
-                    {
-                        best = Some((u, eid));
+            // Resolve parents up every reached sink's walk, at the
+            // phase-start loads: each vertex's parent is the minimum
+            // (neighbor id, edge id) among passable neighbors one level
+            // up — a function of depths and loads only.
+            for &sink in reached.iter() {
+                let mut v = sink;
+                while mark[v as usize].depth > 0 && parent[v as usize].phase != phase {
+                    let dv = mark[v as usize].depth;
+                    let nbrs = host.neighbors_local(v);
+                    let eids = host.neighbor_eids_local(v);
+                    let mut best: Option<(u32, u32)> = None;
+                    for (&u, &eid) in nbrs.iter().zip(eids) {
+                        if mark[u as usize].phase == phase
+                            && mark[u as usize].depth + 1 == dv
+                            && edge_load[eid as usize] < congestion_cap
+                            && best.is_none_or(|b| (u, eid) < b)
+                        {
+                            best = Some((u, eid));
+                        }
                     }
+                    // `v` entered the BFS frontier through a passable
+                    // edge from depth `dv - 1`, and no load has moved
+                    // since, so at least that parent still qualifies.
+                    let (pu, peid) = best.expect("discovered vertex has a passable parent");
+                    parent[v as usize] = Parent { phase, vertex: pu, eid: peid };
+                    v = pu;
                 }
-                // `v` entered the BFS frontier through a passable edge
-                // from depth `dv - 1`, and edge loads only change
-                // between packing rounds, so at least that parent still
-                // qualifies.
-                let (pu, peid) = best.expect("discovered vertex has a passable parent");
-                parent[v as usize] = pu;
-                parent_eid[v as usize] = peid;
             }
             // Claim sinks greedily, shortest-first with id tie-break —
             // again independent of discovery order.
-            reached_sinks.sort_unstable_by_key(|&v| (depth[v as usize], v));
+            reached.sort_unstable_by_key(|&v| (mark[v as usize].depth, v));
             let mut progress = false;
-            for &sink in &reached_sinks {
-                if sink_cap[sink as usize] == 0 {
-                    continue;
-                }
+            for &sink in reached.iter() {
                 // Walk back to the root source, checking residuals that
                 // earlier claims in this phase may have consumed.
                 let mut walk = vec![sink];
-                let mut ok = true;
                 let mut cur = sink;
-                while !is_source[cur as usize] {
-                    if self.edge_load[parent_eid[cur as usize] as usize] >= congestion_cap {
+                let mut ok = true;
+                while mark[cur as usize].depth > 0 {
+                    let p = parent[cur as usize];
+                    if edge_load[p.eid as usize] >= congestion_cap {
                         ok = false;
                         break;
                     }
-                    walk.push(parent[cur as usize]);
-                    cur = parent[cur as usize];
+                    walk.push(p.vertex);
+                    cur = p.vertex;
                 }
                 if !ok || claimed[cur as usize] == phase {
                     continue;
                 }
                 claimed[cur as usize] = phase;
-                walk.reverse(); // source .. sink
-                for &step in &walk[1..] {
-                    // `parent[step]` precedes `step` in the walk, so
-                    // `parent_eid[step]` is exactly the traversed edge.
-                    self.edge_load[parent_eid[step as usize] as usize] += 1;
+                // Every walk vertex but the source leaves by the edge to
+                // its parent.
+                for &step in &walk[..walk.len() - 1] {
+                    edge_load[parent[step as usize].eid as usize] += 1;
                 }
                 sink_cap[sink as usize] -= 1;
+                if sink_cap[sink as usize] == 0 {
+                    live -= 1;
+                }
+                walk.reverse(); // source .. sink
                 result.paths.push(walk);
                 progress = true;
             }
