@@ -22,41 +22,6 @@ fn bench_hierarchy_build(c: &mut Criterion) {
     }
 }
 
-fn bench_hierarchy_repair(c: &mut Criterion) {
-    // The incremental-repair headline: one parallel-edge insertion on
-    // n = 4096 must splice nearly every subtree, so repair lands well
-    // under the `hierarchy_repair_full_rebuild_n4096` floor below
-    // (≥5× in practice). ε = 0.12 keeps the tree wide (many level-1
-    // subtrees to splice); the raised congestion cap keeps the deep
-    // packings off the escalation path so the two benches compare the
-    // same work.
-    let n = 4096;
-    let g = generators::random_regular(n, 4, 3).expect("generator");
-    let params = HierarchyParams {
-        escalation: EscalationConfig { congestion_cap: 8, ..EscalationConfig::default() },
-        ..HierarchyParams::for_epsilon(0.12)
-    };
-    let (u, v) = g.edges().next().expect("edge");
-    let edits = [expander_graphs::GraphEdit::InsertEdge(u, v)];
-    let base = Hierarchy::build(&g, params.clone()).expect("hierarchy");
-    c.bench_function(&format!("hierarchy_repair_n{n}"), |b| {
-        b.iter_batched(
-            || base.clone(),
-            |mut h| {
-                let report = h.repair(&edits).expect("repair");
-                assert!(report.is_incremental(), "repair fell back: {report:?}");
-                h
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    let mut mutated = g.clone();
-    mutated.apply_edit(edits[0]);
-    c.bench_function(&format!("hierarchy_repair_full_rebuild_n{n}"), |b| {
-        b.iter(|| Hierarchy::build(&mutated, params.clone()).expect("hierarchy"))
-    });
-}
-
 fn bench_shuffler_build(c: &mut Criterion) {
     let g = generators::random_regular(256, 4, 5).expect("generator");
     let h = Hierarchy::build(&g, HierarchyParams::for_epsilon(0.4)).expect("hierarchy");
@@ -119,7 +84,6 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets =
         bench_hierarchy_build,
-        bench_hierarchy_repair,
         bench_shuffler_build,
         bench_route_query,
         bench_route_query_large_l,

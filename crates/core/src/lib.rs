@@ -79,11 +79,11 @@
 //!   cross-piece tokens as structured [`Undeliverable`] reports
 //!   instead of panicking.
 //! * [`churn`] — churn-tolerant routing: [`ChurnRouter`] absorbs
-//!   graph edits through incremental [`Router::repair`], full
-//!   rebuilds, decomposition routing, and charged BFS — a
-//!   deterministic degradation ladder that keeps every query on the
-//!   route-or-report contract; [`churn::ChurnDriver`] is the seeded
-//!   fault-injection harness.
+//!   graph edits through one [`Router::preprocess`] of the live graph,
+//!   decomposition routing, and charged BFS — a deterministic
+//!   degradation ladder that keeps every query on the route-or-report
+//!   contract; [`churn::ChurnDriver`] is the seeded fault-injection
+//!   harness.
 //!
 //! # Example
 //!

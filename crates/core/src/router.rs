@@ -7,8 +7,8 @@ use crate::network::EmbeddedNetwork;
 use crate::token::{InstanceError, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::{cost, parallel, RoundLedger};
 use expander_decomp::{
-    build_shuffler, BuildError, Hierarchy, HierarchyParams, NodeId, RepairReport, Shuffler,
-    ShufflerParams, ShufflerRound,
+    build_shuffler, BuildError, Hierarchy, HierarchyParams, NodeId, Shuffler, ShufflerParams,
+    ShufflerRound,
 };
 use expander_graphs::{Embedding, FlatPaths, Graph, GraphEdit, Path, VertexId};
 
@@ -142,15 +142,6 @@ fn min_len_for_half(half: f64) -> u32 {
     lo
 }
 
-/// Input of the salvage stage of [`Router::repair`]: the stale router
-/// whose per-node artifacts are cannibalized, plus the splice map
-/// (`old_of[new node id] -> old node id`) reconstructed from the
-/// hierarchy repair's reused spans.
-struct Salvage<'a> {
-    old: &'a mut Router,
-    old_of: Vec<Option<NodeId>>,
-}
-
 /// Output of one node's parallel preprocessing task: everything
 /// [`Router::preprocess`] derives from a single hierarchy node,
 /// collected in node order after the fan-out.
@@ -216,12 +207,9 @@ impl RouterConfig {
 /// [`Router::route`] query costs `L·poly(log^{1/ε} n)` charged rounds
 /// (Theorem 1.1). See the crate docs for an end-to-end example.
 ///
-/// When the graph mutates, [`Router::repair`] re-derives the router
-/// incrementally: hierarchy subtrees the repair spliced keep their
-/// preprocessing artifacts (shufflers, leaf networks, flattened
-/// arenas), and the result stays byte-identical to a from-scratch
-/// [`Router::preprocess`] on the mutated graph (`PartialEq` compares
-/// every derived structure exactly for that purpose).
+/// When the graph mutates, [`Router::repair`] preprocesses the edited
+/// graph from scratch. `PartialEq` compares every derived structure
+/// exactly, so tests can check that two routers are byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Router {
     pub(crate) graph: Graph,
@@ -241,15 +229,6 @@ pub struct Router {
     /// Per node: dense `bad vertex -> M* edge index within its part`
     /// (`u32::MAX` elsewhere); empty vec for leaves.
     pub(crate) mstar_edge: Vec<Vec<u32>>,
-    /// Per node, per part: flattened `M*` embeddings. The chain walk
-    /// consumes them at build time; they are retained so
-    /// [`Router::repair`] can re-walk chains without re-flattening the
-    /// salvaged nodes.
-    pub(crate) mstar_embs: Vec<Vec<Embedding>>,
-    /// Per node: the preprocessing rounds that node's task charged
-    /// (leaf network or shuffler + lowering) — replayed verbatim when
-    /// the node is salvaged by [`Router::repair`].
-    node_ledgers: Vec<RoundLedger>,
     pub(crate) leaf_nets: Vec<Option<EmbeddedNetwork>>,
     /// Per graph vertex: its best-node delegate (§1.3, Appendix D).
     pub(crate) delegate: Vec<VertexId>,
@@ -292,40 +271,26 @@ impl Router {
             return Err(BuildError::TooSmall { n: graph.n() });
         }
         let hier = Hierarchy::build(graph, config.hierarchy.clone())?;
-        Ok(Router::derive(hier, config, None))
+        Ok(Router::derive(hier, config))
     }
 
-    /// Repairs the router after `edits` mutated its graph: the
-    /// hierarchy is repaired incrementally ([`Hierarchy::repair`]),
-    /// spliced subtrees keep their preprocessed artifacts (shufflers,
-    /// leaf networks, flattened arenas — moved over with their node
-    /// stamps and edge-id spaces re-based), and only the dirtied nodes
-    /// re-run their preprocessing tasks. The global tables (delegate
-    /// chains, cost model, best prefixes) are cheap and recomputed
-    /// fresh.
-    ///
-    /// The repaired router is byte-identical to
-    /// [`Router::preprocess`] on the mutated graph. On error the
+    /// Repairs the router after `edits` mutated its graph: the edits
+    /// are applied to a copy of the router's graph snapshot, which is
+    /// then preprocessed from scratch, so the result is byte-identical
+    /// to [`Router::preprocess`] on the edited graph. On error the
     /// router is left unchanged.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the mutated graph is disconnected or
-    /// has shrunk below the supported size.
-    pub fn repair(&mut self, edits: &[GraphEdit]) -> Result<RepairReport, BuildError> {
-        let mut hier = self.hier.clone();
-        let report = hier.repair(edits)?;
-        if hier.graph().n() < 64 {
-            return Err(BuildError::TooSmall { n: hier.graph().n() });
+    /// Returns [`BuildError`] if the edited graph is disconnected or
+    /// otherwise refused by [`Router::preprocess`].
+    pub fn repair(&mut self, edits: &[GraphEdit]) -> Result<(), BuildError> {
+        let mut graph = self.graph.clone();
+        for &e in edits {
+            graph.apply_edit(e);
         }
-        let mut old_of: Vec<Option<NodeId>> = vec![None; hier.nodes().len()];
-        for span in &report.reused_spans {
-            for off in 0..span.len {
-                old_of[span.new_start + off] = Some(span.old_start + off);
-            }
-        }
-        *self = Router::derive(hier, self.config.clone(), Some(Salvage { old: self, old_of }));
-        Ok(report)
+        *self = Router::preprocess(&graph, self.config.clone())?;
+        Ok(())
     }
 
     /// Whether `graph` has mutated past the snapshot this router was
@@ -334,10 +299,8 @@ impl Router {
         graph.epoch() != self.graph.epoch()
     }
 
-    /// Derives every preprocessed structure from a built hierarchy,
-    /// salvaging per-node artifacts from a stale router where the
-    /// repair's splice map allows.
-    fn derive(hier: Hierarchy, config: RouterConfig, mut salvage: Option<Salvage<'_>>) -> Router {
+    /// Derives every preprocessed structure from a built hierarchy.
+    fn derive(hier: Hierarchy, config: RouterConfig) -> Router {
         let graph = hier.graph().clone();
         let graph = &graph;
         let mut pre_ledger = RoundLedger::new();
@@ -352,65 +315,22 @@ impl Router {
         let mut mstar_edge: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
         let mut leaf_nets: Vec<Option<EmbeddedNetwork>> = vec![None; n_nodes];
         let mut mstar_sq: Vec<u64> = vec![4; n_nodes];
+        // Per node, per part: the flattened `M*` embeddings. Only the
+        // chain walk below reads them; they die with this frame.
         let mut mstar_embs: Vec<Vec<Embedding>> = vec![Vec::new(); n_nodes];
-        let mut node_ledgers: Vec<RoundLedger> = vec![RoundLedger::new(); n_nodes];
         let mut max_parts = 1usize;
-
-        // Salvage stage: a node inside a spliced repair span is
-        // byte-identical to its counterpart in the stale router, so its
-        // preprocessing artifacts move over wholesale. Only the node-id
-        // stamps and the FlatPaths edge-id spaces (high-water marks
-        // that may have grown under insertions) need re-basing; the
-        // stored per-node ledger replays the rounds a fresh task would
-        // have charged.
-        let mut fresh: Vec<NodeId> = Vec::with_capacity(n_nodes);
-        match &mut salvage {
-            None => fresh.extend(0..n_nodes),
-            Some(s) => {
-                for id in 0..n_nodes {
-                    let Some(old_id) = s.old_of[id] else {
-                        fresh.push(id);
-                        continue;
-                    };
-                    let old = &mut *s.old;
-                    if let Some(mut sh) = old.shufflers[old_id].take() {
-                        sh.node = id;
-                        let mut flats = std::mem::take(&mut old.rounds_flat[old_id]);
-                        let mut arenas = std::mem::take(&mut old.mstar_flat[old_id]);
-                        for f in flats.iter_mut().chain(arenas.iter_mut()) {
-                            f.rebase_edge_space(graph);
-                        }
-                        max_parts = max_parts.max(hier.node(id).part_count());
-                        shufflers[id] = Some(sh);
-                        rounds_flat[id] = flats;
-                        mstar_flat[id] = arenas;
-                        round_tables[id] = std::mem::take(&mut old.round_tables[old_id]);
-                        part_of[id] = std::mem::take(&mut old.part_of[old_id]);
-                        mstar_edge[id] = std::mem::take(&mut old.mstar_edge[old_id]);
-                        mstar_embs[id] = std::mem::take(&mut old.mstar_embs[old_id]);
-                        mstar_sq[id] = old.cost.mstar_sq[old_id];
-                    } else if let Some(mut net) = old.leaf_nets[old_id].take() {
-                        net.node = id;
-                        leaf_nets[id] = Some(net);
-                    }
-                    node_ledgers[id] = std::mem::take(&mut old.node_ledgers[old_id]);
-                }
-            }
-        }
 
         // Per-node preprocessing (leaf networks; shuffler construction,
         // embedding flattening, and the FlatPaths/RoundTable lowering
         // for internal nodes) reads only the immutable hierarchy, so
-        // the non-salvaged nodes fan out across the thread budget. Each
-        // task charges a forked ledger; absorbing every node's ledger
-        // in node order below keeps the preprocessing ledger
-        // byte-identical to the sequential build.
+        // the nodes fan out across the thread budget. Each task charges
+        // a forked ledger; merging the task ledgers in node order as
+        // they come back keeps the preprocessing ledger byte-identical
+        // to the sequential build.
         let budget = parallel::ThreadBudget::new(parallel::build_threads(config.hierarchy.threads));
         let prepped: Vec<(RoundLedger, NodePrep)> = {
             let ledger_parent = &pre_ledger;
-            let fresh_ids = &fresh;
-            parallel::run_tasks(&budget, fresh_ids.len(), |task| {
-                let id = fresh_ids[task];
+            parallel::run_tasks(&budget, n_nodes, |id| {
                 let mut ledger = ledger_parent.fork();
                 let nd = hier.node(id);
                 if nd.is_leaf() {
@@ -478,9 +398,8 @@ impl Router {
                 (ledger, prep)
             })
         };
-        for (task, (ledger, prep)) in prepped.into_iter().enumerate() {
-            let id = fresh[task];
-            node_ledgers[id] = ledger;
+        for (id, (ledger, prep)) in prepped.into_iter().enumerate() {
+            pre_ledger.merge(&ledger);
             match prep {
                 NodePrep::Leaf { net } => leaf_nets[id] = Some(*net),
                 NodePrep::Internal {
@@ -505,13 +424,6 @@ impl Router {
                 }
             }
         }
-        // Absorb every node's charges in node order — byte-identical to
-        // sequential charging whether a node's ledger was freshly
-        // charged or replayed from the stale router.
-        for nl in &node_ledgers {
-            pre_ledger.merge(nl);
-        }
-
         // Delegates and chains (Appendix D's all-to-best delegation).
         let root = hier.root();
         let root_best = hier.node(root).best.clone();
@@ -617,8 +529,6 @@ impl Router {
             part_of,
             mstar_flat,
             mstar_edge,
-            mstar_embs,
-            node_ledgers,
             leaf_nets,
             delegate,
             chain,
@@ -881,14 +791,13 @@ mod tests {
     }
 
     #[test]
-    fn repair_matches_fresh_preprocess_and_salvages_nodes() {
+    fn repair_matches_fresh_preprocess() {
         let g = generators::random_regular(1024, 4, 13).expect("generator");
         let config = RouterConfig::for_epsilon(0.33);
         let mut r = Router::preprocess(&g, config.clone()).expect("router");
         let (u, v) = g.edges().next().expect("edge");
         let edits = [GraphEdit::RemoveEdge(u, v)];
-        let report = r.repair(&edits).expect("repair");
-        assert!(report.is_incremental(), "single-edge removal should splice subtrees");
+        r.repair(&edits).expect("repair");
 
         let mut g2 = g.clone();
         for &e in &edits {

@@ -145,73 +145,17 @@ impl fmt::Display for BuildError {
 
 impl Error for BuildError {}
 
-/// Why [`Hierarchy::repair`] fell back to rebuilding every subtree
-/// instead of splicing reusable ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairFallback {
-    /// The edit batch changed the vertex count; `k`, `λ`, and the leaf
-    /// threshold all derive from `n`, so nothing is reusable.
-    VertexCountChanged,
-    /// The edit batch is too large relative to the graph — past the
-    /// damage threshold (10% of the edges), locality is gone and the
-    /// splice bookkeeping cannot pay for itself.
-    DamageThreshold {
-        /// Number of edits in the batch.
-        edits: usize,
-        /// Edge count of the pre-edit graph.
-        edges: usize,
-    },
-}
-
-impl fmt::Display for RepairFallback {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RepairFallback::VertexCountChanged => write!(f, "vertex count changed"),
-            RepairFallback::DamageThreshold { edits, edges } => {
-                write!(f, "damage threshold: {edits} edits against {edges} edges")
-            }
-        }
-    }
-}
-
-/// One reused level-1 subtree: its node-id span in the old hierarchy
-/// and where the repair spliced it in the new one. Consumers holding
-/// per-node derived state (the router) use these to remap instead of
-/// recomputing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReusedSpan {
-    /// First node id of the subtree in the pre-repair hierarchy.
-    pub old_start: usize,
-    /// First node id of the subtree in the repaired hierarchy.
-    pub new_start: usize,
-    /// Number of nodes in the subtree.
-    pub len: usize,
-}
-
-/// What [`Hierarchy::repair`] did: how much of the old structure
-/// survived, and where it went.
+/// What [`Hierarchy::repair`] did. A repair is a rebuild of the
+/// edited graph, so nothing carries over from the old hierarchy; the
+/// report keeps the shape the benchmark's repair probe reads
+/// (`decomp.repair.reuse_frac` in `perfbench/`) until the next
+/// benchmark revision drops that metric.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairReport {
-    /// Subtrees spliced from the old hierarchy (at any depth — a
-    /// level-1 part whose game changed can still donate unchanged
-    /// grandchild subtrees).
-    pub reused_subtrees: usize,
-    /// Total nodes inside the reused subtrees.
+    /// Nodes carried over from the old hierarchy: always 0.
     pub reused_nodes: usize,
     /// Total nodes of the repaired hierarchy.
     pub total_nodes: usize,
-    /// `Some` when the repair degenerated to a full rebuild.
-    pub full_rebuild: Option<RepairFallback>,
-    /// Node-id span mapping of every reused subtree (empty on full
-    /// rebuild).
-    pub reused_spans: Vec<ReusedSpan>,
-}
-
-impl RepairReport {
-    /// Whether any old structure was spliced in.
-    pub fn is_incremental(&self) -> bool {
-        self.full_rebuild.is_none() && self.reused_subtrees > 0
-    }
 }
 
 /// One part `X*_i = X_i ∪ X'_i` of an internal node.
@@ -291,12 +235,6 @@ pub struct Hierarchy {
     mroot_embedding: Embedding,
     rho_best: f64,
     ledger: RoundLedger,
-    /// Per node: the ledger delta its subtree build charged (`None` at
-    /// the root, whose charges are the whole ledger). Captured during
-    /// the build so [`Hierarchy::repair`] can replay the delta of a
-    /// spliced subtree instead of re-running it — the charges are a
-    /// pure function of the node's game outcome, see `build_subtree`.
-    subtree_ledgers: Vec<Option<RoundLedger>>,
     params: HierarchyParams,
 }
 
@@ -308,70 +246,6 @@ impl Hierarchy {
     /// Returns [`BuildError`] if the graph is disconnected or has fewer
     /// than 16 vertices.
     pub fn build(graph: &Graph, params: HierarchyParams) -> Result<Hierarchy, BuildError> {
-        Hierarchy::build_reusing(graph, params, None).map(|(h, _)| h)
-    }
-
-    /// Repairs the hierarchy after a batch of graph edits.
-    ///
-    /// The edits are applied to the hierarchy's own graph snapshot, the
-    /// root partition game reruns (it reads all of `G`, so no edit is
-    /// local to it), and every level-1 subtree whose game outcome is
-    /// unchanged is spliced from the old node arena instead of rebuilt
-    /// — `build_subtree` is a pure function of its `GamePart`, so the
-    /// splice is byte-identical to a from-scratch
-    /// [`build`](Hierarchy::build) on the mutated graph, at any thread
-    /// count. Past the damage threshold (or when the vertex count
-    /// changes, which moves `k`/`λ`), the repair degrades to a full
-    /// rebuild and says so in the report.
-    ///
-    /// On error the hierarchy is left untouched, so a failed repair
-    /// (e.g. an edit disconnected the graph) can be retried after
-    /// further edits.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`build`](Hierarchy::build), evaluated
-    /// against the mutated graph.
-    pub fn repair(&mut self, edits: &[GraphEdit]) -> Result<RepairReport, BuildError> {
-        let mut graph = self.graph.clone();
-        for &e in edits {
-            graph.apply_edit(e);
-        }
-        // Vertex-count changes move `k`, `λ`, and the leaf threshold,
-        // so nothing is structurally comparable; batches past 10% of
-        // the edges have no locality left to exploit. Both degrade to
-        // a from-scratch build.
-        let fallback = if graph.n() != self.graph.n() {
-            Some(RepairFallback::VertexCountChanged)
-        } else if edits.len() * 10 > self.graph.m() {
-            Some(RepairFallback::DamageThreshold { edits: edits.len(), edges: self.graph.m() })
-        } else {
-            None
-        };
-        if let Some(fb) = fallback {
-            let rebuilt = Hierarchy::build(&graph, self.params.clone())?;
-            let total_nodes = rebuilt.nodes.len();
-            *self = rebuilt;
-            return Ok(RepairReport {
-                total_nodes,
-                full_rebuild: Some(fb),
-                ..RepairReport::default()
-            });
-        }
-        let (h, report) = Hierarchy::build_reusing(&graph, self.params.clone(), Some(self))?;
-        *self = h;
-        Ok(report)
-    }
-
-    /// Shared implementation of [`build`](Hierarchy::build) and
-    /// [`repair`](Hierarchy::repair): a from-scratch construction that
-    /// may splice level-1 subtrees out of `old` when their game
-    /// outcomes are unchanged.
-    fn build_reusing(
-        graph: &Graph,
-        params: HierarchyParams,
-        old: Option<&Hierarchy>,
-    ) -> Result<(Hierarchy, RepairReport), BuildError> {
         let n = graph.n();
         if n < 16 {
             return Err(BuildError::TooSmall { n });
@@ -403,18 +277,8 @@ impl Hierarchy {
             return Err(BuildError::RootCoverage { covered: 0, unmatched: n });
         }
 
-        // Reuse seam: every splice decision is made per-subtree inside
-        // `attach_parts`, recursing past any dirtied node so unchanged
-        // grandchildren still splice. The ledger-length guard only
-        // rejects hierarchies deserialized without their deltas.
-        let mut report = RepairReport::default();
-        let reuse = old
-            .filter(|oldh| oldh.subtree_ledgers.len() == oldh.nodes.len())
-            .map(|oldh| ReuseCtx { old: oldh, node: oldh.root });
-
         let root_id = builder.nodes.len();
         let root_edges: Vec<(u32, u32)> = graph.edges().collect();
-        builder.subtree_ledgers.push(None);
         builder.nodes.push(HierarchyNode {
             id: root_id,
             parent: None,
@@ -430,12 +294,8 @@ impl Hierarchy {
             spectral_gap: metrics::spectral_gap(graph, params.seed),
         });
 
-        let attached = builder.attach_parts(root_id, &root_host, outcome, true, reuse)?;
+        let attached = builder.attach_parts(root_id, &root_host, outcome, true)?;
         let AttachedParts { parts, outside, mroot, mroot_embedding } = attached;
-        report.reused_spans = std::mem::take(&mut builder.reused_spans);
-        report.reused_subtrees = report.reused_spans.len();
-        report.reused_nodes = report.reused_spans.iter().map(|s| s.len).sum();
-        report.total_nodes = builder.nodes.len();
         let mut root_vertices: Vec<VertexId> = Vec::new();
         for p in &parts {
             root_vertices.extend_from_slice(&p.all);
@@ -459,7 +319,7 @@ impl Hierarchy {
             .map(|nd| nd.vertices.len() as f64 / nd.best.len() as f64)
             .fold(1.0f64, f64::max);
 
-        let h = Hierarchy {
+        Ok(Hierarchy {
             graph: graph.clone(),
             k,
             lambda,
@@ -470,10 +330,31 @@ impl Hierarchy {
             mroot_embedding,
             rho_best,
             ledger: builder.ledger,
-            subtree_ledgers: builder.subtree_ledgers,
             params,
-        };
-        Ok((h, report))
+        })
+    }
+
+    /// Repairs the hierarchy after a batch of graph edits: the edits
+    /// are applied to a copy of the hierarchy's graph snapshot, which
+    /// is then built from scratch, so the result equals
+    /// [`build`](Hierarchy::build) on the edited graph at any thread
+    /// count. The report's `reused_nodes` is always 0.
+    ///
+    /// On error the hierarchy is left untouched, so a failed repair
+    /// (e.g. an edit disconnected the graph) can be retried after
+    /// further edits.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`build`](Hierarchy::build), evaluated
+    /// against the edited graph.
+    pub fn repair(&mut self, edits: &[GraphEdit]) -> Result<RepairReport, BuildError> {
+        let mut graph = self.graph.clone();
+        for &e in edits {
+            graph.apply_edit(e);
+        }
+        *self = Hierarchy::build(&graph, self.params.clone())?;
+        Ok(RepairReport { reused_nodes: 0, total_nodes: self.nodes.len() })
     }
 
     /// The base graph.
@@ -667,23 +548,11 @@ struct Builder<'g, 'c> {
     ctx: &'c BuildCtx<'g>,
     nodes: Vec<HierarchyNode>,
     ledger: RoundLedger,
-    /// Per node: its subtree's ledger delta, parallel to `nodes`
-    /// (`None` for this builder's own root entry).
-    subtree_ledgers: Vec<Option<RoundLedger>>,
-    /// Subtree spans spliced from an old hierarchy during a repair,
-    /// with `new_start` in this builder's arena ids.
-    reused_spans: Vec<ReusedSpan>,
 }
 
 impl<'g, 'c> Builder<'g, 'c> {
     fn new(ctx: &'c BuildCtx<'g>, ledger: RoundLedger) -> Builder<'g, 'c> {
-        Builder {
-            ctx,
-            nodes: Vec::new(),
-            ledger,
-            subtree_ledgers: Vec::new(),
-            reused_spans: Vec::new(),
-        }
+        Builder { ctx, nodes: Vec::new(), ledger }
     }
 }
 
@@ -705,107 +574,6 @@ struct AttachedParts {
     mroot: Vec<(VertexId, VertexId)>,
     /// Root only: embedding of the `Mroot` pairs.
     mroot_embedding: Embedding,
-}
-
-/// Reuse context threaded down the rebuild recursion: the old
-/// hierarchy and the old node whose children the current node's fresh
-/// game parts are compared against.
-///
-/// `build_subtree` is a pure function of its [`GamePart`] plus the
-/// parent's flatten embedding (and the build parameters, which a
-/// repair keeps fixed), so a part whose fresh game outcome *and*
-/// composed flat both equal the old child's stored ones yields a
-/// byte-identical subtree — [`try_splice`] clones the old arena span
-/// instead of rebuilding. When the gate fails, the rebuild recurses
-/// with the old child as the new counterpart, so unchanged grandchild
-/// subtrees inside a dirtied part still splice. The gate additionally
-/// demands edge-id stability along every flattened hop: reused spans
-/// feed the router's salvage path, whose flat arenas index the graph's
-/// edge-id space, and a removed-then-reinserted vertex pair changes
-/// edge ids while leaving vertex paths equal.
-#[derive(Clone, Copy)]
-struct ReuseCtx<'a> {
-    old: &'a Hierarchy,
-    /// The old counterpart of the node currently being built.
-    node: NodeId,
-}
-
-/// One part subtree, built fresh or spliced, in local arena form.
-struct SubtreeBuild {
-    nodes: Vec<HierarchyNode>,
-    /// Per local node: its subtree's ledger delta (entry 0 is `None`;
-    /// the caller's splice loop fills it from `ledger`).
-    subtree_ledgers: Vec<Option<RoundLedger>>,
-    /// Ledger delta of the whole subtree.
-    ledger: RoundLedger,
-    /// Spans spliced from the old hierarchy, `new_start` local.
-    reused_spans: Vec<ReusedSpan>,
-}
-
-/// Exclusive end of the contiguous node-id span of `id`'s subtree
-/// (children splice directly after their parent, recursively).
-fn subtree_end(h: &Hierarchy, id: NodeId) -> usize {
-    match h.nodes[id].parts.last() {
-        None => id + 1,
-        Some(p) => subtree_end(h, p.child),
-    }
-}
-
-/// Attempts to splice the old counterpart of part `pi` instead of
-/// rebuilding it. See [`ReuseCtx`] for the gate's correctness argument.
-fn try_splice(
-    rc: ReuseCtx<'_>,
-    pi: usize,
-    gp: &GamePart,
-    parent_flat: Option<&Embedding>,
-    graph: &Graph,
-) -> Option<SubtreeBuild> {
-    let old = rc.old;
-    let start = old.nodes[rc.node].parts.get(pi)?.child;
-    let child = &old.nodes[start];
-    if child.vertices != gp.survivors
-        || child.virtual_edges != gp.edges
-        || child.embedding_to_parent.as_ref() != Some(&gp.embedding)
-    {
-        return None;
-    }
-    // The composed flat must match too: even with an identical local
-    // embedding, a changed ancestor flat changes every descendant's.
-    let flat = match parent_flat {
-        None => gp.embedding.clone(),
-        Some(pf) => pf.compose_after([&gp.embedding]).remove(0),
-    };
-    if child.flat.as_ref() != Some(&flat) {
-        return None;
-    }
-    // Every base-graph hop under this subtree composes through its
-    // flat, so edge-id stability here covers the whole span.
-    for i in 0..flat.len() {
-        for w in flat.path(i).vertices().windows(2) {
-            if graph.edge_id(w[0], w[1]) != old.graph.edge_id(w[0], w[1]) {
-                return None;
-            }
-        }
-    }
-    let end = subtree_end(old, start);
-    let mut nodes: Vec<HierarchyNode> = old.nodes[start..end].to_vec();
-    for nd in &mut nodes {
-        nd.id -= start;
-        nd.parent = if nd.id == 0 { None } else { nd.parent.map(|p| p - start) };
-        for part in &mut nd.parts {
-            part.child -= start;
-        }
-    }
-    let mut subtree_ledgers = old.subtree_ledgers[start..end].to_vec();
-    // `build_subtree` records a ledger delta for every node it emits;
-    // only the hierarchy root (never spliced) carries `None`.
-    let ledger = subtree_ledgers[0].take().expect("non-root node has a recorded delta");
-    Some(SubtreeBuild {
-        nodes,
-        subtree_ledgers,
-        ledger,
-        reused_spans: vec![ReusedSpan { old_start: start, new_start: 0, len: end - start }],
-    })
 }
 
 struct GamePart {
@@ -995,7 +763,6 @@ impl Builder<'_, '_> {
         host: &HostGraph,
         outcome: GameOutcome,
         is_root: bool,
-        reuse: Option<ReuseCtx<'_>>,
     ) -> Result<AttachedParts, BuildError> {
         let GameOutcome { parts: game_parts, leftover } = outcome;
         // Sink capacity 1 on every survivor: M* must be a matching.
@@ -1116,46 +883,21 @@ impl Builder<'_, '_> {
         // consumes them in part order, so the *first* failing part (in
         // canonical order, not thread completion order) reports — the
         // surfaced error is thread-count invariant.
-        let built: Vec<Result<SubtreeBuild, BuildError>> = {
+        let built: Vec<Result<Builder<'_, '_>, BuildError>> = {
             let parent_flat = self.nodes[node_id].flat.as_ref();
             let parent_ledger = &self.ledger;
-            parallel::map_tasks(&ctx.budget, game_parts, |pi, gp| {
-                // A spliced span is a verified-equal clone of what this
-                // part would build; its stored ledger delta replays the
-                // charges the skipped build would have made.
-                if let Some(rc) = reuse {
-                    if let Some(sb) = try_splice(rc, pi, &gp, parent_flat, ctx.graph) {
-                        return Ok(sb);
-                    }
-                }
-                // Even a dirtied part can hold unchanged grandchild
-                // subtrees: recurse with the old child as counterpart.
-                let child_reuse = reuse.and_then(|rc| {
-                    let p = rc.old.nodes[rc.node].parts.get(pi)?;
-                    Some(ReuseCtx { old: rc.old, node: p.child })
-                });
+            parallel::map_tasks(&ctx.budget, game_parts, |_, gp| {
                 let mut sub = Builder::new(ctx, parent_ledger.fork());
-                let local_root =
-                    sub.build_subtree(None, parent_flat, gp, level + 1, child_reuse)?;
+                let local_root = sub.build_subtree(None, parent_flat, gp, level + 1)?;
                 debug_assert_eq!(local_root, 0, "subtree root leads its arena");
-                Ok(SubtreeBuild {
-                    nodes: sub.nodes,
-                    subtree_ledgers: sub.subtree_ledgers,
-                    ledger: sub.ledger,
-                    reused_spans: sub.reused_spans,
-                })
+                Ok(sub)
             })
         };
         let mut parts = Vec::new();
         for (pi, built_part) in built.into_iter().enumerate() {
-            let SubtreeBuild {
-                nodes: sub_nodes,
-                subtree_ledgers,
-                ledger: sub_ledger,
-                reused_spans,
-            } = built_part?;
+            let sub = built_part?;
             let offset = self.nodes.len();
-            for mut nd in sub_nodes {
+            for mut nd in sub.nodes {
                 nd.id += offset;
                 nd.parent = Some(nd.parent.map_or(node_id, |p| p + offset));
                 for part in &mut nd.parts {
@@ -1163,14 +905,7 @@ impl Builder<'_, '_> {
                 }
                 self.nodes.push(nd);
             }
-            debug_assert_eq!(subtree_ledgers.len(), self.nodes.len() - offset);
-            self.subtree_ledgers.extend(subtree_ledgers);
-            self.subtree_ledgers[offset] = Some(sub_ledger.clone());
-            for mut span in reused_spans {
-                span.new_start += offset;
-                self.reused_spans.push(span);
-            }
-            self.ledger.merge(&sub_ledger);
+            self.ledger.merge(&sub.ledger);
             let child = offset;
             let mut bad = std::mem::take(&mut bad_per_part[pi]);
             bad.sort_unstable();
@@ -1200,10 +935,8 @@ impl Builder<'_, '_> {
         parent_flat: Option<&Embedding>,
         gp: GamePart,
         level: u32,
-        reuse: Option<ReuseCtx<'_>>,
     ) -> Result<NodeId, BuildError> {
         let id = self.nodes.len();
-        self.subtree_ledgers.push(None);
         let mut embedding_to_parent = gp.embedding;
         let vertices = gp.survivors;
         let virtual_edges = gp.edges;
@@ -1253,7 +986,7 @@ impl Builder<'_, '_> {
                 // Both the root and recursive attaches can fail on
                 // hostile input (RootCoverage at the root, Stranded
                 // anywhere); propagate instead of expecting.
-                let attached = self.attach_parts(id, &host, outcome, false, reuse)?;
+                let attached = self.attach_parts(id, &host, outcome, false)?;
                 self.nodes[id].parts = attached.parts;
             }
         }
@@ -1501,11 +1234,7 @@ mod tests {
         g2.apply_edit(edits[0]);
         let fresh = Hierarchy::build(&g2, params).expect("fresh build");
         assert_byte_identical(&h, &fresh);
-        assert!(
-            report.full_rebuild.is_none(),
-            "single-edge edit must not trip the damage threshold: {report:?}"
-        );
-        assert_eq!(report.total_nodes, h.nodes().len());
+        assert_eq!(report, RepairReport { reused_nodes: 0, total_nodes: h.nodes().len() });
     }
 
     #[test]
@@ -1531,25 +1260,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_reuses_subtrees_on_local_edits() {
-        let g = generators::random_regular(1024, 4, 13).expect("generator");
-        let params = HierarchyParams { epsilon: 0.33, seed: 13, ..HierarchyParams::default() };
-        let mut h = Hierarchy::build(&g, params).expect("hierarchy");
-        let (u, v) = g.edges().next().expect("edge");
-        let report = h.repair(&[GraphEdit::RemoveEdge(u, v)]).expect("repair");
-        // A single removed edge only perturbs games whose packings ran
-        // near it; the rest of the tree (level-1 subtrees, or deeper
-        // subtrees inside dirtied parts) must splice.
-        assert!(report.is_incremental(), "single-edge edit should reuse subtrees: {report:?}");
-        assert_eq!(report.reused_spans.len(), report.reused_subtrees);
-        assert_eq!(report.reused_nodes, report.reused_spans.iter().map(|s| s.len).sum::<usize>());
-        for span in &report.reused_spans {
-            assert!(span.len > 0);
-            assert!(span.new_start + span.len <= h.nodes().len());
-        }
-    }
-
-    #[test]
     fn repair_error_leaves_hierarchy_unchanged() {
         let g = generators::random_regular(256, 4, 14).expect("generator");
         let params = HierarchyParams { epsilon: 0.4, seed: 14, ..HierarchyParams::default() };
@@ -1561,54 +1271,6 @@ mod tests {
         let err = h.repair(&edits).expect_err("disconnected graph must fail");
         assert_eq!(err, BuildError::Disconnected);
         assert_eq!(h, before, "failed repair must not mutate the hierarchy");
-    }
-
-    #[test]
-    fn repair_vertex_insert_falls_back_to_full_rebuild() {
-        let g = generators::random_regular(256, 4, 15).expect("generator");
-        let params = HierarchyParams { epsilon: 0.4, seed: 15, ..HierarchyParams::default() };
-        let mut h = Hierarchy::build(&g, params.clone()).expect("hierarchy");
-        // Insert a vertex and wire it in so the graph stays connected.
-        let edits = [
-            GraphEdit::InsertVertex,
-            GraphEdit::InsertEdge(256, 0),
-            GraphEdit::InsertEdge(256, 128),
-        ];
-        let report = h.repair(&edits).expect("repair");
-        assert_eq!(report.full_rebuild, Some(RepairFallback::VertexCountChanged));
-        assert!(report.reused_spans.is_empty());
-
-        let mut g2 = g.clone();
-        for &e in &edits {
-            g2.apply_edit(e);
-        }
-        let fresh = Hierarchy::build(&g2, params).expect("fresh build");
-        assert_byte_identical(&h, &fresh);
-    }
-
-    #[test]
-    fn repair_large_batch_trips_damage_threshold() {
-        let g = generators::random_regular(256, 4, 16).expect("generator");
-        let params = HierarchyParams { epsilon: 0.4, seed: 16, ..HierarchyParams::default() };
-        let mut h = Hierarchy::build(&g, params.clone()).expect("hierarchy");
-        // Duplicate >10% of the edges: a huge batch, but each edit is a
-        // parallel insertion so the graph stays connected and regular.
-        let edits: Vec<GraphEdit> =
-            g.edges().take(g.m() / 10 + 1).map(|(u, v)| GraphEdit::InsertEdge(u, v)).collect();
-        let report = h.repair(&edits).expect("repair");
-        assert_eq!(
-            report.full_rebuild,
-            Some(RepairFallback::DamageThreshold { edits: edits.len(), edges: g.m() })
-        );
-        assert!(report.reused_spans.is_empty());
-        assert_eq!(report.reused_subtrees, 0);
-
-        let mut g2 = g.clone();
-        for &e in &edits {
-            g2.apply_edit(e);
-        }
-        let fresh = Hierarchy::build(&g2, params).expect("fresh build");
-        assert_byte_identical(&h, &fresh);
     }
 
     #[test]

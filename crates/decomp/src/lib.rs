@@ -39,8 +39,7 @@ pub mod shuffler;
 
 pub use decomposition::{decomposition_for_epsilon, expander_decomposition, ExpanderDecomposition};
 pub use hierarchy::{
-    BuildError, Hierarchy, HierarchyNode, HierarchyParams, HierarchyPart, NodeId, RepairFallback,
-    RepairReport, ReusedSpan,
+    BuildError, Hierarchy, HierarchyNode, HierarchyParams, HierarchyPart, NodeId, RepairReport,
 };
 pub use host::HostGraph;
 pub use packing::{pack_matching, EscalationConfig, MatchingPacking, Packer};

@@ -127,11 +127,7 @@ impl<'h> Packer<'h> {
     /// set* (residual capacity under the caps), never of BFS queue
     /// order: depths are order-free by the BFS property, each vertex's
     /// parent is its minimum-id passable neighbor one level up, and
-    /// sinks are claimed in `(depth, id)` order. This edit-stability is
-    /// what makes incremental hierarchy repair viable — a graph edit
-    /// far from a packed path cannot reroute it by merely reshuffling
-    /// discovery order, so unaffected parts reproduce their old
-    /// matchings byte for byte.
+    /// sinks are claimed in `(depth, id)` order.
     ///
     /// # Panics
     ///

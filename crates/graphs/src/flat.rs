@@ -117,27 +117,6 @@ impl FlatPaths {
         self.edge_space as usize
     }
 
-    /// Re-stamps the arena against a graph whose edge-id space has
-    /// grown since build time.
-    ///
-    /// Edge ids are tombstoned, never reused (see
-    /// [`Graph::edge_id_count`]), so an arena built before a batch of
-    /// edits stays valid as long as every path hop survived — only the
-    /// recorded space size is stale. Incremental repair calls this on
-    /// reused arenas so they are byte-identical to freshly lowered
-    /// ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph's edge-id space is smaller than the arena's
-    /// (the space is a high-water mark and never shrinks, so that
-    /// indicates a foreign graph).
-    pub fn rebase_edge_space(&mut self, g: &Graph) {
-        let space = g.edge_id_count() as u32;
-        assert!(space >= self.edge_space, "edge-id space never shrinks; foreign graph?");
-        self.edge_space = space;
-    }
-
     /// Maximum number of paths over any single edge (0 when empty),
     /// counted densely over the edge-id space.
     pub fn congestion(&self) -> usize {

@@ -1088,9 +1088,8 @@ mod tests {
     }
 
     /// Mutations must leave the adjacency indistinguishable from a
-    /// fresh `from_edges` on the equivalently edited edge list — that
-    /// is what makes `Hierarchy::build` on the mutated graph the
-    /// ground truth for `Hierarchy::repair`.
+    /// fresh `from_edges` on the equivalently edited edge list: an
+    /// edited graph is the graph its edge list describes.
     #[test]
     fn mutations_match_from_edges_order() {
         let base = [(0u32, 1u32), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)];

@@ -1,10 +1,12 @@
-//! Churn properties: incremental repair is indistinguishable from a
-//! from-scratch build under arbitrary edit sequences (at every thread
-//! count), and the degradation ladder holds the route-or-report
-//! contract on the zoo's pathological topologies.
+//! Churn properties: under arbitrary edit sequences `ChurnRouter`
+//! routes or reports every token, with the same rung and the same
+//! outcome at every thread count, and the degradation ladder holds the
+//! route-or-report contract on the zoo's pathological topologies.
 
-use expander_core::churn::{ChurnConfig, ChurnDriver, ChurnParams, ChurnSchedule, DeliveryMode};
-use expander_decomp::{Hierarchy, HierarchyParams};
+use expander_core::churn::{
+    ChurnConfig, ChurnDriver, ChurnParams, ChurnRouter, ChurnSchedule, DeliveryMode,
+};
+use expander_core::{RoutingInstance, RoutingOutcome};
 use expander_graphs::{generators, Graph, GraphEdit};
 use proptest::prelude::*;
 
@@ -19,8 +21,8 @@ enum Op {
     /// Insert an edge between vertices `a % n` and `b % n` (skipped
     /// when they coincide); parallel edges are legal.
     InsertEdge(u16, u16),
-    /// Kill vertex `v % n` outright (tombstone: repair and fresh build
-    /// must then agree on *refusing*).
+    /// Kill vertex `v % n` outright (tombstone: the router rungs then
+    /// refuse and the decomposition serves).
     RemoveVertex(u16),
 }
 
@@ -65,61 +67,61 @@ fn resolve(g: &Graph, ops: &[Op]) -> Vec<GraphEdit> {
     edits
 }
 
-fn params(threads: usize) -> HierarchyParams {
-    HierarchyParams { threads: Some(threads), ..HierarchyParams::for_epsilon(0.4) }
+fn config(threads: usize) -> ChurnConfig {
+    let mut config = ChurnConfig::for_epsilon(0.4);
+    config.decomposed.router.hierarchy.threads = Some(threads);
+    config
+}
+
+/// 64 tokens between distinct live vertices of `g` (none when fewer
+/// than two survive).
+fn live_batch(g: &Graph) -> RoutingInstance {
+    let alive = g.alive_vertices();
+    if alive.len() < 2 {
+        return RoutingInstance::default();
+    }
+    let len = alive.len();
+    let triples: Vec<(u32, u32, u64)> =
+        (0..64).map(|i| (alive[i % len], alive[(i + 1 + i % (len - 1)) % len], i as u64)).collect();
+    RoutingInstance::from_triples(&triples)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// For any edit sequence: when a from-scratch build of the mutated
-    /// graph succeeds, `Hierarchy::repair` produces a byte-identical
-    /// hierarchy; when it fails, repair fails too and leaves the old
-    /// hierarchy untouched. Holds at thread counts 1 and 4, which must
-    /// also agree with each other.
+    /// A repair is a fresh preprocess of the edited graph, so what a
+    /// stream of edits can still break is the ladder around it. For
+    /// any edit sequence, the first read after the edits must route or
+    /// report every token of a batch between live vertices, and the
+    /// rung that serves it and its whole outcome must agree at build
+    /// threads 1 and 4, on graphs with parallel edges and tombstones.
     #[test]
     fn repair_equals_fresh_build_under_arbitrary_edits(ops in ops()) {
         let g = generators::random_regular(N, 4, 77).expect("generator");
         let edits = resolve(&g, &ops);
-        let mut mutated = g.clone();
-        for &e in &edits {
-            mutated.apply_edit(e);
-        }
-
-        let mut per_thread: Vec<Option<Hierarchy>> = Vec::new();
+        let mut served: Vec<(DeliveryMode, RoutingOutcome)> = Vec::new();
         for threads in [1usize, 4] {
-            let base = Hierarchy::build(&g, params(threads)).expect("seed graph is an expander");
-            let mut repaired = base.clone();
-            match (repaired.repair(&edits), Hierarchy::build(&mutated, params(threads))) {
-                (Ok(_), Ok(fresh)) => {
-                    prop_assert_eq!(&repaired, &fresh, "repair diverged from fresh (t={})", threads);
-                    per_thread.push(Some(fresh));
-                }
-                (Err(_), Err(_)) => {
-                    prop_assert_eq!(&repaired, &base, "failed repair mutated state (t={})", threads);
-                    per_thread.push(None);
-                }
-                (r, f) => {
-                    return Err(TestCaseError::fail(format!(
-                        "repair/fresh disagree at t={threads}: repair {:?}, fresh {:?}",
-                        r.map(|_| ()).map_err(|e| e.to_string()),
-                        f.map(|_| ()).map_err(|e| e.to_string()),
-                    )));
-                }
-            }
+            let mut cr = ChurnRouter::new(&g, config(threads));
+            prop_assert!(cr.router().is_some(), "seed graph is an expander");
+            cr.apply(&edits);
+            let inst = live_batch(cr.graph());
+            let out = cr.route(&inst).expect("batch drawn from the live vertex range");
+            let issues = out.outcome.verify(&inst);
+            prop_assert!(issues.is_empty(), "route-or-report violated (t={}): {:?}", threads, issues);
+            // The router was current before the edits, so this read is
+            // an attempt window: never the backoff rung.
+            prop_assert!(
+                matches!(
+                    out.mode,
+                    DeliveryMode::Hierarchical | DeliveryMode::Repaired | DeliveryMode::Decomposed
+                ),
+                "unexpected rung {} (t={})",
+                out.mode,
+                threads
+            );
+            served.push((out.mode, out.outcome));
         }
-        // The `params.threads` field legitimately differs across the
-        // two runs; everything structural must agree.
-        match (&per_thread[0], &per_thread[1]) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.nodes(), b.nodes(), "thread counts disagree on nodes");
-                prop_assert_eq!(a.ledger(), b.ledger(), "thread counts disagree on ledger");
-                prop_assert_eq!(a.outside(), b.outside(), "thread counts disagree on outside");
-                prop_assert_eq!(a.mroot(), b.mroot(), "thread counts disagree on mroot");
-            }
-            (None, None) => {}
-            _ => return Err(TestCaseError::fail("thread counts disagree on build success")),
-        }
+        prop_assert_eq!(&served[0], &served[1], "thread counts disagree");
     }
 }
 
