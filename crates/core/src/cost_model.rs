@@ -11,7 +11,7 @@
 //! recurrences are linear in `L` (§6.5.2), so a query at load `L`
 //! charges `L × unit`.
 
-use crate::network::{odd_even_layers, EmbeddedNetwork};
+use crate::network::{odd_even_depth, EmbeddedNetwork};
 use congest_sim::cost;
 use expander_decomp::{Hierarchy, NodeId, Shuffler};
 use expander_graphs::FlatPaths;
@@ -110,7 +110,7 @@ impl CostModel {
                 .and_then(|s| s.round_qualities_flat.iter().copied().max())
                 .unwrap_or(2);
             let q_net = nd.flat_quality.max(q_round) as u64;
-            let layers = odd_even_layers(nd.best.len().max(2)).len() as u64;
+            let layers = odd_even_depth(nd.best.len().max(2)) as u64;
             model.tsort_unit[id] =
                 t3 + rho_ceil * layers * 2 * q_net * q_net + model.mstar_sq[id] + child_tsort;
         }

@@ -21,9 +21,10 @@
 //! Every query runs alone through one pipeline, `run_single`: a solo
 //! [`Router::route`]/[`Router::sort`] call on a fresh scratch, and each
 //! job of an engine batch or a service stream on a pooled one. The
-//! pooled scratch carries only accelerators (the dummy-dispersal cache
-//! and the escort trees), so an outcome never depends on which scratch
-//! served it (`tests/batch_determinism`, `tests/property`).
+//! pooled scratch carries only accelerators (the dummy-dispersal cache,
+//! and the escort tables its engine's scratches share), so an outcome
+//! never depends on which scratch served it or which worker filled a
+//! table (`tests/batch_determinism`, `tests/property`).
 //!
 //! # Paper map
 //!
@@ -38,7 +39,7 @@
 //! | Portal routing charges (§6.2) | the per-round portal charge in `disperse` |
 //! | Real/dummy pairing and escort-back (§6.3) | `merge`, `DummyEntry` |
 
-use crate::engine::{JobOutcome, JobRef};
+use crate::engine::{JobOutcome, JobRef, DEFAULT_SCRATCH_CAP_BYTES};
 use crate::profile;
 
 use crate::router::Router;
@@ -46,6 +47,8 @@ use crate::token::{QueryStats, RoutingInstance, RoutingOutcome, SortInstance, So
 use congest_sim::RoundLedger;
 use expander_decomp::NodeId;
 use expander_graphs::{FlatPaths, Graph, TreeWalkScratch};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Dense movement cost accumulator over a graph's canonical edge-id
 /// space (see [`Graph::edge_id`]).
@@ -340,151 +343,93 @@ impl DummyCache {
     }
 }
 
-/// The merge fallback's escort legs: per-target BFS parent trees while
-/// they fit a byte budget, the exact per-leg search for every other
-/// target, and the walk buffer that charges each leg.
+/// The merge fallback's escort tables: one parent-slot table per
+/// target, allocated on the target's first leg if an engine-wide byte
+/// budget still admits it, and filled along the walks its legs take.
 ///
-/// The fallback legs send every dummy-starved real token to a
-/// round-robin vertex of its target part. When the targets are few, a
-/// parent tree per target amortizes all of its legs into parent-chain
-/// walks. When they cover almost every vertex (a deep hierarchy),
-/// trees for all of them cost `O(n²)` time and bytes, so once the
-/// trees fill the budget the remaining targets' legs run
-/// [`Graph::bfs_tree_walk_into`] instead, in `O(ball)` each. Both
-/// yield the walk of the same BFS tree, so which one serves a leg is
-/// unobservable: outcomes and ledgers are byte-identical at every
-/// budget.
+/// Cell `v` of target `t`'s table is 0 while unknown; `k + 1` means the
+/// parent of `v` in the FIFO BFS tree rooted at `t` (the tree
+/// [`Graph::bfs_parent_tree_into`] builds) is `g.neighbors(v)[k]`. That
+/// tree is a fixed function of the graph and the target, so every write
+/// stores the one value the tree defines and any interleaving of
+/// writers fills the same cells with the same bytes: an engine's
+/// workers share one set. A slot publishes nothing but itself (a reader
+/// that sees it nonzero needs no other write), so its loads and stores
+/// are relaxed; the `OnceLock` publishes each table. Targets past the
+/// budget, and graphs whose degrees a byte cannot index, take the exact
+/// search for every leg. Which path serves a leg is unobservable:
+/// outcomes and ledgers are byte-identical at every budget.
+#[derive(Debug, Default)]
+pub(crate) struct EscortTables {
+    /// Per target vertex, decided on its first leg: an `n`-cell table,
+    /// or `None` once the budget was spent.
+    tables: Box<[OnceLock<Option<EscortTable>>]>,
+    /// Tables the budget admits (0 when a slot cannot index the
+    /// graph's largest adjacency list).
+    max_tables: usize,
+    /// Tables allocated so far.
+    allocated: AtomicUsize,
+}
+
+impl EscortTables {
+    /// Empty tables for the graph `g`, holding at most `budget_bytes`.
+    pub(crate) fn new(g: &Graph, budget_bytes: usize) -> EscortTables {
+        let n = g.n();
+        let max_tables = if g.max_degree() < 255 { budget_bytes / n.max(1) } else { 0 };
+        EscortTables {
+            tables: (0..n).map(|_| OnceLock::new()).collect(),
+            max_tables,
+            allocated: AtomicUsize::new(0),
+        }
+    }
+
+    /// The table of `target`, allocated on its first leg if the budget
+    /// still admits one, or `None` when its legs take the exact search.
+    fn table(&self, target: u32) -> Option<&[AtomicU8]> {
+        let n = self.tables.len();
+        let admit = |a: usize| (a < self.max_tables).then_some(a + 1);
+        self.tables
+            .get(target as usize)?
+            .get_or_init(|| {
+                let admitted =
+                    self.allocated.fetch_update(Ordering::Relaxed, Ordering::Relaxed, admit);
+                admitted.is_ok().then(|| (0..n).map(|_| AtomicU8::new(0)).collect())
+            })
+            .as_deref()
+    }
+}
+
+/// One target's parent slots, one cell per vertex.
+type EscortTable = Box<[AtomicU8]>;
+
+/// One scratch's side of the escort legs: the shared tables, the exact
+/// search's buffers, and the walk buffers that charge each leg.
 #[derive(Debug, Default)]
 struct EscortCache {
-    /// Index into `trees` of each target's tree (`u32::MAX` = none).
-    slot: Vec<u32>,
-    trees: Vec<EscortTree>,
-    /// Bytes the trees may hold ([`ESCORT_TREE_BUDGET_BYTES`] outside
-    /// the tests).
-    budget: usize,
-    /// Buffers of the exact search, for targets without a tree.
+    tables: Arc<EscortTables>,
     search: TreeWalkScratch,
     /// Edge ids of the escort walk being charged.
     walk: Vec<u32>,
-}
-
-/// One target's BFS parent tree, grown *incrementally*: the BFS from
-/// the target suspends as soon as the requesting source is discovered
-/// and resumes from its saved frontier for deeper sources later (a BFS
-/// discovers vertices in distance order, so a suspended tree is
-/// already correct for everything it has reached). A cold solo query
-/// therefore pays only for the levels its own escorts need, while a
-/// warm batch keeps full-tree reuse.
-#[derive(Debug)]
-struct EscortTree {
-    target: u32,
-    /// `parent[v]` = next hop from `v` toward `target` (`u32::MAX`
-    /// while undiscovered).
-    parent: Vec<u32>,
-    /// Dense edge ids of those hops, aligned with `parent`.
-    edge: Vec<u32>,
-    /// BFS visit order; doubles as the resumable queue (`head` indexes
-    /// the next vertex to expand).
-    order: Vec<u32>,
-    head: usize,
-}
-
-impl EscortTree {
-    /// Bytes one tree over `n` vertices holds once fully grown.
-    fn bytes(n: usize) -> usize {
-        3 * 4 * n
-    }
-
-    fn new(n: usize, target: u32) -> EscortTree {
-        let mut parent = vec![u32::MAX; n];
-        parent[target as usize] = target;
-        let mut order = Vec::with_capacity(n);
-        order.push(target);
-        EscortTree { target, parent, edge: vec![u32::MAX; n], order, head: 0 }
-    }
-
-    /// Resumes the BFS until `src` is discovered or the component is
-    /// exhausted. Expansion order matches `Graph::bfs_parent_tree_into`
-    /// (adjacency order), so the grown tree is a prefix of the full
-    /// one — deterministic regardless of which sources forced the
-    /// growth.
-    fn grow_until(&mut self, g: &Graph, src: u32) {
-        while self.parent[src as usize] == u32::MAX && self.head < self.order.len() {
-            let u = self.order[self.head];
-            self.head += 1;
-            for (&v, &eid) in g.neighbors(u).iter().zip(g.neighbor_edge_ids(u)) {
-                if self.parent[v as usize] == u32::MAX {
-                    self.parent[v as usize] = u;
-                    self.edge[v as usize] = eid;
-                    self.order.push(v);
-                }
-            }
-        }
-    }
-
-    /// Writes the edge ids of the tree walk from `src` into `walk`
-    /// (the contract of `Graph::bfs_tree_walk_into`), growing the tree
-    /// as far as needed.
-    fn walk_into(&mut self, g: &Graph, src: u32, walk: &mut Vec<u32>) -> bool {
-        self.grow_until(g, src);
-        walk.clear();
-        if self.parent[src as usize] == u32::MAX {
-            return false;
-        }
-        let mut cur = src;
-        while cur != self.target {
-            walk.push(self.edge[cur as usize]);
-            cur = self.parent[cur as usize];
-        }
-        true
-    }
+    /// Edge ids of the searched tail of that walk.
+    tail: Vec<u32>,
 }
 
 impl EscortCache {
-    /// Drops every cached tree (the underlying graph changed).
-    fn clear(&mut self) {
-        for tree in &self.trees {
-            self.slot[tree.target as usize] = u32::MAX;
-        }
-        self.trees.clear();
-    }
-
-    /// Estimated heap bytes retained by the cache.
+    /// Estimated heap bytes retained by this scratch's side (the shared
+    /// tables are the engine's, not the scratch's).
     fn approx_bytes(&self) -> usize {
-        let trees: usize = self
-            .trees
-            .iter()
-            .map(|t| (t.parent.capacity() + t.edge.capacity() + t.order.capacity()) * 4)
-            .sum();
-        trees
-            + self.trees.capacity() * std::mem::size_of::<EscortTree>()
-            + (self.slot.capacity() + self.walk.capacity()) * 4
-            + self.search.approx_bytes()
-    }
-
-    /// Grows the per-target slots to cover `n` vertices.
-    fn ensure_targets(&mut self, n: usize) {
-        if self.slot.len() < n {
-            self.slot.resize(n, u32::MAX);
-        }
+        (self.walk.capacity() + self.tail.capacity()) * 4 + self.search.approx_bytes()
     }
 
     /// Charges one fallback leg `src → target` into `mc` along the BFS
-    /// tree rooted at `target`: through the target's cached tree,
-    /// started here if another tree still fits the budget, or else
-    /// through the exact search. Unreachable pairs charge nothing —
-    /// the escort teleports either way (the caller rewrites `pos`).
+    /// tree rooted at `target`: through the target's table when it has
+    /// one, or else through the exact search. Unreachable pairs charge
+    /// nothing — the escort teleports either way (the caller rewrites
+    /// `pos`).
     fn charge(&mut self, g: &Graph, mc: &mut FlatMoveCost, src: u32, target: u32) {
-        let EscortCache { slot, trees, budget, search, walk } = self;
-        let t = target as usize;
-        let n = g.n();
-        if slot[t] == u32::MAX && (trees.len() + 1) * EscortTree::bytes(n) <= *budget {
-            slot[t] = trees.len() as u32;
-            trees.push(EscortTree::new(n, target));
-        }
-        // A target without a tree holds `u32::MAX`, past every index.
-        let reached = match trees.get_mut(slot[t] as usize) {
-            Some(tree) => tree.walk_into(g, src, walk),
+        let EscortCache { tables, search, walk, tail } = self;
+        let reached = match tables.table(target) {
+            Some(table) => table_walk_into(g, table, src, target, search, walk, tail),
             None => g.bfs_tree_walk_into(src, target, search, walk),
         };
         if reached {
@@ -493,20 +438,65 @@ impl EscortCache {
     }
 }
 
-/// Bytes of escort trees one scratch may hold: half the engine's
-/// scratch cap. The other half holds the dense buffers, the dummy
-/// cache and the dispersal states, so a warm scratch returns to the
-/// pool under the cap and keeps its dummy cache for the next batch. At
-/// n = 4096 the budget holds 682 trees. Which legs take the search
-/// depends on the traffic's targets and `n` alone.
-const ESCORT_TREE_BUDGET_BYTES: usize = crate::engine::DEFAULT_SCRATCH_CAP_BYTES / 2;
+/// Writes into `walk` the edge ids of the tree walk `src → target`
+/// (the contract of [`Graph::bfs_tree_walk_into`]) through `target`'s
+/// table: it follows known slots from `src`, runs the exact search from
+/// the first vertex whose slot is unknown, and records the slot of every
+/// vertex on that searched tail. The tail is the suffix of the tree walk
+/// from `src`, so each recorded slot is the first adjacency position
+/// whose edge id matches the walk's hop (parallel copies share an id).
+fn table_walk_into(
+    g: &Graph,
+    table: &[AtomicU8],
+    src: u32,
+    target: u32,
+    search: &mut TreeWalkScratch,
+    walk: &mut Vec<u32>,
+    tail: &mut Vec<u32>,
+) -> bool {
+    walk.clear();
+    let mut cur = src;
+    while cur != target {
+        let slot = table[cur as usize].load(Ordering::Relaxed);
+        if slot == 0 {
+            break;
+        }
+        let k = usize::from(slot - 1);
+        walk.push(g.neighbor_edge_ids(cur)[k]);
+        cur = g.neighbors(cur)[k];
+        debug_assert!(walk.len() < table.len(), "the slots of target {target} form a cycle");
+    }
+    if cur == target {
+        return true;
+    }
+    if !g.bfs_tree_walk_into(cur, target, search, tail) {
+        // Only `src` itself can miss the target: a known slot lies on
+        // a walk that reached it.
+        walk.clear();
+        return false;
+    }
+    for &e in tail.iter() {
+        let k = g
+            .neighbor_edge_ids(cur)
+            .iter()
+            .position(|&id| id == e)
+            .expect("the walk's hop leaves its vertex");
+        let slot = u8::try_from(k + 1).expect("tables exist only below degree 255");
+        table[cur as usize].store(slot, Ordering::Relaxed);
+        cur = g.neighbors(cur)[k];
+    }
+    walk.extend_from_slice(tail);
+    true
+}
 
 /// Reusable query buffers, shared across every `disperse`/`merge`/
 /// `task2` round of a query and — through the engine's scratch pool —
 /// across the queries of a batch: dense per-vertex load counters,
 /// counting-sort group buckets, per-part load vectors, flat
-/// movement-cost accumulators, the flock position arrays, and the
-/// cross-query dummy-dispersal and escort caches.
+/// movement-cost accumulators, the flock position arrays, the
+/// cross-query dummy-dispersal cache, and this worker's side of the
+/// escort legs (the search buffers and a handle on the escort tables,
+/// which an engine's scratches share).
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Dense per-vertex token counts plus the touched list that resets
@@ -532,7 +522,7 @@ pub(crate) struct Scratch {
     /// internal node pushes its partition's `t + 1` offsets, recurses
     /// into the children, and pops them again.
     child_bounds: Vec<u32>,
-    /// Cached shortest-path trees for the merge fallback legs.
+    /// The merge fallback legs' tables and search buffers.
     escort: EscortCache,
     /// Dispersion-envelope counters (`t × t` and `t`).
     env_count: Vec<f64>,
@@ -544,33 +534,51 @@ pub(crate) struct Scratch {
     /// Dedicated incremental state for dummy-flock builds (the query's
     /// state is checked out by the caller while a build runs).
     dummy_state: DisperseState,
-    /// Identity of the router the buffers (and cache) belong to: its
-    /// address *and* its graph's mutation epoch. [`Router::repair`]
-    /// rebuilds a router in place, so the address alone would let a
-    /// pooled scratch serve stale cached dispersals across a repair.
+    /// Identity of the router the buffers, the dummy cache and the
+    /// escort tables belong to: its address *and* its graph's mutation
+    /// epoch. [`Router::repair`] rebuilds a router in place, so the
+    /// address alone would let a reused scratch serve stale cached
+    /// dispersals and escort walks across a repair.
     router_tag: (usize, u64),
 }
 
 impl Scratch {
+    /// A scratch with private escort tables (a solo query): a fresh
+    /// scratch's tag matches no router, so `reset_for` builds them.
     pub(crate) fn new(r: &Router) -> Scratch {
         let mut s = Scratch::default();
-        s.escort.budget = ESCORT_TREE_BUDGET_BYTES;
         s.reset_for(r);
         s
+    }
+
+    /// A scratch whose escort legs fill `tables`, built for `r`'s graph
+    /// and shared with the other scratches of an engine.
+    pub(crate) fn with_tables(r: &Router, tables: Arc<EscortTables>) -> Scratch {
+        let mut s = Scratch {
+            escort: EscortCache { tables, ..EscortCache::default() },
+            router_tag: Scratch::tag(r),
+            ..Scratch::default()
+        };
+        s.reset_for(r);
+        s
+    }
+
+    fn tag(r: &Router) -> (usize, u64) {
+        (std::ptr::from_ref(r) as usize, r.graph.epoch())
     }
 
     /// Re-targets the scratch at `r` without reallocating: buffers grow
     /// to the router's dimensions only when too small (pooled reuse
     /// across heterogeneous instances is allocation-free once warm),
-    /// and the dummy cache survives unless the router changed.
+    /// and the dummy cache and escort tables survive unless the router
+    /// changed. An engine's scratches always serve its one router.
     pub(crate) fn reset_for(&mut self, r: &Router) {
-        let tag = (std::ptr::from_ref(r) as usize, r.graph.epoch());
+        let tag = Scratch::tag(r);
         if self.router_tag != tag {
             self.dummies.clear();
-            self.escort.clear();
+            self.escort.tables = Arc::new(EscortTables::new(&r.graph, DEFAULT_SCRATCH_CAP_BYTES));
             self.router_tag = tag;
         }
-        self.escort.ensure_targets(r.graph.n());
         if self.vertex_load.len() < r.graph.n() {
             self.vertex_load.resize(r.graph.n(), 0);
         }
@@ -591,10 +599,11 @@ impl Scratch {
         self.reset_vertices();
     }
 
-    /// Estimated heap bytes this scratch retains (dense buffers plus
-    /// the dummy/escort caches and the dispersal states) — the scratch
-    /// pool drops a returning scratch whose footprint exceeds the
-    /// engine's cap.
+    /// Estimated heap bytes this scratch retains (dense buffers, the
+    /// dummy cache, the escort search buffers and the dispersal states;
+    /// not the escort tables, which the engine holds under its own
+    /// budget) — the scratch pool drops a returning scratch whose
+    /// footprint exceeds the engine's cap.
     pub(crate) fn footprint_bytes(&self) -> usize {
         let mut b = (self.vertex_load.capacity()
             + self.vertex_touched.capacity()
@@ -814,7 +823,7 @@ impl<'r> Exec<'r> {
         let best = &hier.node(root).best;
         let b = best.len().max(1);
         let cap = total.div_ceil(b) as u64;
-        let layers = crate::network::odd_even_layers(b.max(2)).len() as u64;
+        let layers = crate::network::odd_even_depth(b.max(2)) as u64;
         let q_net = hier
             .node(root)
             .flat_quality
@@ -1485,13 +1494,12 @@ fn disperse(
 /// §6.3 merge: pair reals with dummies per (part, mark); dummies
 /// escort reals to their birth vertices. Reals that exceed the local
 /// dummy supply (substitution 6 in `docs/ARCHITECTURE.md`) fall back to
-/// explicit shortest paths — the walk in
-/// the BFS tree rooted at a round-robin target vertex, through
-/// [`EscortCache`] — measured and counted. Group iteration runs in
-/// ascending dense-key order — the fallback round-robin counters are
-/// shared across groups with the same mark, so the order must be
-/// deterministic or target choices (and charged costs) vary run to
-/// run. The real-token groups and
+/// explicit shortest paths — the walk in the BFS tree rooted at a
+/// round-robin target vertex, through the [`EscortTables`] — measured
+/// and counted. Group iteration runs in ascending dense-key order — the
+/// fallback round-robin counters are shared across groups with the same
+/// mark, so the order must be deterministic or target choices (and
+/// charged costs) vary run to run. The real-token groups and
 /// per-part load maxima come from the flock's incremental dispersal
 /// state (no rescan of the flock); the dummy side (final buckets,
 /// landing loads, origins) comes precomputed from the cached
@@ -1580,22 +1588,60 @@ fn merge(
 
 #[cfg(test)]
 impl Scratch {
-    /// A scratch for `r` whose escort trees may hold `bytes` (0 sends
-    /// every fallback leg through the exact search).
-    pub(crate) fn with_escort_budget(r: &Router, bytes: usize) -> Scratch {
-        let mut s = Scratch::new(r);
-        s.escort.budget = bytes;
-        s
+    /// What the pool tests observe of the dummy cache: entries held and
+    /// hits so far.
+    pub(crate) fn dummy_probe(&self) -> (usize, u64) {
+        (self.dummies.nodes.iter().map(Vec::len).sum(), self.dummies.hits)
+    }
+}
+
+#[cfg(test)]
+impl EscortTables {
+    /// Tables allocated so far.
+    pub(crate) fn allocated(&self) -> usize {
+        self.allocated.load(Ordering::Relaxed)
     }
 
-    /// What the pool tests observe of the caches: escort trees held,
-    /// whether any leg took the exact search, dummy-cache entries held
-    /// and dummy-cache hits so far.
-    pub(crate) fn cache_probe(&self) -> (usize, bool, usize, u64) {
-        let entries = self.dummies.nodes.iter().map(Vec::len).sum();
-        let searched = self.escort.search.approx_bytes() > 0;
-        (self.escort.trees.len(), searched, entries, self.dummies.hits)
+    /// Bytes the allocated tables hold.
+    pub(crate) fn table_bytes(&self) -> usize {
+        self.allocated() * self.tables.len()
     }
+
+    /// Every allocated table as `(target, slots)`.
+    pub(crate) fn snapshot(&self) -> Vec<(u32, Vec<u8>)> {
+        let slots = |t: &[AtomicU8]| t.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        (0..self.tables.len())
+            .filter_map(|t| Some((t as u32, slots(self.tables[t].get()?.as_deref()?))))
+            .collect()
+    }
+}
+
+/// Checks one table against the FIFO BFS tree of its target: every
+/// filled slot names the tree parent and its edge, the target's own
+/// slot stays unknown, and the filled vertices are closed under the
+/// parent (tables fill along whole walks). Returns the filled count.
+#[cfg(test)]
+pub(crate) fn check_escort_table(g: &Graph, target: u32, slots: &[u8]) -> usize {
+    let (mut parent, mut parent_edge) = (Vec::new(), Vec::new());
+    g.bfs_parent_tree_into(target, &mut parent, &mut parent_edge);
+    assert_eq!(slots[target as usize], 0, "target {target} holds a slot");
+    let mut filled = 0;
+    for (v, &slot) in slots.iter().enumerate() {
+        if slot == 0 {
+            continue;
+        }
+        filled += 1;
+        let k = usize::from(slot - 1);
+        let u = g.neighbors(v as u32)[k];
+        assert_eq!(u, parent[v], "target {target}: vertex {v} names parent {u}");
+        assert_eq!(
+            g.neighbor_edge_ids(v as u32)[k],
+            parent_edge[v],
+            "target {target}: edge of {v}"
+        );
+        assert!(u == target || slots[u as usize] != 0, "target {target}: walk breaks at {u}");
+    }
+    filled
 }
 
 #[cfg(test)]
@@ -1705,6 +1751,52 @@ mod tests {
         let inst = SortInstance::from_triples(&triples);
         let out = r.sort(&inst).expect("valid");
         assert!(out.is_sorted(&inst, 128, 1));
+    }
+
+    #[test]
+    fn escort_legs_fill_their_walks() {
+        // A 4-regular graph with a parallel copy on the walks: every
+        // leg charges the search's walk and leaves a slot on each of its
+        // vertices, and a second leg from the same source reads the
+        // same walk off the table alone.
+        let mut g = generators::random_regular(256, 4, 11).expect("generator");
+        let (u, v) = g.edges().next().expect("edge");
+        g.insert_edge(u, v);
+        let tables = Arc::new(EscortTables::new(&g, usize::MAX));
+        let mut cache = EscortCache { tables: Arc::clone(&tables), ..EscortCache::default() };
+        let (mut search, mut expect) = (TreeWalkScratch::default(), Vec::new());
+        let mut mc = FlatMoveCost::new(g.edge_id_count());
+        for (src, target) in [(u, v), (v, u), (0, 255), (17, 255), (255, 0), (3, 3), (90, 17)] {
+            g.bfs_tree_walk_into(src, target, &mut search, &mut expect);
+            for _ in 0..2 {
+                cache.charge(&g, &mut mc, src, target);
+                assert_eq!(cache.walk, expect, "leg {src} -> {target}");
+            }
+            let table = tables.table(target).expect("the budget admits every table");
+            let mut cur = src;
+            for &e in &expect {
+                let slot = table[cur as usize].load(Ordering::Relaxed);
+                assert!(slot > 0, "leg {src} -> {target} left {cur} unknown");
+                assert_eq!(g.neighbor_edge_ids(cur)[usize::from(slot - 1)], e);
+                cur = g.neighbors(cur)[usize::from(slot - 1)];
+            }
+        }
+        for (target, slots) in tables.snapshot() {
+            check_escort_table(&g, target, &slots);
+        }
+    }
+
+    #[test]
+    fn escort_tables_respect_budget_and_degree() {
+        let g = generators::random_regular(128, 4, 3).expect("generator");
+        let tables = EscortTables::new(&g, 3 * 128 + 127);
+        assert_eq!((0..6).filter(|&t| tables.table(t).is_some()).count(), 3);
+        assert_eq!(tables.table_bytes(), 3 * 128);
+        // A hub of degree 255 does not fit a byte slot: every leg
+        // searches.
+        let hub: Vec<(u32, u32)> = (1..=255).map(|v| (0, v)).collect();
+        let star = Graph::from_edges(256, &hub);
+        assert!(EscortTables::new(&star, usize::MAX).table(1).is_none());
     }
 
     #[test]

@@ -47,6 +47,17 @@ pub fn odd_even_layers(m: usize) -> Vec<Vec<(usize, usize)>> {
     layers
 }
 
+/// The number of layers [`odd_even_layers`] returns for `m` positions,
+/// without building them: `L(L+1)/2` with `L = ⌈log₂ m⌉`, and 0 for
+/// `m < 2`.
+pub fn odd_even_depth(m: usize) -> usize {
+    if m < 2 {
+        return 0;
+    }
+    let l = m.next_power_of_two().trailing_zeros() as usize;
+    l * (l + 1) / 2
+}
+
 /// Applies the network to a value slice (used by tests and the local
 /// comparator simulation).
 pub fn apply_network<T: Ord + Copy>(layers: &[Vec<(usize, usize)>], values: &mut [T]) {
@@ -222,6 +233,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn depth_counts_the_layers() {
+        for m in 0..=5000 {
+            assert_eq!(odd_even_depth(m), odd_even_layers(m).len(), "m = {m}");
+        }
+    }
 
     #[test]
     fn layers_sort_arbitrary_widths() {

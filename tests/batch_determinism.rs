@@ -6,11 +6,13 @@
 //! thread count, (b) under any submission order (shuffled, then mapped
 //! back), (c) to individual `Router::route`/`Router::sort` calls, and
 //! (d) on a warm engine's repeat batch — the scratch pool, the
-//! dummy-dispersal cache, and the escort trees are accelerators, never
-//! observable, whichever worker's scratch serves a job.
+//! dummy-dispersal cache, and the escort tables are accelerators, never
+//! observable, whichever worker's scratch serves a job and whichever
+//! worker fills a shared table.
 
+use congest_sim::RoundLedger;
 use expander_core::{
-    Job, JobOutcome, QueryEngine, Router, RouterConfig, RoutingInstance, SortInstance,
+    BatchOutcome, Job, JobOutcome, QueryEngine, Router, RouterConfig, RoutingInstance, SortInstance,
 };
 use expander_graphs::generators;
 
@@ -133,4 +135,47 @@ fn repeated_batches_are_stable() {
         assert_eq!(fingerprint(a), fingerprint(b), "job {i} drifted on a warm engine");
     }
     assert_eq!(first.stats.merged, second.stats.merged);
+}
+
+/// The outcome of `job` as a solo query, on private escort tables that
+/// no other worker touches.
+fn solo(r: &Router, job: &Job) -> JobOutcome {
+    match job {
+        Job::Route(inst) => JobOutcome::Route(r.route(inst).expect("valid")),
+        Job::Sort(inst) => JobOutcome::Sort(r.sort(inst).expect("valid")),
+    }
+}
+
+#[test]
+fn shared_escort_tables_are_unobservable() {
+    // Dense permutations at n = 1024 send many real tokens through the
+    // merge fallback, so an engine's workers race to fill the escort
+    // tables they share. Cold engines at 4 and 2 workers race on the
+    // first fills, and one long-lived engine runs the batch at 4, 2 and
+    // 1 workers. Every outcome, and the merged ledger, equals the solo
+    // queries'.
+    let n = 1024;
+    let r = router(n);
+    let jobs: Vec<Job> =
+        (0..8).map(|s| Job::Route(RoutingInstance::permutation(n, 40 + s))).collect();
+    let solos: Vec<JobOutcome> = jobs.iter().map(|job| solo(&r, job)).collect();
+    let mut merged = RoundLedger::new();
+    merged.absorb_refs(solos.iter().map(JobOutcome::ledger));
+    let fallback: u64 = solos.iter().map(|o| o.stats().fallback_tokens).sum();
+    assert!(fallback > 0, "the batch takes escort legs");
+    let check = |batch: &BatchOutcome, what: &str| {
+        for (i, (a, b)) in solos.iter().zip(&batch.outcomes).enumerate() {
+            assert_eq!(fingerprint(a), fingerprint(b), "{what}: job {i} differs from a solo query");
+        }
+        assert_eq!(merged, batch.stats.merged, "{what}: merged ledgers differ");
+    };
+    for threads in [4, 2] {
+        let cold = QueryEngine::new(&r).with_threads(Some(threads));
+        check(&cold.run(&jobs).expect("valid"), &format!("cold engine at {threads} workers"));
+    }
+    let mut engine = QueryEngine::new(&r);
+    for threads in [4, 2, 1] {
+        engine = engine.with_threads(Some(threads));
+        check(&engine.run(&jobs).expect("valid"), &format!("one engine at {threads} workers"));
+    }
 }

@@ -1,8 +1,9 @@
 //! Exactness of the escort search: for every `(src, target)` pair,
 //! `Graph::bfs_tree_walk_into` returns the same edge walk as following
 //! the tree `Graph::bfs_parent_tree_into` roots at `target`. The merge
-//! fallback charges its legs through either one, so any disagreement
-//! would change outcomes and ledgers with the escort-tree budget.
+//! fallback's escort tables record the tree parents this search finds,
+//! so any disagreement would change outcomes and ledgers with the
+//! tables' budget and with which legs filled them.
 
 use expander_graphs::ingest::{parse_edge_list_with, IngestOptions};
 use expander_graphs::{generators, Graph, TreeWalkScratch};
