@@ -69,36 +69,6 @@ impl RoundLedger {
             self.charge(phase, rounds);
         }
     }
-
-    /// Forks an empty child ledger for an independent build task.
-    ///
-    /// Parallel preprocessing stages hand each task a forked ledger to
-    /// charge into privately; the parent then [`absorb`]s the children
-    /// in canonical task order. Because charges are per-phase sums,
-    /// the result is byte-identical to charging everything through one
-    /// ledger sequentially — which is exactly what the single-threaded
-    /// build path does.
-    ///
-    /// [`absorb`]: RoundLedger::absorb
-    pub fn fork(&self) -> RoundLedger {
-        RoundLedger::new()
-    }
-
-    /// Absorbs child ledgers produced by [`fork`](RoundLedger::fork),
-    /// merging them into `self` in iteration (canonical task) order.
-    pub fn absorb(&mut self, children: impl IntoIterator<Item = RoundLedger>) {
-        for child in children {
-            self.merge(&child);
-        }
-    }
-
-    /// Like [`absorb`](RoundLedger::absorb) but over borrowed ledgers —
-    /// the batch engine merges per-job ledgers it still owns elsewhere.
-    pub fn absorb_refs<'a>(&mut self, children: impl IntoIterator<Item = &'a RoundLedger>) {
-        for child in children {
-            self.merge(child);
-        }
-    }
 }
 
 impl fmt::Display for RoundLedger {
@@ -146,40 +116,6 @@ mod tests {
         assert_eq!(a.total(), 6);
         assert_eq!(a.phase("x"), 3);
         assert_eq!(a.phase("y"), 3);
-    }
-
-    #[test]
-    fn fork_and_absorb_match_sequential_charging() {
-        // Sequential reference: everything through one ledger.
-        let mut seq = RoundLedger::new();
-        seq.charge("a", 5);
-        seq.charge("b", 7);
-        seq.charge("a", 3);
-        // Forked: two child tasks, absorbed in task order.
-        let mut parent = RoundLedger::new();
-        parent.charge("a", 5);
-        let mut c1 = parent.fork();
-        c1.charge("b", 7);
-        let mut c2 = parent.fork();
-        c2.charge("a", 3);
-        assert_eq!(c1.total(), 7);
-        parent.absorb([c1, c2]);
-        assert_eq!(parent, seq, "forked charging must be byte-identical");
-        assert_eq!(format!("{parent}"), format!("{seq}"));
-    }
-
-    #[test]
-    fn absorb_refs_matches_absorb() {
-        let mut c1 = RoundLedger::new();
-        c1.charge("a", 2);
-        let mut c2 = RoundLedger::new();
-        c2.charge("b", 3);
-        let mut by_value = RoundLedger::new();
-        by_value.absorb([c1.clone(), c2.clone()]);
-        let mut by_ref = RoundLedger::new();
-        by_ref.absorb_refs([&c1, &c2]);
-        assert_eq!(by_value, by_ref);
-        assert_eq!(by_ref.total(), 5);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! The [`parallel`] module carries the deterministic task runner the
 //! staged preprocessing pipeline uses: independent build tasks execute
-//! on a bounded worker pool ([`ThreadBudget`]), results and forked
+//! on a bounded worker pool ([`ThreadBudget`]), results and private
 //! ledgers merge in canonical task order, and thread count never
 //! changes a single output byte.
 //!

@@ -7,9 +7,8 @@
 //! its inputs, so executing tasks on worker threads and collecting the
 //! results *in canonical task order* yields byte-identical output
 //! regardless of thread count. Round charges follow the same
-//! discipline: tasks charge into forked [`RoundLedger`]s
-//! ([`RoundLedger::fork`]) that the caller absorbs in task order
-//! ([`RoundLedger::absorb`]).
+//! discipline: each task charges a private [`RoundLedger`], and the
+//! caller merges them in task order ([`RoundLedger::merge`]).
 //!
 //! Thread-count resolution is centralized in [`build_threads`]: an
 //! explicit knob wins, then the `EXPANDER_BUILD_THREADS` environment
@@ -23,8 +22,7 @@
 //! instead of growing with recursion depth.
 //!
 //! [`RoundLedger`]: crate::RoundLedger
-//! [`RoundLedger::fork`]: crate::RoundLedger::fork
-//! [`RoundLedger::absorb`]: crate::RoundLedger::absorb
+//! [`RoundLedger::merge`]: crate::RoundLedger::merge
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -14,7 +14,9 @@
 //!   counters, counting-sort buckets, dispersal state, and
 //!   `FlatMoveCost` accumulators of `exec::Scratch`) is checked out of
 //!   a `ScratchPool` and returned after each job, so a batch of `B`
-//!   queries allocates `O(threads)` scratches instead of `O(B)`.
+//!   queries allocates `O(threads)` scratches instead of `O(B)`. A
+//!   scratch borrows the engine's router and is sized for it once, when
+//!   the pool builds it; a checkout hands it out as it was returned.
 //! * **Dummy-dispersal amortization** — each scratch carries the
 //!   per-worker dummy-dispersal cache: the Task 3 dummy flock (2L
 //!   tokens per vertex, §6.3) is a pure function of `(node, L)`, so
@@ -29,7 +31,7 @@
 //!
 //! All three are accelerators only: every job is a pure function of its
 //! instance and the router, each job charges its own [`RoundLedger`],
-//! the batch absorbs them in canonical job order, and the per-job
+//! the batch merges them in canonical job order, and the per-job
 //! outcomes are byte-identical to individual
 //! [`Router::route`]/[`Router::sort`] calls at every thread count and
 //! batch order, whichever pooled scratch serves a job
@@ -154,7 +156,7 @@ impl JobOutcome {
 pub struct BatchStats {
     /// Jobs executed.
     pub jobs: usize,
-    /// Every job's ledger absorbed in canonical job order.
+    /// Every job's ledger merged in canonical job order.
     pub merged: RoundLedger,
     /// Sum of per-job charged rounds (equals `merged.total()`).
     pub total_rounds: u64,
@@ -164,21 +166,17 @@ pub struct BatchStats {
     /// counters, element-wise maxima for the load trace and the
     /// congestion/dilation observations).
     pub query: QueryStats,
-    /// Phase-traffic breakdown of the batch (tokens moved, buckets
-    /// touched, bytes traversed per phase). All-zero unless the crate
-    /// is built with `--features profile` — see [`crate::profile`].
-    pub profile: crate::profile::RouteProfile,
 }
 
 impl BatchStats {
     fn collect(outcomes: &[JobOutcome]) -> BatchStats {
         let mut stats = BatchStats { jobs: outcomes.len(), ..BatchStats::default() };
-        stats.merged.absorb_refs(outcomes.iter().map(JobOutcome::ledger));
-        stats.total_rounds = stats.merged.total();
         for out in outcomes {
+            stats.merged.merge(out.ledger());
             stats.max_rounds = stats.max_rounds.max(out.rounds());
             stats.query.absorb(out.stats());
         }
+        stats.total_rounds = stats.merged.total();
         stats
     }
 
@@ -214,36 +212,37 @@ pub struct BatchOutcome {
 /// that returns above the engine's cap is dropped instead of pooled;
 /// the tables outlive it.
 #[derive(Debug)]
-pub(crate) struct ScratchPool {
-    slots: Mutex<Vec<Scratch>>,
+pub(crate) struct ScratchPool<'r> {
+    slots: Mutex<Vec<Scratch<'r>>>,
     escort: Arc<EscortTables>,
 }
 
-impl ScratchPool {
+impl<'r> ScratchPool<'r> {
     /// An empty pool whose escort tables may hold `escort_bytes`.
-    fn new(r: &Router, escort_bytes: usize) -> ScratchPool {
+    fn new(r: &Router, escort_bytes: usize) -> ScratchPool<'r> {
         ScratchPool {
             slots: Mutex::default(),
             escort: Arc::new(EscortTables::new(&r.graph, escort_bytes)),
         }
     }
 
-    /// Checks a scratch out (a fresh one on the pool's tables if the
-    /// pool is empty). The single reset point is `Router::execute`,
-    /// which re-targets the scratch at its router before every job.
-    fn checkout(&self, r: &Router) -> Scratch {
+    /// Checks a scratch out, or builds a fresh one for `r` on the pool's
+    /// tables if the pool is empty. A returned scratch already serves
+    /// `r`, so it is handed out as it was returned; `exec::run_single`
+    /// resets its per-job accumulators.
+    fn checkout(&self, r: &'r Router) -> Scratch<'r> {
         self.slots
             .lock()
             .expect("unpoisoned")
             .pop()
-            .unwrap_or_else(|| Scratch::with_tables(r, Arc::clone(&self.escort)))
+            .unwrap_or_else(|| Scratch::new(r, Arc::clone(&self.escort)))
     }
 
     /// Returns a scratch to the pool if its retained footprint is at or
     /// under `cap_bytes`, and drops it otherwise: the next checkout then
     /// builds a fresh scratch, with an empty dummy cache and buffers at
     /// the router's dimensions.
-    fn restore(&self, scratch: Scratch, cap_bytes: usize) {
+    fn restore(&self, scratch: Scratch<'r>, cap_bytes: usize) {
         if scratch.footprint_bytes() <= cap_bytes {
             self.slots.lock().expect("unpoisoned").push(scratch);
         }
@@ -285,7 +284,7 @@ impl ScratchPool {
 pub struct QueryEngine<'r> {
     router: &'r Router,
     threads: Option<usize>,
-    pool: ScratchPool,
+    pool: ScratchPool<'r>,
     /// Retained bytes above which a returning scratch is dropped
     /// ([`DEFAULT_SCRATCH_CAP_BYTES`] outside the tests).
     scratch_cap: usize,
@@ -351,7 +350,7 @@ impl<'r> QueryEngine<'r> {
     /// pool: every job is validated up front, then workers execute the
     /// jobs one at a time against pooled scratches, each job charging
     /// its own ledger; outcomes come back in submission order and the
-    /// batch aggregate absorbs the per-job ledgers in that same
+    /// batch aggregate merges the per-job ledgers in that same
     /// canonical order.
     ///
     /// # Errors
@@ -362,22 +361,20 @@ impl<'r> QueryEngine<'r> {
         for &job in jobs {
             self.router.validate(job)?;
         }
-        crate::profile::reset();
         let budget = ThreadBudget::new(build_threads(self.threads));
         let outcomes = run_tasks(&budget, jobs.len(), |i| self.run_validated(jobs[i]));
-        let mut stats = BatchStats::collect(&outcomes);
-        stats.profile = crate::profile::take();
+        let stats = BatchStats::collect(&outcomes);
         Ok(BatchOutcome { outcomes, stats })
     }
 
     /// The single checkout → execute → restore protocol behind every
     /// engine execution path and every
     /// [`RoutingService`](crate::service::RoutingService) job. Each job
-    /// charges a private ledger; batch aggregates absorb them in
+    /// charges a private ledger; batch aggregates merge them in
     /// canonical job order afterwards.
     pub(crate) fn run_validated(&self, job: JobRef<'_>) -> JobOutcome {
         let mut scratch = self.pool.checkout(self.router);
-        let out = self.router.execute(job, &mut scratch);
+        let out = crate::exec::run_single(&mut scratch, job);
         self.pool.restore(scratch, self.scratch_cap);
         out
     }
@@ -476,7 +473,9 @@ mod tests {
             assert_eq!(format!("{:?}", out.stats), format!("{:?}", solo.stats));
         }
         let mut merged = RoundLedger::new();
-        merged.absorb_refs(outs.iter().map(|o| &o.ledger));
+        for out in &outs {
+            merged.merge(&out.ledger);
+        }
         assert_eq!(stats.merged, merged);
         assert_eq!(stats.total_rounds, merged.total());
     }
@@ -560,7 +559,7 @@ mod tests {
     }
 
     /// The pooled scratch of a single-worker engine.
-    fn pooled<T>(engine: &QueryEngine<'_>, read: impl Fn(&Scratch) -> T) -> T {
+    fn pooled<'r, T>(engine: &QueryEngine<'r>, read: impl Fn(&Scratch<'r>) -> T) -> T {
         let slots = engine.pool.slots.lock().expect("unpoisoned");
         assert_eq!(slots.len(), 1, "single worker returns one pooled scratch");
         read(&slots[0])

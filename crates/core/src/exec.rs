@@ -19,12 +19,16 @@
 //! performs no heap allocation and iterates in deterministic order.
 //!
 //! Every query runs alone through one pipeline, `run_single`: a solo
-//! [`Router::route`]/[`Router::sort`] call on a fresh scratch, and each
-//! job of an engine batch or a service stream on a pooled one. The
-//! pooled scratch carries only accelerators (the dummy-dispersal cache,
-//! and the escort tables its engine's scratches share), so an outcome
-//! never depends on which scratch served it or which worker filled a
-//! table (`tests/batch_determinism`, `tests/property`).
+//! [`Router::route`]/[`Router::sort`] call on a fresh scratch with
+//! private escort tables, and each job of an engine batch or a service
+//! stream on a pooled one. A scratch borrows the router it serves for
+//! its whole life and is sized for it once, when built, so a job reads
+//! and writes only that router, its scratch and the escort tables the
+//! scratch was given. The pooled scratch carries only accelerators (the
+//! dummy-dispersal cache, and the escort tables its engine's scratches
+//! share), so an outcome never depends on which scratch served it or
+//! which worker filled a table (`tests/batch_determinism`,
+//! `tests/property`).
 //!
 //! # Paper map
 //!
@@ -39,9 +43,7 @@
 //! | Portal routing charges (§6.2) | the per-round portal charge in `disperse` |
 //! | Real/dummy pairing and escort-back (§6.3) | `merge`, `DummyEntry` |
 
-use crate::engine::{JobOutcome, JobRef, DEFAULT_SCRATCH_CAP_BYTES};
-use crate::profile;
-
+use crate::engine::{JobOutcome, JobRef};
 use crate::router::Router;
 use crate::token::{QueryStats, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::RoundLedger;
@@ -111,15 +113,6 @@ impl FlatMoveCost {
     /// Charges `times` traversals of path `i` of `paths`.
     pub fn add_flat(&mut self, paths: &FlatPaths, i: usize, times: u64) {
         self.add_edge_ids(paths.edge_ids(i), times);
-    }
-
-    /// Grows the edge-id space to at least `edge_space` without
-    /// disturbing accumulated load (pooled reuse across routers of
-    /// different sizes; it never shrinks).
-    pub fn ensure_edge_space(&mut self, edge_space: usize) {
-        if self.edge_load.len() < edge_space {
-            self.edge_load.resize(edge_space, 0);
-        }
     }
 
     /// Charges `times` traversals of an explicit vertex walk (a path
@@ -303,10 +296,11 @@ const DUMMY_CACHE_WAYS: usize = 8;
 const DUMMY_CACHE_TOKEN_BUDGET: u64 = 32;
 
 impl DummyCache {
-    fn ensure_nodes(&mut self, n_nodes: usize) {
-        if self.nodes.len() < n_nodes {
-            self.nodes.resize_with(n_nodes, Vec::new);
-        }
+    /// An empty cache over `n_nodes` hierarchy nodes.
+    fn new(n_nodes: usize) -> DummyCache {
+        let mut cache = DummyCache::default();
+        cache.nodes.resize_with(n_nodes, Vec::new);
+        cache
     }
 
     fn take(&mut self, node: NodeId, l: u64) -> Option<DummyEntry> {
@@ -336,10 +330,6 @@ impl DummyCache {
             total -= slot.remove(0).1.len() as u64;
         }
         slot.push((l, entry));
-    }
-
-    fn clear(&mut self) {
-        self.nodes.clear();
     }
 }
 
@@ -489,16 +479,24 @@ fn table_walk_into(
     true
 }
 
-/// Reusable query buffers, shared across every `disperse`/`merge`/
-/// `task2` round of a query and — through the engine's scratch pool —
-/// across the queries of a batch: dense per-vertex load counters,
-/// counting-sort group buckets, per-part load vectors, flat
-/// movement-cost accumulators, the flock position arrays, the
-/// cross-query dummy-dispersal cache, and this worker's side of the
+/// Reusable query buffers over one router, shared across every
+/// `disperse`/`merge`/`task2` round of a query and — through the
+/// engine's scratch pool — across the queries of a batch: dense
+/// per-vertex load counters, counting-sort group buckets, per-part load
+/// vectors, flat movement-cost accumulators, the flock position arrays,
+/// the cross-query dummy-dispersal cache, and this worker's side of the
 /// escort legs (the search buffers and a handle on the escort tables,
 /// which an engine's scratches share).
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
+///
+/// The scratch borrows the router it serves for its whole life, so its
+/// buffers are sized once, when it is built, and its dummy cache and
+/// escort tables can never outlive the router they describe: a
+/// [`Router::repair`] takes the router mutably and so cannot run while
+/// one of its scratches lives.
+#[derive(Debug)]
+pub(crate) struct Scratch<'r> {
+    /// The router every job on this scratch runs against.
+    r: &'r Router,
     /// Dense per-vertex token counts plus the touched list that resets
     /// them in `O(touched)`. `u32` cells: a vertex's count is bounded
     /// by the flock size (≤ instance tokens + dummy tokens), far below
@@ -534,69 +532,32 @@ pub(crate) struct Scratch {
     /// Dedicated incremental state for dummy-flock builds (the query's
     /// state is checked out by the caller while a build runs).
     dummy_state: DisperseState,
-    /// Identity of the router the buffers, the dummy cache and the
-    /// escort tables belong to: its address *and* its graph's mutation
-    /// epoch. [`Router::repair`] rebuilds a router in place, so the
-    /// address alone would let a reused scratch serve stale cached
-    /// dispersals and escort walks across a repair.
-    router_tag: (usize, u64),
 }
 
-impl Scratch {
-    /// A scratch with private escort tables (a solo query): a fresh
-    /// scratch's tag matches no router, so `reset_for` builds them.
-    pub(crate) fn new(r: &Router) -> Scratch {
-        let mut s = Scratch::default();
-        s.reset_for(r);
-        s
-    }
-
-    /// A scratch whose escort legs fill `tables`, built for `r`'s graph
-    /// and shared with the other scratches of an engine.
-    pub(crate) fn with_tables(r: &Router, tables: Arc<EscortTables>) -> Scratch {
-        let mut s = Scratch {
-            escort: EscortCache { tables, ..EscortCache::default() },
-            router_tag: Scratch::tag(r),
-            ..Scratch::default()
-        };
-        s.reset_for(r);
-        s
-    }
-
-    fn tag(r: &Router) -> (usize, u64) {
-        (std::ptr::from_ref(r) as usize, r.graph.epoch())
-    }
-
-    /// Re-targets the scratch at `r` without reallocating: buffers grow
-    /// to the router's dimensions only when too small (pooled reuse
-    /// across heterogeneous instances is allocation-free once warm),
-    /// and the dummy cache and escort tables survive unless the router
-    /// changed. An engine's scratches always serve its one router.
-    pub(crate) fn reset_for(&mut self, r: &Router) {
-        let tag = Scratch::tag(r);
-        if self.router_tag != tag {
-            self.dummies.clear();
-            self.escort.tables = Arc::new(EscortTables::new(&r.graph, DEFAULT_SCRATCH_CAP_BYTES));
-            self.router_tag = tag;
-        }
-        if self.vertex_load.len() < r.graph.n() {
-            self.vertex_load.resize(r.graph.n(), 0);
-        }
-        if self.part_load.len() < r.max_parts {
-            self.part_load.resize(r.max_parts, 0);
-        }
-        if self.fallback_rr.len() < r.max_parts {
-            self.fallback_rr.resize(r.max_parts, 0);
-        }
+impl<'r> Scratch<'r> {
+    /// A scratch sized for `r` whose escort legs fill `tables`, which
+    /// must be built for `r`'s graph: a solo query's private set, or the
+    /// set an engine's scratches share.
+    pub(crate) fn new(r: &'r Router, tables: Arc<EscortTables>) -> Scratch<'r> {
         let edge_space = r.graph.edge_id_count();
-        self.mc.ensure_edge_space(edge_space);
-        self.fallback_mc.ensure_edge_space(edge_space);
-        self.dummies.ensure_nodes(r.hier.nodes().len());
-        // Transient state is reset-before-use everywhere, but a pooled
-        // checkout should never depend on the previous job's epilogue.
-        self.mc.reset();
-        self.fallback_mc.reset();
-        self.reset_vertices();
+        Scratch {
+            r,
+            vertex_load: vec![0; r.graph.n()],
+            vertex_touched: Vec::new(),
+            part_load: vec![0; r.max_parts],
+            groups: DenseGroups::default(),
+            mc: FlatMoveCost::new(edge_space),
+            fallback_mc: FlatMoveCost::new(edge_space),
+            fallback_rr: vec![0; r.max_parts],
+            toks_tmp: Vec::new(),
+            child_bounds: Vec::new(),
+            escort: EscortCache { tables, ..EscortCache::default() },
+            env_count: Vec::new(),
+            env_tot: Vec::new(),
+            dummies: DummyCache::new(r.hier.nodes().len()),
+            job_state: DisperseState::default(),
+            dummy_state: DisperseState::default(),
+        }
     }
 
     /// Estimated heap bytes this scratch retains (dense buffers, the
@@ -692,7 +653,7 @@ impl<'r> Exec<'r> {
     /// 2 worklist, or `None` for an empty instance (job already done).
     fn route_prologue(
         &mut self,
-        scratch: &mut Scratch,
+        scratch: &mut Scratch<'_>,
         inst: &RoutingInstance,
     ) -> Option<Vec<usize>> {
         let root = self.r.hier.root();
@@ -748,7 +709,11 @@ impl<'r> Exec<'r> {
 
     /// Everything of a route job after Task 2: the chain egress and the
     /// outcome assembly.
-    fn route_epilogue(mut self, scratch: &mut Scratch, inst: &RoutingInstance) -> RoutingOutcome {
+    fn route_epilogue(
+        mut self,
+        scratch: &mut Scratch<'_>,
+        inst: &RoutingInstance,
+    ) -> RoutingOutcome {
         let destinations: Vec<u32> = inst.tokens.iter().map(|t| t.dst).collect();
         if inst.tokens.is_empty() {
             return RoutingOutcome {
@@ -794,7 +759,7 @@ impl<'r> Exec<'r> {
     /// owner vertex, or `None` for an empty instance.
     fn sort_prologue(
         &mut self,
-        scratch: &mut Scratch,
+        scratch: &mut Scratch<'_>,
         inst: &SortInstance,
     ) -> Option<(Vec<usize>, Vec<u32>)> {
         let n = self.r.graph.n();
@@ -855,7 +820,7 @@ impl<'r> Exec<'r> {
 
     /// Everything of a sort job after Task 2: the chain egress to the
     /// owner vertices and the outcome assembly.
-    fn sort_epilogue(mut self, scratch: &mut Scratch, owner: &[u32]) -> SortOutcome {
+    fn sort_epilogue(mut self, scratch: &mut Scratch<'_>, owner: &[u32]) -> SortOutcome {
         scratch.mc.reset();
         for (i, &w) in owner.iter().enumerate() {
             scratch.mc.add_flat(&self.r.chain_flat, w as usize, 1);
@@ -885,7 +850,7 @@ impl<'r> Exec<'r> {
 /// builds (the query's state is checked out by the caller while a
 /// build runs), so a build pays moved-tokens-proportional work instead
 /// of per-round full rescans.
-fn build_dummy_entry(r: &Router, scratch: &mut Scratch, node: NodeId, l: u64) -> DummyEntry {
+fn build_dummy_entry(r: &Router, scratch: &mut Scratch<'_>, node: NodeId, l: u64) -> DummyEntry {
     let nd = r.hier.node(node);
     let t = nd.part_count();
     let part_of = &r.part_of[node];
@@ -1182,11 +1147,18 @@ impl DisperseState {
     }
 }
 
-/// Runs one job alone through the pipeline on `scratch` — the single
-/// execution path behind [`Router::route`]/[`Router::sort`] (a fresh
-/// scratch) and every engine and service job (a pooled one).
-pub(crate) fn run_single(r: &Router, scratch: &mut Scratch, job: JobRef<'_>) -> JobOutcome {
-    scratch.reset_for(r);
+/// Runs one job alone through the pipeline on `scratch`, against the
+/// router the scratch serves — the single execution path behind
+/// [`Router::route`]/[`Router::sort`] (a fresh scratch) and every
+/// engine and service job (a pooled one). Only the per-job accumulators
+/// are reset; the buffers were sized when the scratch was built.
+pub(crate) fn run_single(scratch: &mut Scratch<'_>, job: JobRef<'_>) -> JobOutcome {
+    let r = scratch.r;
+    // Transient state is reset-before-use everywhere, but a pooled
+    // checkout should never depend on the previous job's epilogue.
+    scratch.mc.reset();
+    scratch.fallback_mc.reset();
+    scratch.reset_vertices();
     let mut exec = Exec::new(r);
     let root = r.hier.root();
     match job {
@@ -1212,7 +1184,13 @@ pub(crate) fn run_single(r: &Router, scratch: &mut Scratch, job: JobRef<'_>) -> 
 /// Task 2 over the worklist slice `toks` at `node`: marker rewrite,
 /// Task 3, the `M*` hop and a stable partition by part, then recursion
 /// into each part's contiguous slice.
-fn task2(r: &Router, scratch: &mut Scratch, exec: &mut Exec<'_>, toks: &mut [usize], node: NodeId) {
+fn task2(
+    r: &Router,
+    scratch: &mut Scratch<'_>,
+    exec: &mut Exec<'_>,
+    toks: &mut [usize],
+    node: NodeId,
+) {
     let nd = r.hier.node(node);
     if nd.is_leaf() {
         // §6.4 leaf case: three meet-in-the-middle passes over the
@@ -1240,9 +1218,6 @@ fn task2(r: &Router, scratch: &mut Scratch, exec: &mut Exec<'_>, toks: &mut [usi
         exec.mark_of[t] = j as u16;
         exec.marker[t] = iz - prefix[j];
     }
-    let rewritten = toks.len() as u64;
-    // marker u32 read + write, mark u16 write, rank_part u16 read.
-    profile::record(profile::Phase::Task2, rewritten, nd.parts.len() as u64, rewritten * 12);
 
     task3(r, scratch, exec, toks, node);
 
@@ -1301,7 +1276,7 @@ fn task2(r: &Router, scratch: &mut Scratch, exec: &mut Exec<'_>, toks: &mut [usi
 /// Task 3 at `node` for the worklist slice `toks`: the flock disperses
 /// through [`disperse`], then merges against the dummy dispersal
 /// cached for its observed load `L`.
-fn task3(r: &Router, scratch: &mut Scratch, exec: &mut Exec<'_>, toks: &[usize], node: NodeId) {
+fn task3(r: &Router, scratch: &mut Scratch<'_>, exec: &mut Exec<'_>, toks: &[usize], node: NodeId) {
     let nd = r.hier.node(node);
     let t = nd.part_count();
     exec.stats.task3_calls += 1;
@@ -1316,9 +1291,6 @@ fn task3(r: &Router, scratch: &mut Scratch, exec: &mut Exec<'_>, toks: &[usize],
     // freshly built incremental accounting (the per-part maxima cover
     // every loaded vertex), replacing a separate count pass.
     let l = u64::from(st.pmax[..t].iter().copied().max().unwrap_or(0)).max(1);
-    // pos u32 + mark u16 read, bucket u32 + vload u32 write.
-    let pushed = toks.len() as u64;
-    profile::record(profile::Phase::Task3, pushed, (t * t) as u64, pushed * 14);
 
     let entry = match scratch.dummies.take(node, l) {
         Some(entry) => entry,
@@ -1344,7 +1316,7 @@ fn task3(r: &Router, scratch: &mut Scratch, exec: &mut Exec<'_>, toks: &[usize],
 /// accumulate through the scratch accumulator, reset per round.
 fn disperse(
     r: &Router,
-    scratch: &mut Scratch,
+    scratch: &mut Scratch<'_>,
     exec: &mut Exec<'_>,
     st: &mut DisperseState,
     node: NodeId,
@@ -1441,15 +1413,6 @@ fn disperse(
             }
         }
         st.max_bucket = max_bucket;
-        // Full scan streamed every bucket entry (u32) once; each
-        // selected move wrote a (u32, u32) pair.
-        let moved = st.moves.len() as u64;
-        profile::record(
-            profile::Phase::Disperse,
-            moved,
-            (t * t) as u64,
-            st.pos.len() as u64 * 4 + moved * 8,
-        );
         st.total_cost += observe_mc(&mut exec.stats, &scratch.mc);
         st.apply_moves(t, part_of);
     }
@@ -1506,7 +1469,7 @@ fn disperse(
 /// [`DummyEntry`].
 fn merge(
     r: &Router,
-    scratch: &mut Scratch,
+    scratch: &mut Scratch<'_>,
     exec: &mut Exec<'_>,
     st: &mut DisperseState,
     node: NodeId,
@@ -1577,17 +1540,12 @@ fn merge(
     let fallback_cost = observe_mc(&mut exec.stats, &scratch.fallback_mc);
     exec.ledger.charge("query/task3/fallback", fallback_cost);
 
-    // Pairing streamed every real's bucket entry (u32) and wrote its
-    // landing position (u32).
-    let reals = st.pos.len() as u64;
-    profile::record(profile::Phase::Merge, reals, (t * t) as u64, reals * 8);
-
     // Postcondition: every real token is inside its marked part.
     debug_assert!((0..st.pos.len()).all(|i| part_of[st.pos[i] as usize] == st.mark[i]));
 }
 
 #[cfg(test)]
-impl Scratch {
+impl Scratch<'_> {
     /// What the pool tests observe of the dummy cache: entries held and
     /// hits so far.
     pub(crate) fn dummy_probe(&self) -> (usize, u64) {

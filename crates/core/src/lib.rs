@@ -85,6 +85,11 @@
 //!   contract; [`churn::ChurnDriver`] is the seeded fault-injection
 //!   harness.
 //!
+//! A query reads and writes only its router, its scratch and the escort
+//! tables of its engine (a solo query's own). A scratch borrows the
+//! router it serves, so none outlives a [`Router::repair`], and the
+//! crate holds no process-global state.
+//!
 //! # Example
 //!
 //! ```
@@ -110,7 +115,6 @@ pub mod exec;
 pub mod general;
 pub mod network;
 pub mod ops;
-pub mod profile;
 pub mod router;
 pub mod service;
 pub mod token;
@@ -120,7 +124,6 @@ pub use churn::{ChurnConfig, ChurnOutcome, ChurnRouter, DeliveryMode};
 pub use decomposed::{DecomposedConfig, FallbackReason, RoutedDecomposition};
 pub use engine::{BatchOutcome, BatchStats, Job, JobOutcome, JobRef, QueryEngine};
 pub use general::GeneralRouter;
-pub use profile::{PhaseProfile, RouteProfile};
 pub use router::{Router, RouterConfig};
 pub use service::{
     ArrivalSchedule, RoutingService, ServiceConfig, ServiceHandle, ServiceStats, SubmitError,

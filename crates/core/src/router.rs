@@ -1,8 +1,8 @@
 //! The public preprocessing/query API (Theorem 1.1).
 
 use crate::cost_model::CostModel;
-use crate::engine::{JobOutcome, JobRef};
-use crate::exec::Scratch;
+use crate::engine::{JobOutcome, JobRef, DEFAULT_SCRATCH_CAP_BYTES};
+use crate::exec::{self, EscortTables, Scratch};
 use crate::network::EmbeddedNetwork;
 use crate::token::{InstanceError, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::{cost, parallel, RoundLedger};
@@ -11,6 +11,7 @@ use expander_decomp::{
     ShufflerRound,
 };
 use expander_graphs::{Embedding, FlatPaths, Graph, GraphEdit, Path, VertexId};
+use std::sync::Arc;
 
 /// One outgoing dispersal entry of a [`RoundTable`] row: the fractional
 /// mass `m_ij` towards one target part plus the range of its portal
@@ -324,80 +325,77 @@ impl Router {
         // embedding flattening, and the FlatPaths/RoundTable lowering
         // for internal nodes) reads only the immutable hierarchy, so
         // the nodes fan out across the thread budget. Each task charges
-        // a forked ledger; merging the task ledgers in node order as
+        // a private ledger; merging the task ledgers in node order as
         // they come back keeps the preprocessing ledger byte-identical
         // to the sequential build.
         let budget = parallel::ThreadBudget::new(parallel::build_threads(config.hierarchy.threads));
-        let prepped: Vec<(RoundLedger, NodePrep)> = {
-            let ledger_parent = &pre_ledger;
-            parallel::run_tasks(&budget, n_nodes, |id| {
-                let mut ledger = ledger_parent.fork();
-                let nd = hier.node(id);
-                if nd.is_leaf() {
-                    let net = EmbeddedNetwork::build(&hier, id);
-                    // §6.4 preprocessing: gather the leaf topology and
-                    // lay down the routable network.
-                    ledger.charge(
-                        "pre/leaf",
-                        cost::diameter_primitive(
-                            nd.vertices.len() as u64 + nd.diameter.min(1 << 16) as u64,
-                            nd.flat_quality as u64,
-                        ) + net.pass_cost(1),
-                    );
-                    return (ledger, NodePrep::Leaf { net: Box::new(net) });
-                }
-                // Internal: shuffler + part maps + flattened M*, all
-                // lowered to dense ids (edge-id arenas, dispersal
-                // tables, vertex-indexed lookups) so the query path
-                // never hashes.
-                let t = nd.part_count();
-                let sh = build_shuffler(&hier, id, &config.shuffler, &mut ledger);
-                let mut po = vec![u16::MAX; graph.n()];
-                for (pi, p) in nd.parts.iter().enumerate() {
-                    for &v in &p.all {
-                        po[v as usize] = pi as u16;
-                    }
-                }
-                // One flatten batch per node: the shuffler rounds, then
-                // the parts' M* embeddings.
-                let mut round_embs = hier.flatten_from(
-                    id,
-                    sh.rounds
-                        .iter()
-                        .map(|r| &r.embedding)
-                        .chain(nd.parts.iter().map(|p| &p.matching_embedding)),
+        let prepped: Vec<(RoundLedger, NodePrep)> = parallel::run_tasks(&budget, n_nodes, |id| {
+            let mut ledger = RoundLedger::new();
+            let nd = hier.node(id);
+            if nd.is_leaf() {
+                let net = EmbeddedNetwork::build(&hier, id);
+                // §6.4 preprocessing: gather the leaf topology and
+                // lay down the routable network.
+                ledger.charge(
+                    "pre/leaf",
+                    cost::diameter_primitive(
+                        nd.vertices.len() as u64 + nd.diameter.min(1 << 16) as u64,
+                        nd.flat_quality as u64,
+                    ) + net.pass_cost(1),
                 );
-                let part_embs = round_embs.split_off(sh.rounds.len());
-                let mut flats = Vec::with_capacity(sh.rounds.len());
-                let mut tables = Vec::with_capacity(sh.rounds.len());
-                for (round, flat) in sh.rounds.iter().zip(round_embs) {
-                    flats.push(FlatPaths::from_embedding(graph, &flat));
-                    tables.push(RoundTable::build(round, t, flats.last().expect("just pushed")));
+                return (ledger, NodePrep::Leaf { net: Box::new(net) });
+            }
+            // Internal: shuffler + part maps + flattened M*, all
+            // lowered to dense ids (edge-id arenas, dispersal
+            // tables, vertex-indexed lookups) so the query path
+            // never hashes.
+            let t = nd.part_count();
+            let sh = build_shuffler(&hier, id, &config.shuffler, &mut ledger);
+            let mut po = vec![u16::MAX; graph.n()];
+            for (pi, p) in nd.parts.iter().enumerate() {
+                for &v in &p.all {
+                    po[v as usize] = pi as u16;
                 }
-                let mut worst_mstar = 4u64;
-                let mut part_arenas = Vec::with_capacity(nd.parts.len());
-                let mut bad_edge = vec![u32::MAX; graph.n()];
-                for flat in &part_embs {
-                    let q = flat.quality().max(2) as u64;
-                    worst_mstar = worst_mstar.max(q * q);
-                    for (i, &(b, _)) in flat.virtual_edges().iter().enumerate() {
-                        bad_edge[b as usize] = i as u32;
-                    }
-                    part_arenas.push(FlatPaths::from_embedding(graph, flat));
+            }
+            // One flatten batch per node: the shuffler rounds, then
+            // the parts' M* embeddings.
+            let mut round_embs = hier.flatten_from(
+                id,
+                sh.rounds
+                    .iter()
+                    .map(|r| &r.embedding)
+                    .chain(nd.parts.iter().map(|p| &p.matching_embedding)),
+            );
+            let part_embs = round_embs.split_off(sh.rounds.len());
+            let mut flats = Vec::with_capacity(sh.rounds.len());
+            let mut tables = Vec::with_capacity(sh.rounds.len());
+            for (round, flat) in sh.rounds.iter().zip(round_embs) {
+                flats.push(FlatPaths::from_embedding(graph, &flat));
+                tables.push(RoundTable::build(round, t, flats.last().expect("just pushed")));
+            }
+            let mut worst_mstar = 4u64;
+            let mut part_arenas = Vec::with_capacity(nd.parts.len());
+            let mut bad_edge = vec![u32::MAX; graph.n()];
+            for flat in &part_embs {
+                let q = flat.quality().max(2) as u64;
+                worst_mstar = worst_mstar.max(q * q);
+                for (i, &(b, _)) in flat.virtual_edges().iter().enumerate() {
+                    bad_edge[b as usize] = i as u32;
                 }
-                let prep = NodePrep::Internal {
-                    sh: Box::new(sh),
-                    flats,
-                    tables,
-                    po,
-                    arenas: part_arenas,
-                    embs: part_embs,
-                    bad_edge,
-                    worst_mstar,
-                };
-                (ledger, prep)
-            })
-        };
+                part_arenas.push(FlatPaths::from_embedding(graph, flat));
+            }
+            let prep = NodePrep::Internal {
+                sh: Box::new(sh),
+                flats,
+                tables,
+                po,
+                arenas: part_arenas,
+                embs: part_embs,
+                bad_edge,
+                worst_mstar,
+            };
+            (ledger, prep)
+        });
         for (id, (ledger, prep)) in prepped.into_iter().enumerate() {
             pre_ledger.merge(&ledger);
             match prep {
@@ -618,12 +616,12 @@ impl Router {
         Ok(())
     }
 
-    /// Executes one *validated* job: the single entry point behind
-    /// [`Router::route`], [`Router::sort`], the batch engine and the
-    /// service. The caller provides the (possibly pooled) scratch; the
-    /// outcome is byte-identical whichever scratch serves the job.
-    pub(crate) fn execute(&self, job: JobRef<'_>, scratch: &mut Scratch) -> JobOutcome {
-        crate::exec::run_single(self, scratch, job)
+    /// Validates `job` and runs it alone on a fresh scratch with private
+    /// escort tables: the body of [`Router::route`] and [`Router::sort`].
+    fn run_solo(&self, job: JobRef<'_>) -> Result<JobOutcome, InstanceError> {
+        self.validate(job)?;
+        let tables = Arc::new(EscortTables::new(&self.graph, DEFAULT_SCRATCH_CAP_BYTES));
+        Ok(exec::run_single(&mut Scratch::new(self, tables), job))
     }
 
     /// Answers a Task 1 routing query (Definition 4.1).
@@ -650,12 +648,8 @@ impl Router {
     /// Returns an error if a token references a vertex outside the
     /// graph.
     pub fn route(&self, inst: &RoutingInstance) -> Result<RoutingOutcome, InstanceError> {
-        let job = JobRef::Route(inst);
-        self.validate(job)?;
-        match self.execute(job, &mut Scratch::new(self)) {
-            JobOutcome::Route(out) => Ok(out),
-            JobOutcome::Sort(_) => unreachable!("route job produced a sort outcome"),
-        }
+        let out = self.run_solo(JobRef::Route(inst))?;
+        Ok(out.into_route().expect("route job yields route outcome"))
     }
 
     /// Answers an expander-sorting query (Theorem 5.6 /
@@ -670,12 +664,8 @@ impl Router {
     /// Returns an error if a token references a vertex outside the
     /// graph.
     pub fn sort(&self, inst: &SortInstance) -> Result<SortOutcome, InstanceError> {
-        let job = JobRef::Sort(inst);
-        self.validate(job)?;
-        match self.execute(job, &mut Scratch::new(self)) {
-            JobOutcome::Sort(out) => Ok(out),
-            JobOutcome::Route(_) => unreachable!("sort job produced a route outcome"),
-        }
+        let out = self.run_solo(JobRef::Sort(inst))?;
+        Ok(out.into_sort().expect("sort job yields sort outcome"))
     }
 }
 
@@ -807,31 +797,6 @@ mod tests {
         assert_eq!(r, fresh, "repaired router must be byte-identical to a fresh preprocess");
         assert!(r.is_stale(&g), "pre-edit graph is behind the repaired router");
         assert!(!r.is_stale(&g2), "post-edit graph matches the repaired router");
-    }
-
-    #[test]
-    fn repair_invalidates_pooled_scratch_caches() {
-        let g = generators::random_regular(256, 4, 22).expect("generator");
-        let mut r = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router");
-        let inst = RoutingInstance::permutation(256, 7);
-        let mut scratch = Scratch::new(&r);
-        match r.execute(JobRef::Route(&inst), &mut scratch) {
-            JobOutcome::Route(out) => assert!(out.fully_delivered()),
-            JobOutcome::Sort(_) => unreachable!(),
-        }
-        // Repair in place: the router keeps its address, so only the
-        // epoch half of the scratch tag can catch the change.
-        let (u, v) = g.edges().next().expect("edge");
-        r.repair(&[GraphEdit::RemoveEdge(u, v)]).expect("repair");
-        let pooled = match r.execute(JobRef::Route(&inst), &mut scratch) {
-            JobOutcome::Route(out) => out,
-            JobOutcome::Sort(_) => unreachable!(),
-        };
-        assert!(pooled.fully_delivered());
-        // A fresh scratch is the uncached reference: pooled dummy
-        // dispersals must not leak across the repair.
-        let reference = r.route(&inst).expect("valid");
-        assert_eq!(pooled.rounds(), reference.rounds());
     }
 
     #[test]

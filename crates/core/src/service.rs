@@ -111,7 +111,9 @@ pub struct ServiceConfig {
     pub threads: Option<usize>,
     /// In-flight budget: jobs admitted but not yet received back. At
     /// the cap, [`submit`](ServiceHandle::submit) blocks and
-    /// [`try_submit`](ServiceHandle::try_submit) fails fast.
+    /// [`try_submit`](ServiceHandle::try_submit) fails fast. The budget
+    /// is at least 1: a session serves 0 as 1, since a service that
+    /// admits nothing could never free a slot.
     pub max_in_flight: usize,
     /// Completion-queue count; submissions name a tenant in
     /// `0..tenants` and outcomes come back on that tenant's queue.
@@ -379,9 +381,10 @@ impl RoutingService {
     {
         let workers = build_threads(config.threads);
         let tenants = config.tenants.max(1);
+        let max_in_flight = config.max_in_flight.max(1);
         let shared = Shared {
             engine,
-            config,
+            config: ServiceConfig { max_in_flight, ..config },
             intake: Mutex::new(Intake::default()),
             arrived: Condvar::new(),
             next_ticket: AtomicU64::new(0),

@@ -26,7 +26,7 @@
 //! accounting. [`Hierarchy::build`] therefore runs as a staged
 //! pipeline: probe proposals execute in parallel (packing stays
 //! sequential per iteration — the parts share the host's edge budget),
-//! and sibling subtrees build into private node arenas with forked
+//! and sibling subtrees build into private node arenas with private
 //! [`RoundLedger`]s that splice back in part order. The arena splice
 //! reproduces the sequential DFS numbering exactly, so the output is
 //! byte-identical for every thread count
@@ -267,7 +267,7 @@ impl Hierarchy {
             params: params.clone(),
             budget: ThreadBudget::new(threads),
         };
-        let mut builder = Builder::new(&ctx, RoundLedger::new());
+        let mut builder = Builder::new(&ctx);
 
         // Top-level game inside G itself.
         let root_host = HostGraph::from_graph(graph);
@@ -543,7 +543,7 @@ struct BuildCtx<'g> {
 /// Per-task mutable build state: a node arena (ids local to this
 /// builder) and a private round ledger. Sibling subtrees each get a
 /// fresh `Builder`; [`Builder::attach_parts`] splices their arenas and
-/// absorbs their ledgers in part order.
+/// merges their ledgers in part order.
 struct Builder<'g, 'c> {
     ctx: &'c BuildCtx<'g>,
     nodes: Vec<HierarchyNode>,
@@ -551,8 +551,8 @@ struct Builder<'g, 'c> {
 }
 
 impl<'g, 'c> Builder<'g, 'c> {
-    fn new(ctx: &'c BuildCtx<'g>, ledger: RoundLedger) -> Builder<'g, 'c> {
-        Builder { ctx, nodes: Vec::new(), ledger }
+    fn new(ctx: &'c BuildCtx<'g>) -> Builder<'g, 'c> {
+        Builder { ctx, nodes: Vec::new(), ledger: RoundLedger::new() }
     }
 }
 
@@ -875,7 +875,7 @@ impl Builder<'_, '_> {
 
         // Recurse into the children and assemble the parts. Sibling
         // subtrees are independent, so each builds into a private
-        // arena with a forked ledger; splicing the arenas back in part
+        // arena with a private ledger; splicing the arenas back in part
         // order reproduces the sequential DFS numbering byte for byte.
         let level = self.nodes[node_id].level;
         let ctx = self.ctx;
@@ -885,9 +885,8 @@ impl Builder<'_, '_> {
         // surfaced error is thread-count invariant.
         let built: Vec<Result<Builder<'_, '_>, BuildError>> = {
             let parent_flat = self.nodes[node_id].flat.as_ref();
-            let parent_ledger = &self.ledger;
             parallel::map_tasks(&ctx.budget, game_parts, |_, gp| {
-                let mut sub = Builder::new(ctx, parent_ledger.fork());
+                let mut sub = Builder::new(ctx);
                 let local_root = sub.build_subtree(None, parent_flat, gp, level + 1)?;
                 debug_assert_eq!(local_root, 0, "subtree root leads its arena");
                 Ok(sub)

@@ -4,11 +4,12 @@
 //! A batch's per-job outcomes (positions, ledgers, stats) and its
 //! merged batch ledger must be byte-identical (a) at every worker
 //! thread count, (b) under any submission order (shuffled, then mapped
-//! back), (c) to individual `Router::route`/`Router::sort` calls, and
-//! (d) on a warm engine's repeat batch — the scratch pool, the
-//! dummy-dispersal cache, and the escort tables are accelerators, never
-//! observable, whichever worker's scratch serves a job and whichever
-//! worker fills a shared table.
+//! back), (c) to individual `Router::route`/`Router::sort` calls, (d)
+//! on a warm engine's repeat batch, and (e) while another engine runs
+//! at the same time — the scratch pool, the dummy-dispersal cache, and
+//! the escort tables are accelerators, never observable, whichever
+//! worker's scratch serves a job and whichever worker fills a shared
+//! table, and two engines share none of them.
 
 use congest_sim::RoundLedger;
 use expander_core::{
@@ -19,7 +20,11 @@ use expander_graphs::generators;
 const SIZES: [usize; 2] = [256, 1024];
 
 fn router(n: usize) -> Router {
-    let g = generators::random_regular(n, 4, 0xBA7C).expect("generator");
+    router_on(n, 0xBA7C)
+}
+
+fn router_on(n: usize, graph_seed: u64) -> Router {
+    let g = generators::random_regular(n, 4, graph_seed).expect("generator");
     Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router")
 }
 
@@ -160,7 +165,9 @@ fn shared_escort_tables_are_unobservable() {
         (0..8).map(|s| Job::Route(RoutingInstance::permutation(n, 40 + s))).collect();
     let solos: Vec<JobOutcome> = jobs.iter().map(|job| solo(&r, job)).collect();
     let mut merged = RoundLedger::new();
-    merged.absorb_refs(solos.iter().map(JobOutcome::ledger));
+    for out in &solos {
+        merged.merge(out.ledger());
+    }
     let fallback: u64 = solos.iter().map(|o| o.stats().fallback_tokens).sum();
     assert!(fallback > 0, "the batch takes escort legs");
     let check = |batch: &BatchOutcome, what: &str| {
@@ -177,5 +184,42 @@ fn shared_escort_tables_are_unobservable() {
     for threads in [4, 2, 1] {
         engine = engine.with_threads(Some(threads));
         check(&engine.run(&jobs).expect("valid"), &format!("one engine at {threads} workers"));
+    }
+}
+
+#[test]
+fn concurrent_engines_share_nothing() {
+    // Two engines at 2 workers, over routers of two different graphs,
+    // run the same jobs from two threads at once. Each run equals that
+    // engine's run alone: nothing of one engine's queries reaches the
+    // other's.
+    let n = 256;
+    let routers = [router_on(n, 0xBA7C), router_on(n, 0x5EED)];
+    let jobs = jobs(n);
+    let engines = routers.each_ref().map(|r| QueryEngine::new(r).with_threads(Some(2)));
+    let alone = engines.each_ref().map(|e| e.run(&jobs).expect("valid"));
+    assert_ne!(
+        alone[0].stats.merged, alone[1].stats.merged,
+        "the two graphs must route differently, or a crossed result would go unseen"
+    );
+    for run in 0..3 {
+        let together = std::thread::scope(|s| {
+            let handles = engines.each_ref().map(|e| s.spawn(|| e.run(&jobs).expect("valid")));
+            handles.map(|h| h.join().expect("engine thread"))
+        });
+        for (e, (reference, batch)) in alone.iter().zip(&together).enumerate() {
+            assert_eq!(reference.outcomes.len(), batch.outcomes.len());
+            for (i, (a, b)) in reference.outcomes.iter().zip(&batch.outcomes).enumerate() {
+                assert_eq!(
+                    fingerprint(a),
+                    fingerprint(b),
+                    "run {run}, engine {e}: job {i} differs"
+                );
+            }
+            assert_eq!(
+                reference.stats.merged, batch.stats.merged,
+                "run {run}, engine {e}: merged ledgers differ"
+            );
+        }
     }
 }

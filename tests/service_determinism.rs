@@ -7,13 +7,16 @@
 //! threads and under any submission-order permutation. Which worker and
 //! which pooled scratch serve a job is unobservable. Backpressure must be
 //! exact: with an in-flight cap of K, the (K+1)-th fail-fast submission
-//! is rejected, and no admitted outcome is ever lost.
+//! is rejected, and no admitted outcome is ever lost. A cap of 0 is
+//! served as 1.
 
 use expander_core::service::{ArrivalSchedule, RoutingService, ServiceConfig};
 use expander_core::{
     Job, JobOutcome, QueryEngine, Router, RouterConfig, RoutingInstance, SubmitError,
 };
 use expander_graphs::generators;
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn router(n: usize) -> Router {
     let g = generators::random_regular(n, 4, 0xBA7C).expect("generator");
@@ -200,4 +203,42 @@ fn arrivals_to_parked_workers_match_closed_batches() {
     for (i, (s, o)) in streamed.iter().zip(&batch.outcomes).enumerate() {
         assert_eq!(s, &fingerprint(o), "job {i} differs from the closed batch");
     }
+}
+
+#[test]
+fn zero_in_flight_budget_admits_one_job_at_a_time() {
+    // The session runs on a thread of its own and reports back through
+    // a channel, so a service that admits nothing under a budget of 0
+    // fails this test instead of hanging it. The thread is joined only
+    // once it has reported.
+    let n = 128;
+    let (tx, rx) = mpsc::channel();
+    let session = std::thread::spawn(move || {
+        let r = router(n);
+        let engine = QueryEngine::new(&r);
+        let config =
+            ServiceConfig { threads: Some(1), max_in_flight: 0, ..ServiceConfig::default() };
+        let report = RoutingService::serve(&engine, config, |handle| {
+            let job = |seed| Job::Route(RoutingInstance::permutation(n, seed));
+            let first = handle.submit(0, job(0));
+            let overflow = handle.try_submit(0, job(1));
+            let got_first = handle.recv(0).map(|(ticket, out)| (ticket, out.rounds()));
+            let second = handle.submit(0, job(1));
+            let got_second = handle.recv(0).map(|(ticket, out)| (ticket, out.rounds()));
+            (first, overflow, got_first, second, got_second)
+        });
+        tx.send(report).expect("the test waits for the session");
+    });
+    let ((first, overflow, got_first, second, got_second), stats) =
+        rx.recv_timeout(Duration::from_secs(60)).expect("a session with a budget of 0 returns");
+    session.join().expect("the session thread ends cleanly");
+    let first = first.expect("submit admits the first job");
+    assert_eq!(overflow, Err(SubmitError::Saturated), "one job in flight fills the budget");
+    let second = second.expect("receiving the first outcome frees the slot");
+    for (ticket, got) in [(first, got_first), (second, got_second)] {
+        let (got, rounds) = got.expect("the outcome arrives");
+        assert_eq!(got, ticket);
+        assert!(rounds > 0, "job {ticket} charged no rounds");
+    }
+    assert_eq!((stats.admitted, stats.completed, stats.rejected), (2, 2, 1));
 }
