@@ -8,7 +8,7 @@
 //! ([`Job::Route`] / [`Job::Sort`]) and executes each job alone, as
 //! the paper answers each query, on the same
 //! [`ThreadBudget`]/[`run_tasks`] worker pool the staged preprocessing
-//! build uses, with three cross-query savings:
+//! build uses, with two cross-query savings:
 //!
 //! * **Pooled scratch** — per-query mutable state (the dense load
 //!   counters, counting-sort buckets, dispersal state, and
@@ -22,14 +22,8 @@
 //!   tokens per vertex, §6.3) is a pure function of `(node, L)`, so
 //!   its dispersal, final grouping, and round charges are computed
 //!   once per key and replayed for every subsequent query.
-//! * **Shared escort tables** — the merge fallback walks each leg up
-//!   the BFS tree rooted at its target. The engine keeps one
-//!   `exec::EscortTables` for all its scratches: a byte of tree parent
-//!   per vertex and target, filled along the walks the legs take, so a
-//!   later leg follows the known slots and searches only for the
-//!   unknown tail.
 //!
-//! All three are accelerators only: every job is a pure function of its
+//! Both are accelerators only: every job is a pure function of its
 //! instance and the router, each job charges its own [`RoundLedger`],
 //! the batch merges them in canonical job order, and the per-job
 //! outcomes are byte-identical to individual
@@ -53,14 +47,14 @@
 //! assert_eq!(stats.jobs, 8);
 //! ```
 
-use crate::exec::{EscortTables, Scratch};
+use crate::exec::Scratch;
 use crate::router::Router;
 use crate::token::{
     InstanceError, QueryStats, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome,
 };
 use congest_sim::parallel::{build_threads, run_tasks, ThreadBudget};
 use congest_sim::RoundLedger;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// One owned job of a batch.
 #[derive(Debug, Clone)]
@@ -180,13 +174,16 @@ impl BatchStats {
         stats
     }
 
-    /// The worst per-edge congestion observed by any job's measured
-    /// movement legs.
+    /// The worst per-edge congestion of any job's walked movement legs
+    /// (ingress, dispersal, `M*` and egress). The merge fallback's legs
+    /// are charged by a bound instead and counted in
+    /// [`QueryStats::fallback_tokens`].
     pub fn max_congestion(&self) -> u64 {
         self.query.max_congestion
     }
 
-    /// The worst path dilation observed by any job.
+    /// The worst path dilation of any job's walked movement legs (the
+    /// legs [`max_congestion`](Self::max_congestion) covers).
     pub fn max_dilation(&self) -> u64 {
         self.query.max_dilation
     }
@@ -202,40 +199,25 @@ pub struct BatchOutcome {
     pub stats: BatchStats,
 }
 
-/// A checkout/return pool of query scratches over one router, and the
-/// escort tables they share.
+/// A checkout/return pool of query scratches over one router.
 ///
 /// Workers check a scratch out per job and return it afterwards, so a
 /// batch of `B` jobs materializes at most `max(live workers)` scratches
 /// — `O(threads)`, not `O(B)` — and each scratch's dummy-dispersal
 /// cache warms across all the jobs that pass through it. A scratch
-/// that returns above the engine's cap is dropped instead of pooled;
-/// the tables outlive it.
-#[derive(Debug)]
+/// that returns above the engine's cap is dropped instead of pooled.
+#[derive(Debug, Default)]
 pub(crate) struct ScratchPool<'r> {
     slots: Mutex<Vec<Scratch<'r>>>,
-    escort: Arc<EscortTables>,
 }
 
 impl<'r> ScratchPool<'r> {
-    /// An empty pool whose escort tables may hold `escort_bytes`.
-    fn new(r: &Router, escort_bytes: usize) -> ScratchPool<'r> {
-        ScratchPool {
-            slots: Mutex::default(),
-            escort: Arc::new(EscortTables::new(&r.graph, escort_bytes)),
-        }
-    }
-
-    /// Checks a scratch out, or builds a fresh one for `r` on the pool's
-    /// tables if the pool is empty. A returned scratch already serves
-    /// `r`, so it is handed out as it was returned; `exec::run_single`
-    /// resets its per-job accumulators.
+    /// Checks a scratch out, or builds a fresh one for `r` if the pool
+    /// is empty. A returned scratch already serves `r`, so it is handed
+    /// out as it was returned; `exec::run_single` resets its per-job
+    /// accumulators.
     fn checkout(&self, r: &'r Router) -> Scratch<'r> {
-        self.slots
-            .lock()
-            .expect("unpoisoned")
-            .pop()
-            .unwrap_or_else(|| Scratch::new(r, Arc::clone(&self.escort)))
+        self.slots.lock().expect("unpoisoned").pop().unwrap_or_else(|| Scratch::new(r))
     }
 
     /// Returns a scratch to the pool if its retained footprint is at or
@@ -252,9 +234,9 @@ impl<'r> ScratchPool<'r> {
 /// The batched multi-query engine over one preprocessed [`Router`].
 ///
 /// See the [module docs](self) for the execution model. Engines are
-/// cheap to construct but long-lived ones are faster: the scratch pool,
-/// the dummy caches and the escort tables warm across every batch (and
-/// every [`route_one`](QueryEngine::route_one)/
+/// cheap to construct but long-lived ones are faster: the scratch pool
+/// and the dummy caches warm across every batch (and every
+/// [`route_one`](QueryEngine::route_one)/
 /// [`sort_one`](QueryEngine::sort_one) call) served by the same engine.
 ///
 /// # Example
@@ -290,16 +272,12 @@ pub struct QueryEngine<'r> {
     scratch_cap: usize,
 }
 
-/// Per-scratch retained-bytes cap (64 MiB), and the byte budget of an
-/// engine's escort tables. A scratch that returns to the pool above the
-/// cap is dropped, so a long-lived engine's footprint tracks its
-/// current workload instead of its peak one; a warm scratch stays well
-/// under it and keeps its dummy cache between batches. The escort
-/// tables are the engine's, not a scratch's: one `n`-byte table per
-/// target while the budget lasts (every target up to n = 8192), and
-/// legs to further targets take the exact search. A solo query's
-/// private tables have the same budget.
-pub(crate) const DEFAULT_SCRATCH_CAP_BYTES: usize = 64 << 20;
+/// Per-scratch retained-bytes cap (64 MiB). A scratch that returns to
+/// the pool above the cap is dropped, so a long-lived engine's
+/// footprint tracks its current workload instead of its peak one; a
+/// warm scratch stays well under it and keeps its dummy cache between
+/// batches.
+const DEFAULT_SCRATCH_CAP_BYTES: usize = 64 << 20;
 
 impl<'r> QueryEngine<'r> {
     /// An engine over `router` with the default worker count
@@ -308,7 +286,7 @@ impl<'r> QueryEngine<'r> {
         QueryEngine {
             router,
             threads: None,
-            pool: ScratchPool::new(router, DEFAULT_SCRATCH_CAP_BYTES),
+            pool: ScratchPool::default(),
             scratch_cap: DEFAULT_SCRATCH_CAP_BYTES,
         }
     }
@@ -484,27 +462,21 @@ mod tests {
     fn over_cap_scratches_are_dropped_without_changing_outputs() {
         let r = router(512, 3);
         let jobs = dense_jobs(512);
+        let base = QueryEngine::new(&r).with_threads(Some(1)).run(&jobs).expect("valid");
+        assert!(base.stats.query.fallback_tokens > 0, "the batch takes fallback legs");
 
-        // Default cap and budget: every escort target gets a table.
-        let engine = QueryEngine::new(&r).with_threads(Some(1));
-        let base = engine.run(&jobs).expect("valid");
-        assert!(base.stats.query.fallback_tokens > 0, "the batch takes escort legs");
-
-        // Cap of zero on a search-only engine: every fallback leg takes
-        // the exact search, and every restore exceeds the cap, so each
-        // scratch is dropped and the pool ends empty. The next batch
-        // runs each job on a fresh scratch. Outputs and ledgers stay
-        // byte-identical: the caches are accelerators only, and both
-        // escort paths charge the same walk.
-        let mut capped = QueryEngine::new(&r).with_threads(Some(1)).with_escort_budget(0);
+        // Cap of zero: every restore exceeds the cap, so each scratch is
+        // dropped and the pool ends empty. The next batch runs each job
+        // on a fresh scratch. Outputs and ledgers stay byte-identical:
+        // the dummy caches are accelerators only.
+        let mut capped = QueryEngine::new(&r).with_threads(Some(1));
         capped.scratch_cap = 0;
         let pooled_count = || capped.pool.slots.lock().expect("unpoisoned").len();
-        let search = capped.run(&jobs).expect("valid");
+        let first = capped.run(&jobs).expect("valid");
         assert_eq!(pooled_count(), 0, "over-cap scratches are dropped");
         let fresh = capped.run(&jobs).expect("valid");
         assert_eq!(pooled_count(), 0, "over-cap scratches are dropped");
-        assert_eq!(capped.pool.escort.allocated(), 0, "a zero budget holds no table");
-        for batch in [&search, &fresh] {
+        for batch in [&first, &fresh] {
             assert_same_outputs(&base, batch);
         }
     }
@@ -544,18 +516,9 @@ mod tests {
     }
 
     /// Dense permutations, whose merges leave real tokens without
-    /// dummies, so the batch takes escort legs.
+    /// dummies, so the batch takes fallback legs.
     fn dense_jobs(n: usize) -> Vec<Job> {
         (0..8).map(|s| Job::Route(RoutingInstance::permutation(n, 100 + s))).collect()
-    }
-
-    impl QueryEngine<'_> {
-        /// The engine with fresh escort tables that may hold `bytes`
-        /// (0 sends every fallback leg through the exact search).
-        fn with_escort_budget(mut self, bytes: usize) -> Self {
-            self.pool = ScratchPool::new(self.router, bytes);
-            self
-        }
     }
 
     /// The pooled scratch of a single-worker engine.
@@ -566,73 +529,20 @@ mod tests {
     }
 
     #[test]
-    fn escort_tables_hold_only_tree_parents() {
-        // The lazy-fill invariant: after warm batches, every filled slot
-        // of every target's table names that target's BFS tree parent
-        // and its edge, and the filled slots form whole walks.
-        for n in [512, 1024] {
-            let r = router(n, 7);
-            let engine = QueryEngine::new(&r).with_threads(Some(2));
-            let jobs = dense_jobs(n);
-            engine.run(&jobs).expect("valid");
-            engine.run(&jobs).expect("valid");
-            let tables = engine.pool.escort.snapshot();
-            assert!(!tables.is_empty(), "n = {n}: the batch takes escort legs");
-            let filled: usize = tables
-                .iter()
-                .map(|(target, slots)| crate::exec::check_escort_table(&r.graph, *target, slots))
-                .sum();
-            assert!(filled > 0, "n = {n}: the legs fill no slot of {} tables", tables.len());
-        }
-    }
-
-    #[test]
-    fn shared_tables_match_a_search_only_engine() {
-        // One engine's workers race on the fills of its shared tables;
-        // whichever worker fills a slot, every output equals a
-        // search-only engine's.
-        let r = router(1024, 9);
-        let jobs = dense_jobs(1024);
-        let search = QueryEngine::new(&r).with_threads(Some(1)).with_escort_budget(0).run(&jobs);
-        let search = search.expect("valid");
-        let mut engine = QueryEngine::new(&r);
-        for threads in [4, 2, 1] {
-            let cold = QueryEngine::new(&r).with_threads(Some(threads));
-            assert_same_outputs(&search, &cold.run(&jobs).expect("valid"));
-            engine = engine.with_threads(Some(threads));
-            assert_same_outputs(&search, &engine.run(&jobs).expect("valid"));
-        }
-    }
-
-    #[test]
-    fn escort_budget_overflow_searches_without_changing_outputs() {
-        // A budget of fewer tables than the batch has escort targets:
-        // the tables fill the budget and stay within it, legs to the
-        // remaining targets take the exact search, and every output is
-        // byte-identical to an engine whose tables hold every target.
-        // The pooled scratch keeps its dummy cache between batches.
+    fn pooled_scratch_keeps_its_dummy_cache_between_batches() {
+        // A single-worker engine pools its one scratch after each batch:
+        // the scratch keeps its dummy cache, the next batch hits it, and
+        // every output is byte-identical to the first batch's.
         let r = router(1024, 5);
-        let n = r.graph.n();
         let jobs = dense_jobs(1024);
-        let full = QueryEngine::new(&r).with_threads(Some(1));
-        let base = full.run(&jobs).expect("valid");
-        let targets = full.pool.escort.allocated();
-
-        let budget = targets / 2 * n + n / 2;
-        let engine = QueryEngine::new(&r).with_threads(Some(1)).with_escort_budget(budget);
+        let engine = QueryEngine::new(&r).with_threads(Some(1));
         let first = engine.run(&jobs).expect("valid");
         let (entries, hits) = pooled(&engine, Scratch::dummy_probe);
         let second = engine.run(&jobs).expect("valid");
-        let tables = &engine.pool.escort;
-        assert_eq!(tables.allocated(), targets / 2, "the tables fill the budget");
-        assert!(tables.table_bytes() <= budget, "{} table bytes", tables.table_bytes());
-        assert!(tables.allocated() < targets, "legs to the other targets search");
         assert!(entries > 0, "the dummy cache survives the restore");
         let (.., next_hits) = pooled(&engine, Scratch::dummy_probe);
         assert!(next_hits > hits, "the next batch hits the dummy cache");
-        for batch in [&first, &second] {
-            assert_same_outputs(&base, batch);
-        }
+        assert_same_outputs(&first, &second);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! charged through the [`CostModel`](crate::cost_model::CostModel)
 //! units and their net effect (balanced portal placement, real/dummy
 //! pairing) is applied directly; the meet-in-the-middle correctness
-//! argument is §6.2–§6.3's.
+//! argument is §6.2–§6.3's. The one movement charged by a proven bound
+//! instead of a measurement is the merge fallback's shortest-path legs
+//! (substitution 6 in `docs/ARCHITECTURE.md`): each merge charges
+//! `legs × 2·D̂`, `D̂` being the root node's eccentricity estimate.
 //!
 //! The hot path runs entirely on dense integer ids: paths are walked
 //! through [`FlatPaths`] edge-id arenas, congestion is accumulated in
@@ -19,16 +22,13 @@
 //! performs no heap allocation and iterates in deterministic order.
 //!
 //! Every query runs alone through one pipeline, `run_single`: a solo
-//! [`Router::route`]/[`Router::sort`] call on a fresh scratch with
-//! private escort tables, and each job of an engine batch or a service
-//! stream on a pooled one. A scratch borrows the router it serves for
-//! its whole life and is sized for it once, when built, so a job reads
-//! and writes only that router, its scratch and the escort tables the
-//! scratch was given. The pooled scratch carries only accelerators (the
-//! dummy-dispersal cache, and the escort tables its engine's scratches
-//! share), so an outcome never depends on which scratch served it or
-//! which worker filled a table (`tests/batch_determinism`,
-//! `tests/property`).
+//! [`Router::route`]/[`Router::sort`] call on a fresh scratch, and each
+//! job of an engine batch or a service stream on a pooled one. A
+//! scratch borrows the router it serves for its whole life and is sized
+//! for it once, when built, so a job reads and writes only that router
+//! and its scratch. The pooled scratch carries one accelerator, the
+//! dummy-dispersal cache, so an outcome never depends on which scratch
+//! served it (`tests/batch_determinism`, `tests/property`).
 //!
 //! # Paper map
 //!
@@ -48,9 +48,7 @@ use crate::router::Router;
 use crate::token::{QueryStats, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::RoundLedger;
 use expander_decomp::NodeId;
-use expander_graphs::{FlatPaths, Graph, TreeWalkScratch};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use expander_graphs::{FlatPaths, Graph};
 
 /// Dense movement cost accumulator over a graph's canonical edge-id
 /// space (see [`Graph::edge_id`]).
@@ -333,166 +331,18 @@ impl DummyCache {
     }
 }
 
-/// The merge fallback's escort tables: one parent-slot table per
-/// target, allocated on the target's first leg if an engine-wide byte
-/// budget still admits it, and filled along the walks its legs take.
-///
-/// Cell `v` of target `t`'s table is 0 while unknown; `k + 1` means the
-/// parent of `v` in the FIFO BFS tree rooted at `t` (the tree
-/// [`Graph::bfs_parent_tree_into`] builds) is `g.neighbors(v)[k]`. That
-/// tree is a fixed function of the graph and the target, so every write
-/// stores the one value the tree defines and any interleaving of
-/// writers fills the same cells with the same bytes: an engine's
-/// workers share one set. A slot publishes nothing but itself (a reader
-/// that sees it nonzero needs no other write), so its loads and stores
-/// are relaxed; the `OnceLock` publishes each table. Targets past the
-/// budget, and graphs whose degrees a byte cannot index, take the exact
-/// search for every leg. Which path serves a leg is unobservable:
-/// outcomes and ledgers are byte-identical at every budget.
-#[derive(Debug, Default)]
-pub(crate) struct EscortTables {
-    /// Per target vertex, decided on its first leg: an `n`-cell table,
-    /// or `None` once the budget was spent.
-    tables: Box<[OnceLock<Option<EscortTable>>]>,
-    /// Tables the budget admits (0 when a slot cannot index the
-    /// graph's largest adjacency list).
-    max_tables: usize,
-    /// Tables allocated so far.
-    allocated: AtomicUsize,
-}
-
-impl EscortTables {
-    /// Empty tables for the graph `g`, holding at most `budget_bytes`.
-    pub(crate) fn new(g: &Graph, budget_bytes: usize) -> EscortTables {
-        let n = g.n();
-        let max_tables = if g.max_degree() < 255 { budget_bytes / n.max(1) } else { 0 };
-        EscortTables {
-            tables: (0..n).map(|_| OnceLock::new()).collect(),
-            max_tables,
-            allocated: AtomicUsize::new(0),
-        }
-    }
-
-    /// The table of `target`, allocated on its first leg if the budget
-    /// still admits one, or `None` when its legs take the exact search.
-    fn table(&self, target: u32) -> Option<&[AtomicU8]> {
-        let n = self.tables.len();
-        let admit = |a: usize| (a < self.max_tables).then_some(a + 1);
-        self.tables
-            .get(target as usize)?
-            .get_or_init(|| {
-                let admitted =
-                    self.allocated.fetch_update(Ordering::Relaxed, Ordering::Relaxed, admit);
-                admitted.is_ok().then(|| (0..n).map(|_| AtomicU8::new(0)).collect())
-            })
-            .as_deref()
-    }
-}
-
-/// One target's parent slots, one cell per vertex.
-type EscortTable = Box<[AtomicU8]>;
-
-/// One scratch's side of the escort legs: the shared tables, the exact
-/// search's buffers, and the walk buffers that charge each leg.
-#[derive(Debug, Default)]
-struct EscortCache {
-    tables: Arc<EscortTables>,
-    search: TreeWalkScratch,
-    /// Edge ids of the escort walk being charged.
-    walk: Vec<u32>,
-    /// Edge ids of the searched tail of that walk.
-    tail: Vec<u32>,
-}
-
-impl EscortCache {
-    /// Estimated heap bytes retained by this scratch's side (the shared
-    /// tables are the engine's, not the scratch's).
-    fn approx_bytes(&self) -> usize {
-        (self.walk.capacity() + self.tail.capacity()) * 4 + self.search.approx_bytes()
-    }
-
-    /// Charges one fallback leg `src → target` into `mc` along the BFS
-    /// tree rooted at `target`: through the target's table when it has
-    /// one, or else through the exact search. Unreachable pairs charge
-    /// nothing — the escort teleports either way (the caller rewrites
-    /// `pos`).
-    fn charge(&mut self, g: &Graph, mc: &mut FlatMoveCost, src: u32, target: u32) {
-        let EscortCache { tables, search, walk, tail } = self;
-        let reached = match tables.table(target) {
-            Some(table) => table_walk_into(g, table, src, target, search, walk, tail),
-            None => g.bfs_tree_walk_into(src, target, search, walk),
-        };
-        if reached {
-            mc.add_edge_ids(walk, 1);
-        }
-    }
-}
-
-/// Writes into `walk` the edge ids of the tree walk `src → target`
-/// (the contract of [`Graph::bfs_tree_walk_into`]) through `target`'s
-/// table: it follows known slots from `src`, runs the exact search from
-/// the first vertex whose slot is unknown, and records the slot of every
-/// vertex on that searched tail. The tail is the suffix of the tree walk
-/// from `src`, so each recorded slot is the first adjacency position
-/// whose edge id matches the walk's hop (parallel copies share an id).
-fn table_walk_into(
-    g: &Graph,
-    table: &[AtomicU8],
-    src: u32,
-    target: u32,
-    search: &mut TreeWalkScratch,
-    walk: &mut Vec<u32>,
-    tail: &mut Vec<u32>,
-) -> bool {
-    walk.clear();
-    let mut cur = src;
-    while cur != target {
-        let slot = table[cur as usize].load(Ordering::Relaxed);
-        if slot == 0 {
-            break;
-        }
-        let k = usize::from(slot - 1);
-        walk.push(g.neighbor_edge_ids(cur)[k]);
-        cur = g.neighbors(cur)[k];
-        debug_assert!(walk.len() < table.len(), "the slots of target {target} form a cycle");
-    }
-    if cur == target {
-        return true;
-    }
-    if !g.bfs_tree_walk_into(cur, target, search, tail) {
-        // Only `src` itself can miss the target: a known slot lies on
-        // a walk that reached it.
-        walk.clear();
-        return false;
-    }
-    for &e in tail.iter() {
-        let k = g
-            .neighbor_edge_ids(cur)
-            .iter()
-            .position(|&id| id == e)
-            .expect("the walk's hop leaves its vertex");
-        let slot = u8::try_from(k + 1).expect("tables exist only below degree 255");
-        table[cur as usize].store(slot, Ordering::Relaxed);
-        cur = g.neighbors(cur)[k];
-    }
-    walk.extend_from_slice(tail);
-    true
-}
-
 /// Reusable query buffers over one router, shared across every
 /// `disperse`/`merge`/`task2` round of a query and — through the
 /// engine's scratch pool — across the queries of a batch: dense
 /// per-vertex load counters, counting-sort group buckets, per-part load
-/// vectors, flat movement-cost accumulators, the flock position arrays,
-/// the cross-query dummy-dispersal cache, and this worker's side of the
-/// escort legs (the search buffers and a handle on the escort tables,
-/// which an engine's scratches share).
+/// vectors, the flat movement-cost accumulator, the flock position
+/// arrays, and the cross-query dummy-dispersal cache.
 ///
 /// The scratch borrows the router it serves for its whole life, so its
-/// buffers are sized once, when it is built, and its dummy cache and
-/// escort tables can never outlive the router they describe: a
-/// [`Router::repair`] takes the router mutably and so cannot run while
-/// one of its scratches lives.
+/// buffers are sized once, when it is built, and its dummy cache can
+/// never outlive the router it describes: a [`Router::repair`] takes
+/// the router mutably and so cannot run while one of its scratches
+/// lives.
 #[derive(Debug)]
 pub(crate) struct Scratch<'r> {
     /// The router every job on this scratch runs against.
@@ -509,9 +359,8 @@ pub(crate) struct Scratch<'r> {
     part_load: Vec<u32>,
     /// Token groups keyed `part · t + mark` (reals / leaf targets).
     groups: DenseGroups,
-    /// Movement-cost accumulators (main + fallback legs).
+    /// Movement-cost accumulator of the walked legs.
     mc: FlatMoveCost,
-    fallback_mc: FlatMoveCost,
     /// Round-robin fallback cursors per part.
     fallback_rr: Vec<usize>,
     /// Partition staging buffer for the Task 2 worklist.
@@ -520,8 +369,6 @@ pub(crate) struct Scratch<'r> {
     /// internal node pushes its partition's `t + 1` offsets, recurses
     /// into the children, and pops them again.
     child_bounds: Vec<u32>,
-    /// The merge fallback legs' tables and search buffers.
-    escort: EscortCache,
     /// Dispersion-envelope counters (`t × t` and `t`).
     env_count: Vec<f64>,
     env_tot: Vec<f64>,
@@ -535,23 +382,18 @@ pub(crate) struct Scratch<'r> {
 }
 
 impl<'r> Scratch<'r> {
-    /// A scratch sized for `r` whose escort legs fill `tables`, which
-    /// must be built for `r`'s graph: a solo query's private set, or the
-    /// set an engine's scratches share.
-    pub(crate) fn new(r: &'r Router, tables: Arc<EscortTables>) -> Scratch<'r> {
-        let edge_space = r.graph.edge_id_count();
+    /// A scratch sized for `r`.
+    pub(crate) fn new(r: &'r Router) -> Scratch<'r> {
         Scratch {
             r,
             vertex_load: vec![0; r.graph.n()],
             vertex_touched: Vec::new(),
             part_load: vec![0; r.max_parts],
             groups: DenseGroups::default(),
-            mc: FlatMoveCost::new(edge_space),
-            fallback_mc: FlatMoveCost::new(edge_space),
+            mc: FlatMoveCost::new(r.graph.edge_id_count()),
             fallback_rr: vec![0; r.max_parts],
             toks_tmp: Vec::new(),
             child_bounds: Vec::new(),
-            escort: EscortCache { tables, ..EscortCache::default() },
             env_count: Vec::new(),
             env_tot: Vec::new(),
             dummies: DummyCache::new(r.hier.nodes().len()),
@@ -561,10 +403,8 @@ impl<'r> Scratch<'r> {
     }
 
     /// Estimated heap bytes this scratch retains (dense buffers, the
-    /// dummy cache, the escort search buffers and the dispersal states;
-    /// not the escort tables, which the engine holds under its own
-    /// budget) — the scratch pool drops a returning scratch whose
-    /// footprint exceeds the engine's cap.
+    /// dummy cache and the dispersal states) — the scratch pool drops a
+    /// returning scratch whose footprint exceeds the engine's cap.
     pub(crate) fn footprint_bytes(&self) -> usize {
         let mut b = (self.vertex_load.capacity()
             + self.vertex_touched.capacity()
@@ -575,8 +415,6 @@ impl<'r> Scratch<'r> {
             + self.groups.items.capacity()
             + self.mc.edge_load.capacity()
             + self.mc.touched.capacity()
-            + self.fallback_mc.edge_load.capacity()
-            + self.fallback_mc.touched.capacity()
             + self.child_bounds.capacity())
             * 4
             + (self.fallback_rr.capacity()
@@ -584,7 +422,6 @@ impl<'r> Scratch<'r> {
                 + self.env_count.capacity()
                 + self.env_tot.capacity())
                 * 8
-            + self.escort.approx_bytes()
             + self.job_state.approx_bytes()
             + self.dummy_state.approx_bytes();
         for node in &self.dummies.nodes {
@@ -1157,7 +994,6 @@ pub(crate) fn run_single(scratch: &mut Scratch<'_>, job: JobRef<'_>) -> JobOutco
     // Transient state is reset-before-use everywhere, but a pooled
     // checkout should never depend on the previous job's epilogue.
     scratch.mc.reset();
-    scratch.fallback_mc.reset();
     scratch.reset_vertices();
     let mut exec = Exec::new(r);
     let root = r.hier.root();
@@ -1457,16 +1293,19 @@ fn disperse(
 /// §6.3 merge: pair reals with dummies per (part, mark); dummies
 /// escort reals to their birth vertices. Reals that exceed the local
 /// dummy supply (substitution 6 in `docs/ARCHITECTURE.md`) fall back to
-/// explicit shortest paths — the walk in the BFS tree rooted at a
-/// round-robin target vertex, through the [`EscortTables`] — measured
-/// and counted. Group iteration runs in ascending dense-key order — the
-/// fallback round-robin counters are shared across groups with the same
-/// mark, so the order must be deterministic or target choices (and
-/// charged costs) vary run to run. The real-token groups and
-/// per-part load maxima come from the flock's incremental dispersal
-/// state (no rescan of the flock); the dummy side (final buckets,
-/// landing loads, origins) comes precomputed from the cached
-/// [`DummyEntry`].
+/// a shortest-path leg to a round-robin target vertex of their marked
+/// part, counted in `fallback_tokens` and charged by a bound instead of
+/// walked: each leg is a simple shortest path, so the merge's legs have
+/// congestion ≤ `legs` and dilation ≤ D ≤ 2·D̂, where D̂ is the root
+/// node's `diameter` — the eccentricity of one vertex, and D ≤
+/// 2·ecc(v) for every v. The charge is `legs × 2·D̂`. Group iteration
+/// runs in ascending dense-key order — the fallback round-robin
+/// counters are shared across groups with the same mark, so the order
+/// must be deterministic or target choices vary run to run. The
+/// real-token groups and per-part load maxima come from the flock's
+/// incremental dispersal state (no rescan of the flock); the dummy side
+/// (final buckets, landing loads, origins) comes precomputed from the
+/// cached [`DummyEntry`].
 fn merge(
     r: &Router,
     scratch: &mut Scratch<'_>,
@@ -1507,10 +1346,10 @@ fn merge(
     exec.stats.charged_sorts += merge_parts;
     exec.ledger.charge("query/task3/merge", merge_charge);
 
-    scratch.fallback_mc.reset();
     for rr in &mut scratch.fallback_rr[..t] {
         *rr = 0;
     }
+    let mut legs = 0u64;
     for key in 0..t * t {
         let reals = &st.buckets[key];
         if reals.is_empty() {
@@ -1518,27 +1357,25 @@ fn merge(
         }
         // Two-pointer split: the dummy-paired prefix streams the
         // entry's group-contiguous origins in rank order — one
-        // sequential pass over two contiguous u32 slices; only the
-        // (rare) dummy-starved suffix pays the fallback machinery.
+        // sequential pass over two contiguous u32 slices; the
+        // dummy-starved suffix takes fallback legs.
         let origins = dummy.group(key);
         let paired = reals.len().min(origins.len());
         for (&ri, &origin) in reals[..paired].iter().zip(origins) {
             st.pos[ri as usize] = origin;
         }
-        for &ri in &reals[paired..] {
-            let ri = ri as usize;
-            // Fallback: not enough dummies landed here.
-            let lp = key % t;
-            let target_part = &nd.parts[lp].all;
-            let target = target_part[scratch.fallback_rr[lp] % target_part.len()];
+        let starved = &reals[paired..];
+        let lp = key % t;
+        let target_part = &nd.parts[lp].all;
+        for &ri in starved {
+            st.pos[ri as usize] = target_part[scratch.fallback_rr[lp] % target_part.len()];
             scratch.fallback_rr[lp] += 1;
-            scratch.escort.charge(&r.graph, &mut scratch.fallback_mc, st.pos[ri], target);
-            st.pos[ri] = target;
-            exec.stats.fallback_tokens += 1;
         }
+        legs += starved.len() as u64;
     }
-    let fallback_cost = observe_mc(&mut exec.stats, &scratch.fallback_mc);
-    exec.ledger.charge("query/task3/fallback", fallback_cost);
+    exec.stats.fallback_tokens += legs;
+    let d_hat = u64::from(r.hier.node(r.hier.root()).diameter);
+    exec.ledger.charge("query/task3/fallback", legs * 2 * d_hat);
 
     // Postcondition: every real token is inside its marked part.
     debug_assert!((0..st.pos.len()).all(|i| part_of[st.pos[i] as usize] == st.mark[i]));
@@ -1551,55 +1388,6 @@ impl Scratch<'_> {
     pub(crate) fn dummy_probe(&self) -> (usize, u64) {
         (self.dummies.nodes.iter().map(Vec::len).sum(), self.dummies.hits)
     }
-}
-
-#[cfg(test)]
-impl EscortTables {
-    /// Tables allocated so far.
-    pub(crate) fn allocated(&self) -> usize {
-        self.allocated.load(Ordering::Relaxed)
-    }
-
-    /// Bytes the allocated tables hold.
-    pub(crate) fn table_bytes(&self) -> usize {
-        self.allocated() * self.tables.len()
-    }
-
-    /// Every allocated table as `(target, slots)`.
-    pub(crate) fn snapshot(&self) -> Vec<(u32, Vec<u8>)> {
-        let slots = |t: &[AtomicU8]| t.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        (0..self.tables.len())
-            .filter_map(|t| Some((t as u32, slots(self.tables[t].get()?.as_deref()?))))
-            .collect()
-    }
-}
-
-/// Checks one table against the FIFO BFS tree of its target: every
-/// filled slot names the tree parent and its edge, the target's own
-/// slot stays unknown, and the filled vertices are closed under the
-/// parent (tables fill along whole walks). Returns the filled count.
-#[cfg(test)]
-pub(crate) fn check_escort_table(g: &Graph, target: u32, slots: &[u8]) -> usize {
-    let (mut parent, mut parent_edge) = (Vec::new(), Vec::new());
-    g.bfs_parent_tree_into(target, &mut parent, &mut parent_edge);
-    assert_eq!(slots[target as usize], 0, "target {target} holds a slot");
-    let mut filled = 0;
-    for (v, &slot) in slots.iter().enumerate() {
-        if slot == 0 {
-            continue;
-        }
-        filled += 1;
-        let k = usize::from(slot - 1);
-        let u = g.neighbors(v as u32)[k];
-        assert_eq!(u, parent[v], "target {target}: vertex {v} names parent {u}");
-        assert_eq!(
-            g.neighbor_edge_ids(v as u32)[k],
-            parent_edge[v],
-            "target {target}: edge of {v}"
-        );
-        assert!(u == target || slots[u as usize] != 0, "target {target}: walk breaks at {u}");
-    }
-    filled
 }
 
 #[cfg(test)]
@@ -1709,52 +1497,6 @@ mod tests {
         let inst = SortInstance::from_triples(&triples);
         let out = r.sort(&inst).expect("valid");
         assert!(out.is_sorted(&inst, 128, 1));
-    }
-
-    #[test]
-    fn escort_legs_fill_their_walks() {
-        // A 4-regular graph with a parallel copy on the walks: every
-        // leg charges the search's walk and leaves a slot on each of its
-        // vertices, and a second leg from the same source reads the
-        // same walk off the table alone.
-        let mut g = generators::random_regular(256, 4, 11).expect("generator");
-        let (u, v) = g.edges().next().expect("edge");
-        g.insert_edge(u, v);
-        let tables = Arc::new(EscortTables::new(&g, usize::MAX));
-        let mut cache = EscortCache { tables: Arc::clone(&tables), ..EscortCache::default() };
-        let (mut search, mut expect) = (TreeWalkScratch::default(), Vec::new());
-        let mut mc = FlatMoveCost::new(g.edge_id_count());
-        for (src, target) in [(u, v), (v, u), (0, 255), (17, 255), (255, 0), (3, 3), (90, 17)] {
-            g.bfs_tree_walk_into(src, target, &mut search, &mut expect);
-            for _ in 0..2 {
-                cache.charge(&g, &mut mc, src, target);
-                assert_eq!(cache.walk, expect, "leg {src} -> {target}");
-            }
-            let table = tables.table(target).expect("the budget admits every table");
-            let mut cur = src;
-            for &e in &expect {
-                let slot = table[cur as usize].load(Ordering::Relaxed);
-                assert!(slot > 0, "leg {src} -> {target} left {cur} unknown");
-                assert_eq!(g.neighbor_edge_ids(cur)[usize::from(slot - 1)], e);
-                cur = g.neighbors(cur)[usize::from(slot - 1)];
-            }
-        }
-        for (target, slots) in tables.snapshot() {
-            check_escort_table(&g, target, &slots);
-        }
-    }
-
-    #[test]
-    fn escort_tables_respect_budget_and_degree() {
-        let g = generators::random_regular(128, 4, 3).expect("generator");
-        let tables = EscortTables::new(&g, 3 * 128 + 127);
-        assert_eq!((0..6).filter(|&t| tables.table(t).is_some()).count(), 3);
-        assert_eq!(tables.table_bytes(), 3 * 128);
-        // A hub of degree 255 does not fit a byte slot: every leg
-        // searches.
-        let hub: Vec<(u32, u32)> = (1..=255).map(|v| (0, v)).collect();
-        let star = Graph::from_edges(256, &hub);
-        assert!(EscortTables::new(&star, usize::MAX).table(1).is_none());
     }
 
     #[test]

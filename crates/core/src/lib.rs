@@ -85,10 +85,9 @@
 //!   contract; [`churn::ChurnDriver`] is the seeded fault-injection
 //!   harness.
 //!
-//! A query reads and writes only its router, its scratch and the escort
-//! tables of its engine (a solo query's own). A scratch borrows the
-//! router it serves, so none outlives a [`Router::repair`], and the
-//! crate holds no process-global state.
+//! A query reads and writes only its router and its scratch. A scratch
+//! borrows the router it serves, so none outlives a [`Router::repair`],
+//! and the crate holds no process-global state.
 //!
 //! # Example
 //!

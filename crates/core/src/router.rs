@@ -1,8 +1,8 @@
 //! The public preprocessing/query API (Theorem 1.1).
 
 use crate::cost_model::CostModel;
-use crate::engine::{JobOutcome, JobRef, DEFAULT_SCRATCH_CAP_BYTES};
-use crate::exec::{self, EscortTables, Scratch};
+use crate::engine::{JobOutcome, JobRef};
+use crate::exec::{self, Scratch};
 use crate::network::EmbeddedNetwork;
 use crate::token::{InstanceError, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::{cost, parallel, RoundLedger};
@@ -11,7 +11,6 @@ use expander_decomp::{
     ShufflerRound,
 };
 use expander_graphs::{Embedding, FlatPaths, Graph, GraphEdit, Path, VertexId};
-use std::sync::Arc;
 
 /// One outgoing dispersal entry of a [`RoundTable`] row: the fractional
 /// mass `m_ij` towards one target part plus the range of its portal
@@ -616,12 +615,11 @@ impl Router {
         Ok(())
     }
 
-    /// Validates `job` and runs it alone on a fresh scratch with private
-    /// escort tables: the body of [`Router::route`] and [`Router::sort`].
+    /// Validates `job` and runs it alone on a fresh scratch: the body of
+    /// [`Router::route`] and [`Router::sort`].
     fn run_solo(&self, job: JobRef<'_>) -> Result<JobOutcome, InstanceError> {
         self.validate(job)?;
-        let tables = Arc::new(EscortTables::new(&self.graph, DEFAULT_SCRATCH_CAP_BYTES));
-        Ok(exec::run_single(&mut Scratch::new(self, tables), job))
+        Ok(exec::run_single(&mut Scratch::new(self), job))
     }
 
     /// Answers a Task 1 routing query (Definition 4.1).

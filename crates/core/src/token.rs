@@ -283,11 +283,14 @@ pub struct QueryStats {
     /// `u32` suffices: per-round loads are bounded by the flock size,
     /// far below `2³²` (see `tests/overflow_bounds.rs`).
     pub max_load_trace: Vec<u32>,
-    /// Tokens delivered through the merge fallback's shortest-path
-    /// escort instead of the dummy-escort pairing (substitution 6 in
-    /// `docs/ARCHITECTURE.md`). Not a small-`n` effect: traced over the
-    /// benchmark's workloads it is 0.65 of the tokens on `deep_batch`
-    /// and 0.064 on `shallow_stream`.
+    /// Tokens delivered through the merge fallback's shortest-path leg
+    /// instead of the dummy-escort pairing (substitution 6 in
+    /// `docs/ARCHITECTURE.md`). Each leg is charged by the bound
+    /// `2·D̂` (the root node's `diameter` doubled), not walked, so
+    /// `query/task3/fallback` is `fallback_tokens × 2·D̂`. Not a
+    /// small-`n` effect: traced over the benchmark's workloads it is
+    /// 0.65 of the tokens on `deep_batch` and 0.064 on
+    /// `shallow_stream`.
     pub fallback_tokens: u64,
     /// `(i, l)` dispersion-envelope violations observed (Lemma 6.2's
     /// bound with the `λt` additive term).
@@ -298,10 +301,12 @@ pub struct QueryStats {
     pub task3_calls: u64,
     /// Expander-sort subcalls charged via the cost model.
     pub charged_sorts: u64,
-    /// Worst per-edge congestion observed across the query's measured
-    /// movement legs (ingress, dispersal, M* hops, fallback, egress).
+    /// Worst per-edge congestion observed across the query's walked
+    /// movement legs: ingress, dispersal, `M*` hops and egress. The
+    /// merge fallback's legs are charged by a bound instead of walked,
+    /// so they are counted in `fallback_tokens`, not here.
     pub max_congestion: u64,
-    /// Worst path dilation (hops) observed across those legs.
+    /// Worst path dilation (hops) observed across those walked legs.
     pub max_dilation: u64,
 }
 

@@ -510,176 +510,6 @@ impl Graph {
         dist
     }
 
-    /// Fills `parent`/`parent_edge` with the BFS shortest-path tree
-    /// oriented toward `dst`: for every vertex `v` that can reach
-    /// `dst`, `parent[v]` is the next hop on a shortest `v → dst` path
-    /// and `parent_edge[v]` the dense edge id of that hop. Unreachable
-    /// vertices keep `u32::MAX`; `dst` maps to itself (edge
-    /// `u32::MAX`). Deterministic (adjacency order), `O(n + m)`, and
-    /// allocation-free once the output buffers are warm.
-    ///
-    /// One tree amortizes arbitrarily many shortest-path walks into the
-    /// same destination — the routing fallback legs issue thousands of
-    /// same-target queries per batch, where per-pair BFS dominates.
-    pub fn bfs_parent_tree_into(
-        &self,
-        dst: VertexId,
-        parent: &mut Vec<u32>,
-        parent_edge: &mut Vec<u32>,
-    ) {
-        parent.clear();
-        parent.resize(self.n(), u32::MAX);
-        parent_edge.clear();
-        parent_edge.resize(self.n(), u32::MAX);
-        parent[dst as usize] = dst;
-        let mut queue = VecDeque::with_capacity(self.n());
-        queue.push_back(dst);
-        while let Some(u) = queue.pop_front() {
-            let nbrs = self.neighbors(u);
-            let eids = self.neighbor_edge_ids(u);
-            for (&v, &e) in nbrs.iter().zip(eids) {
-                if parent[v as usize] == u32::MAX {
-                    parent[v as usize] = u;
-                    parent_edge[v as usize] = e;
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-
-    /// Writes into `walk` (cleared first) the dense edge ids of the
-    /// walk from `src` to `target` in the tree that
-    /// [`bfs_parent_tree_into`](Graph::bfs_parent_tree_into) roots at
-    /// `target` — the same edges in the same order as following that
-    /// tree's `parent_edge` chain from `src` — and returns whether
-    /// `src` reaches `target` (an unreachable pair leaves `walk`
-    /// empty, as does `src == target`).
-    ///
-    /// Works in `O(ball)` instead of `O(n + m)`, reusing `scratch`'s
-    /// stamped buffers. A bidirectional BFS in complete levels finds
-    /// the distance and every vertex of the meeting layer; walking
-    /// back from that layer marks the shortest-path DAG, level by
-    /// level from `target`. The tree's choices are then replayed on
-    /// the DAG alone: a FIFO BFS discovers a vertex from its
-    /// lowest-ranked neighbour one level nearer the root, and orders a
-    /// level by that parent's rank, then by the vertex's first slot in
-    /// the parent's adjacency list. Every nearer-level neighbour of a
-    /// DAG vertex lies in the DAG, so scanning the DAG levels in rank
-    /// order reproduces both rules — and the slot also yields the
-    /// edge id.
-    ///
-    /// One tree serves every source of a target; this search serves
-    /// one pair, so it wins when targets are many and legs per target
-    /// few.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `target` is `>= n`.
-    pub fn bfs_tree_walk_into(
-        &self,
-        src: VertexId,
-        target: VertexId,
-        scratch: &mut TreeWalkScratch,
-        walk: &mut Vec<u32>,
-    ) -> bool {
-        walk.clear();
-        if src == target {
-            return true;
-        }
-        let stamp = scratch.begin(self.n());
-        let TreeWalkScratch { cells, front, next, meet, .. } = scratch;
-        // Side 0 searches from `target` (the tree's root), side 1 from
-        // `src`.
-        let mut depth = [0u32; 2];
-        for (side, root) in [target, src].into_iter().enumerate() {
-            cells[root as usize].seen[side] = stamp;
-            cells[root as usize].depth[side] = 0;
-            front[side].clear();
-            front[side].push(root);
-        }
-        // Complete levels, smaller frontier first. The balls were
-        // disjoint before the level that meets, so the meeting layer is
-        // exactly the new level's vertices on the other side's
-        // frontier, and every shortest path crosses it.
-        meet.clear();
-        while meet.is_empty() {
-            if front[0].is_empty() || front[1].is_empty() {
-                return false;
-            }
-            let side = usize::from(front[1].len() < front[0].len());
-            depth[side] += 1;
-            next.clear();
-            for &u in &front[side] {
-                for &v in self.neighbors(u) {
-                    let c = &mut cells[v as usize];
-                    if c.seen[side] == stamp {
-                        continue;
-                    }
-                    c.seen[side] = stamp;
-                    c.depth[side] = depth[side];
-                    next.push(v);
-                    if c.seen[1 - side] == stamp {
-                        meet.push(v);
-                    }
-                }
-            }
-            std::mem::swap(&mut front[side], next);
-        }
-        // Mark the shortest-path DAG with each vertex's level (its
-        // distance to `target`), walking back from the meeting layer
-        // one level at a time on each side.
-        let dist = depth[0] + depth[1];
-        for &v in meet.iter() {
-            cells[v as usize].dag = stamp;
-            cells[v as usize].level = depth[0];
-        }
-        for side in 0..2 {
-            front[side].clone_from(meet);
-            for d in (0..depth[side]).rev() {
-                next.clear();
-                for &w in &front[side] {
-                    for &x in self.neighbors(w) {
-                        let c = &mut cells[x as usize];
-                        if c.seen[side] == stamp && c.depth[side] == d && c.dag != stamp {
-                            c.dag = stamp;
-                            c.level = if side == 0 { d } else { dist - d };
-                            next.push(x);
-                        }
-                    }
-                }
-                std::mem::swap(&mut front[side], next);
-            }
-        }
-        // Replay the FIFO BFS on the DAG, level by level in rank order:
-        // the first scan to reach a vertex of the next level is its
-        // tree parent, and discovery order is its rank.
-        let ranked = u32::MAX;
-        front[0].clear();
-        front[0].push(target);
-        for level in 1..=dist {
-            next.clear();
-            for &u in &front[0] {
-                for (&v, &e) in self.neighbors(u).iter().zip(self.neighbor_edge_ids(u)) {
-                    let c = &mut cells[v as usize];
-                    if c.dag == stamp && c.level == level {
-                        c.level = ranked;
-                        c.parent = u;
-                        c.edge = e;
-                        next.push(v);
-                    }
-                }
-            }
-            std::mem::swap(&mut front[0], next);
-        }
-        let mut cur = src;
-        while cur != target {
-            let c = &cells[cur as usize];
-            walk.push(c.edge);
-            cur = c.parent;
-        }
-        true
-    }
-
     /// A shortest path from `src` to `dst` as a vertex sequence, or
     /// `None` if `dst` is unreachable.
     ///
@@ -697,7 +527,8 @@ impl Graph {
     /// Allocation-free [`shortest_path`](Graph::shortest_path): writes
     /// the vertex walk into `path` (cleared first) reusing `scratch`'s
     /// buffers, and returns whether the endpoints are connected. Warm
-    /// repeated calls — the query fallback legs — allocate nothing.
+    /// repeated calls — the decomposition router's per-piece legs —
+    /// allocate nothing.
     pub fn shortest_path_into(
         &self,
         src: VertexId,
@@ -890,64 +721,6 @@ impl BfsScratch {
         self.front_s.clear();
         self.front_d.clear();
         self.next.clear();
-    }
-}
-
-/// Reusable buffers for repeated
-/// [`bfs_tree_walk_into`](Graph::bfs_tree_walk_into) calls: one cell
-/// per vertex, valid only where its stamps equal the current search's,
-/// so starting a search costs `O(1)` instead of clearing `O(n)` state.
-#[derive(Debug, Clone, Default)]
-pub struct TreeWalkScratch {
-    cells: Vec<WalkCell>,
-    /// The current search's stamp; cells from older searches hold
-    /// smaller ones.
-    stamp: u32,
-    front: [Vec<u32>; 2],
-    next: Vec<u32>,
-    meet: Vec<u32>,
-}
-
-/// One vertex's state in a [`TreeWalkScratch`] search, kept in one
-/// 32-byte record so every phase touches a single cache line per
-/// vertex.
-#[derive(Debug, Clone, Copy, Default)]
-struct WalkCell {
-    /// Stamp of the search in which each side (0 = from the target,
-    /// 1 = from the source) reached the vertex, and at what depth.
-    seen: [u32; 2],
-    depth: [u32; 2],
-    /// Stamp marking the vertex as on a shortest path, its distance to
-    /// the target (`u32::MAX` once ranked), and its tree hop.
-    dag: u32,
-    level: u32,
-    parent: u32,
-    edge: u32,
-}
-
-impl TreeWalkScratch {
-    /// Starts a search over `n` vertices and returns its stamp. The
-    /// cells grow only; on stamp wraparound they are cleared once.
-    fn begin(&mut self, n: usize) -> u32 {
-        if self.cells.len() < n {
-            self.cells.resize(n, WalkCell::default());
-        }
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.cells.fill(WalkCell::default());
-            self.stamp = 1;
-        }
-        self.stamp
-    }
-
-    /// Estimated heap bytes retained.
-    pub fn approx_bytes(&self) -> usize {
-        self.cells.capacity() * std::mem::size_of::<WalkCell>()
-            + (self.front[0].capacity()
-                + self.front[1].capacity()
-                + self.next.capacity()
-                + self.meet.capacity())
-                * 4
     }
 }
 

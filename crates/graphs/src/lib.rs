@@ -53,7 +53,7 @@ pub mod union_find;
 
 pub use embedding::Embedding;
 pub use flat::FlatPaths;
-pub use graph::{BfsScratch, Graph, GraphEdit, TreeWalkScratch, VertexId};
+pub use graph::{BfsScratch, Graph, GraphEdit, VertexId};
 pub use ingest::{parse_edge_list, write_edge_list, IngestOptions, LabeledGraph, ParseError};
 pub use paths::{Path, PathSet};
 pub use split::SplitGraph;

@@ -6,10 +6,9 @@
 //! thread count, (b) under any submission order (shuffled, then mapped
 //! back), (c) to individual `Router::route`/`Router::sort` calls, (d)
 //! on a warm engine's repeat batch, and (e) while another engine runs
-//! at the same time — the scratch pool, the dummy-dispersal cache, and
-//! the escort tables are accelerators, never observable, whichever
-//! worker's scratch serves a job and whichever worker fills a shared
-//! table, and two engines share none of them.
+//! at the same time — the scratch pool and the dummy-dispersal cache
+//! are accelerators, never observable, whichever worker's scratch
+//! serves a job, and two engines share neither.
 
 use congest_sim::RoundLedger;
 use expander_core::{
@@ -142,8 +141,8 @@ fn repeated_batches_are_stable() {
     assert_eq!(first.stats.merged, second.stats.merged);
 }
 
-/// The outcome of `job` as a solo query, on private escort tables that
-/// no other worker touches.
+/// The outcome of `job` as a solo query, on a fresh scratch that no
+/// other worker touches.
 fn solo(r: &Router, job: &Job) -> JobOutcome {
     match job {
         Job::Route(inst) => JobOutcome::Route(r.route(inst).expect("valid")),
@@ -152,13 +151,12 @@ fn solo(r: &Router, job: &Job) -> JobOutcome {
 }
 
 #[test]
-fn shared_escort_tables_are_unobservable() {
+fn racing_workers_match_solo_queries() {
     // Dense permutations at n = 1024 send many real tokens through the
-    // merge fallback, so an engine's workers race to fill the escort
-    // tables they share. Cold engines at 4 and 2 workers race on the
-    // first fills, and one long-lived engine runs the batch at 4, 2 and
-    // 1 workers. Every outcome, and the merged ledger, equals the solo
-    // queries'.
+    // merge fallback. Cold engines at 4 and 2 workers race their
+    // workers on fresh scratches, and one long-lived engine runs the
+    // batch at 4, 2 and 1 workers on warm ones. Every outcome, and the
+    // merged ledger, equals the solo queries'.
     let n = 1024;
     let r = router(n);
     let jobs: Vec<Job> =
@@ -169,7 +167,7 @@ fn shared_escort_tables_are_unobservable() {
         merged.merge(out.ledger());
     }
     let fallback: u64 = solos.iter().map(|o| o.stats().fallback_tokens).sum();
-    assert!(fallback > 0, "the batch takes escort legs");
+    assert!(fallback > 0, "the batch takes fallback legs");
     let check = |batch: &BatchOutcome, what: &str| {
         for (i, (a, b)) in solos.iter().zip(&batch.outcomes).enumerate() {
             assert_eq!(fingerprint(a), fingerprint(b), "{what}: job {i} differs from a solo query");

@@ -1,19 +1,24 @@
-//! Hash-map oracles for the dense production code:
+//! Oracles for the dense production code, and the topology zoo:
 //!
 //! * [`MoveCost`], the movement cost `FlatMoveCost` is checked against
 //!   (`tests/property.rs`, `tests/overflow_bounds.rs`);
 //! * [`oracle_leaf_network`], the leaf sorting network
 //!   `EmbeddedNetwork::build` is checked against
-//!   (`tests/leaf_networks.rs`).
+//!   (`tests/leaf_networks.rs`);
+//! * [`bfs_parent_tree`], the FIFO BFS shortest-path tree whose walks
+//!   realize the merge fallback's legs (`tests/fallback_bound.rs`,
+//!   `tests/overflow_bounds.rs`);
+//! * [`zoo`], the adversarial and benign topologies
+//!   (`tests/topology_zoo.rs`, `tests/fallback_bound.rs`).
 //!
 //! Each test binary that includes this module uses only some of it.
 #![allow(dead_code)]
 
 use expander_core::network::{odd_even_layers, EmbeddedLayer, EmbeddedNetwork};
 use expander_decomp::{Hierarchy, HostGraph, NodeId};
-use expander_graphs::{Embedding, Path};
+use expander_graphs::{generators, ingest, Embedding, Graph, Path, VertexId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Measured movement cost accumulator: `max edge load × max hops`,
 /// keyed by normalized vertex pairs.
@@ -113,6 +118,73 @@ fn oracle_spread_path(
         *load.entry((w[0].min(w[1]), w[0].max(w[1]))).or_insert(0) += 1;
     }
     host.path_to_global(&walk)
+}
+
+/// The FIFO BFS shortest-path tree oriented toward `target`, as
+/// `(parent, parent_edge)`: for every vertex `v` that reaches `target`,
+/// `parent[v]` is the next hop on a shortest `v → target` path (the
+/// first neighbour, in adjacency order, to discover `v`) and
+/// `parent_edge[v]` the dense edge id of that hop. Unreachable vertices
+/// keep `u32::MAX`; `target` maps to itself (edge `u32::MAX`).
+pub fn bfs_parent_tree(g: &Graph, target: VertexId) -> (Vec<u32>, Vec<u32>) {
+    let mut parent = vec![u32::MAX; g.n()];
+    let mut parent_edge = vec![u32::MAX; g.n()];
+    parent[target as usize] = target;
+    let mut queue = VecDeque::from([target]);
+    while let Some(u) = queue.pop_front() {
+        for (&v, &e) in g.neighbors(u).iter().zip(g.neighbor_edge_ids(u)) {
+            if parent[v as usize] == u32::MAX {
+                parent[v as usize] = u;
+                parent_edge[v as usize] = e;
+                queue.push_back(v);
+            }
+        }
+    }
+    (parent, parent_edge)
+}
+
+/// The vertex walk from `src` up the tree `parent` to its root, or
+/// `None` when `src` is outside the tree.
+pub fn tree_walk(parent: &[u32], src: VertexId) -> Option<Vec<VertexId>> {
+    if parent[src as usize] == u32::MAX {
+        return None;
+    }
+    let mut walk = vec![src];
+    let mut cur = src;
+    while parent[cur as usize] != cur {
+        cur = parent[cur as usize];
+        walk.push(cur);
+        assert!(walk.len() <= parent.len(), "parent chain cycles");
+    }
+    Some(walk)
+}
+
+/// The zoo: adversarial and benign topologies, small enough that the
+/// whole suite stays in tier-1 time budgets.
+pub fn zoo() -> Vec<(&'static str, Graph)> {
+    vec![
+        ("random-regular", generators::random_regular(128, 4, 42).expect("generator")),
+        ("power-law", generators::power_law(128, 3, 7).expect("generator")),
+        ("near-threshold", generators::bridged_expanders(64, 4, 2, 11).expect("generator")),
+        ("bridged-wide", generators::bridged_expanders(64, 4, 32, 13).expect("generator")),
+        ("disconnected", generators::disconnected_expanders(3, 64, 4, 17).expect("generator")),
+        ("bridge-tree", generators::bridge_tree(7, 6)),
+        ("ring-of-cliques", generators::ring_of_cliques(6, 10)),
+        ("barbell", generators::barbell(48)),
+        ("ring", generators::ring(96)),
+        ("path", generators::path(64)),
+        ("singleton", Graph::from_edges(1, &[])),
+        ("empty", Graph::from_edges(0, &[])),
+        ("isolated-vertices", Graph::from_edges(8, &[(0, 1), (2, 3)])),
+        ("parsed-edge-list", parsed_zoo_graph()),
+    ]
+}
+
+/// A zoo member that arrives through the text-ingestion path, the way a
+/// real-world snapshot would: generated, serialized, reparsed.
+fn parsed_zoo_graph() -> Graph {
+    let text = ingest::graph_to_edge_list(&generators::ring_of_cliques(5, 9));
+    ingest::parse_edge_list(&text).expect("round-trip parses").graph
 }
 
 #[test]

@@ -111,18 +111,16 @@ proptest! {
     }
 
     #[test]
-    /// The BFS parent trees behind the escort legs reproduce BFS
-    /// shortest-path lengths for every (source, target) pair, so the
-    /// dilation an escort leg charges is the true distance, with every
-    /// hop a real edge under its stored id. The legs walk these trees
-    /// through the exact search, which `tests/escort_search.rs` checks
-    /// against them, and through the escort tables it fills.
+    /// The FIFO BFS parent tree oracle (`common::bfs_parent_tree`)
+    /// reproduces BFS shortest-path lengths for every (source, target)
+    /// pair, with every hop a real edge under its stored id — so its
+    /// walks are the simple shortest paths whose congestion and
+    /// dilation `tests/fallback_bound.rs` measures against the merge
+    /// fallback's charged bound.
     fn parent_tree_walks_are_shortest_paths(seed in 0u64..500, target in 0u32..96) {
         let n = 96;
         let g = generators::random_regular(n, 4, seed).expect("generator");
-        let mut parent = Vec::new();
-        let mut parent_edge = Vec::new();
-        g.bfs_parent_tree_into(target, &mut parent, &mut parent_edge);
+        let (parent, parent_edge) = common::bfs_parent_tree(&g, target);
         let dist = g.bfs_distances(target);
         for src in 0..n as u32 {
             if dist[src as usize] == u32::MAX {

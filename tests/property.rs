@@ -24,10 +24,9 @@ fn shared_router() -> &'static Router {
 }
 
 /// One long-lived engine per size for the pooled-scratch property:
-/// its scratches, dummy caches and shared escort tables stay warm
-/// across every case, so each batch runs on scratches and tables that
-/// earlier batches of other densities left behind (preprocessing
-/// amortized across all cases).
+/// its scratches and dummy caches stay warm across every case, so each
+/// batch runs on scratches that earlier batches of other densities left
+/// behind (preprocessing amortized across all cases).
 fn pooled_engine(n: usize) -> &'static QueryEngine<'static> {
     static R64: OnceLock<Router> = OnceLock::new();
     static R256: OnceLock<Router> = OnceLock::new();
@@ -164,8 +163,8 @@ proptest! {
         // mixed-density batches (dense permutations, sparse partial
         // permutations, sorts) through one long-lived engine, every job
         // must be byte-identical to a solo query on a fresh scratch,
-        // whatever dummy-cache entries, escort-table slots and buffer
-        // sizes the earlier batches left in the engine.
+        // whatever dummy-cache entries and buffer sizes the earlier
+        // batches left in the engine.
         let n = [64usize, 256][n_pick];
         let engine = pooled_engine(n);
         let r = engine.router();

@@ -4,37 +4,12 @@
 //! never panic. Decomposition-based preprocessing and routing must be
 //! byte-identical at every thread count.
 
+mod common;
+
+use common::zoo;
 use expander_core::{DecomposedConfig, RoutedDecomposition, RoutingInstance};
-use expander_graphs::{generators, ingest, Graph};
+use expander_graphs::{generators, ingest};
 use proptest::prelude::*;
-
-/// The zoo: adversarial and benign topologies, small enough that the
-/// whole suite stays in tier-1 time budgets.
-fn zoo() -> Vec<(&'static str, Graph)> {
-    vec![
-        ("random-regular", generators::random_regular(128, 4, 42).expect("generator")),
-        ("power-law", generators::power_law(128, 3, 7).expect("generator")),
-        ("near-threshold", generators::bridged_expanders(64, 4, 2, 11).expect("generator")),
-        ("bridged-wide", generators::bridged_expanders(64, 4, 32, 13).expect("generator")),
-        ("disconnected", generators::disconnected_expanders(3, 64, 4, 17).expect("generator")),
-        ("bridge-tree", generators::bridge_tree(7, 6)),
-        ("ring-of-cliques", generators::ring_of_cliques(6, 10)),
-        ("barbell", generators::barbell(48)),
-        ("ring", generators::ring(96)),
-        ("path", generators::path(64)),
-        ("singleton", Graph::from_edges(1, &[])),
-        ("empty", Graph::from_edges(0, &[])),
-        ("isolated-vertices", Graph::from_edges(8, &[(0, 1), (2, 3)])),
-        ("parsed-edge-list", parsed_zoo_graph()),
-    ]
-}
-
-/// A zoo member that arrives through the text-ingestion path, the way a
-/// real-world snapshot would: generated, serialized, reparsed.
-fn parsed_zoo_graph() -> Graph {
-    let text = ingest::graph_to_edge_list(&generators::ring_of_cliques(5, 9));
-    ingest::parse_edge_list(&text).expect("round-trip parses").graph
-}
 
 fn config() -> DecomposedConfig {
     DecomposedConfig::for_epsilon(0.4)
