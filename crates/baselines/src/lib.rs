@@ -33,22 +33,3 @@ pub mod splicer;
 
 pub use local::GreedyLocalRouting;
 pub use splicer::SplicerRouting;
-
-use expander_core::token::InstanceError;
-use expander_core::RoutingInstance;
-use expander_graphs::Graph;
-
-/// Rejects tokens outside the vertex range (shared by both baselines;
-/// same malformed-instance contract as the in-core routers).
-pub(crate) fn validate(g: &Graph, inst: &RoutingInstance) -> Result<(), InstanceError> {
-    let n = g.n();
-    for t in &inst.tokens {
-        if t.src as usize >= n || t.dst as usize >= n {
-            return Err(InstanceError::new(format!(
-                "token ({}, {}) outside vertex range",
-                t.src, t.dst
-            )));
-        }
-    }
-    Ok(())
-}

@@ -58,7 +58,7 @@ impl RoutingAlgorithm for GreedyLocalRouting {
         g: &Graph,
         inst: &RoutingInstance,
     ) -> Result<RoutingOutcome, InstanceError> {
-        crate::validate(g, inst)?;
+        inst.validate(g.n())?;
         let n = g.n();
         let tokens = &inst.tokens;
 

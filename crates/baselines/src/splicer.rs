@@ -77,7 +77,7 @@ impl RoutingAlgorithm for SplicerRouting {
         g: &Graph,
         inst: &RoutingInstance,
     ) -> Result<RoutingOutcome, InstanceError> {
-        crate::validate(g, inst)?;
+        inst.validate(g.n())?;
         let forests = self.forests(g);
         let mut out = RoutingOutcome::at_sources(inst);
         let mut loads = vec![0u32; g.edge_id_count()];

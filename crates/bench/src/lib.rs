@@ -66,11 +66,10 @@ pub fn section(title: &str) {
 /// Whether the harness was invoked in smoke mode
 /// (`cargo bench -- --test`): run every experiment once at its
 /// smallest size so CI exercises the code without paying for the
-/// sweeps. Delegates to the vendored criterion's flag handling so the
-/// `harness = false` targets and the criterion targets agree on what
-/// counts as test mode.
+/// sweeps. Cargo passes `--test` through to the `harness = false`
+/// targets, which read it here.
 pub fn smoke_mode() -> bool {
-    criterion::test_mode()
+    std::env::args().any(|a| a == "--test")
 }
 
 /// A size list respecting [`smoke_mode`]: the full list normally, just

@@ -222,15 +222,7 @@ impl ChurnRouter {
     /// Returns an error only for a malformed instance (a token
     /// referencing a vertex outside the live graph's id space).
     pub fn route(&mut self, inst: &RoutingInstance) -> Result<ChurnOutcome, InstanceError> {
-        let n = self.graph.n();
-        for t in &inst.tokens {
-            if t.src as usize >= n || t.dst as usize >= n {
-                return Err(InstanceError::new(format!(
-                    "token ({}, {}) outside vertex range",
-                    t.src, t.dst
-                )));
-            }
-        }
+        inst.validate(self.graph.n())?;
 
         // Rung 1: the router is current.
         if let Some(r) = self.router.as_ref().filter(|r| !r.is_stale(&self.graph)) {

@@ -333,15 +333,7 @@ impl RoutedDecomposition {
     /// graph — that is a malformed *instance*, not a routable
     /// situation.
     pub fn route(&self, inst: &RoutingInstance) -> Result<RoutingOutcome, InstanceError> {
-        let n = self.graph.n();
-        for t in &inst.tokens {
-            if t.src as usize >= n || t.dst as usize >= n {
-                return Err(InstanceError::new(format!(
-                    "token ({}, {}) outside vertex range",
-                    t.src, t.dst
-                )));
-            }
-        }
+        inst.validate(self.graph.n())?;
 
         let mut out = RoutingOutcome::at_sources(inst);
         let mut per_piece: Vec<Vec<usize>> = vec![Vec::new(); self.pieces.len()];

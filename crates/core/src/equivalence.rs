@@ -42,9 +42,10 @@ pub struct SortViaRouting {
 ///
 /// # Errors
 ///
-/// Propagates routing-instance validation errors.
+/// Errors if a token's source is outside the graph.
 pub fn sort_via_routing(r: &Router, inst: &SortInstance) -> Result<SortViaRouting, InstanceError> {
     let n = r.graph().n();
+    inst.validate(n)?;
     let load = inst.load(n).max(1);
     // Per-vertex token lists, padded with virtual +inf entries so every
     // vertex holds exactly `load` slots (the paper's dummy padding).
@@ -127,12 +128,13 @@ pub struct RouteViaSorting {
 ///
 /// # Errors
 ///
-/// Propagates sorting-instance validation errors.
+/// Errors if a token has an endpoint outside the graph.
 pub fn route_via_sorting(
     r: &Router,
     inst: &RoutingInstance,
 ) -> Result<RouteViaSorting, InstanceError> {
     let n = r.graph().n();
+    inst.validate(n)?;
     let mut ledger = RoundLedger::new();
     let mut sort_calls = 0u64;
 
@@ -221,6 +223,14 @@ mod tests {
         // Batcher depth bound: 2 calls per layer.
         let depth = odd_even_layers(64).len() as u64;
         assert!(res.route_calls <= 2 * depth);
+    }
+
+    #[test]
+    fn reductions_reject_out_of_range_tokens() {
+        let r = router(64, 1);
+        assert!(sort_via_routing(&r, &SortInstance::from_triples(&[(64, 1, 0)])).is_err());
+        assert!(route_via_sorting(&r, &RoutingInstance::from_triples(&[(64, 0, 0)])).is_err());
+        assert!(route_via_sorting(&r, &RoutingInstance::from_triples(&[(0, 64, 0)])).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::router::{Router, RouterConfig};
 use crate::token::{InstanceError, RoutingInstance, RoutingOutcome};
 use expander_decomp::BuildError;
-use expander_graphs::{Graph, SplitGraph};
+use expander_graphs::{Graph, SplitGraph, VertexId};
 
 /// A router for expanders with arbitrary degrees: tokens are mapped to
 /// ports of the constant-degree split graph `G⋄`, routed there, and
@@ -53,16 +53,41 @@ impl GeneralRouter {
     ///
     /// # Errors
     ///
-    /// Errors if a vertex sources or sinks more than `deg(v)` tokens.
+    /// Errors if a token has an endpoint outside the base graph, or a
+    /// vertex sources or sinks more than `deg(v)` tokens.
     pub fn route(&self, inst: &RoutingInstance) -> Result<RoutingOutcome, InstanceError> {
+        let split_inst = RoutingInstance::from_triples(&self.port_triples(inst)?);
+        let mut out = self.inner.route(&split_inst)?;
+        // Appendix E label reassignment: one propagation + one
+        // serialization, each two inner sorts at unit load.
+        let root = self.inner.hierarchy().root();
+        out.ledger.charge("query/general/port-labels", 2 * self.inner.cost_model().tsort(root, 1));
+        // Map positions back to base vertices.
+        for p in &mut out.positions {
+            *p = self.split.owner(*p);
+        }
+        out.destinations = inst.tokens.iter().map(|t| t.dst).collect();
+        Ok(out)
+    }
+
+    /// Maps each token to a `(source port, destination port, payload)`
+    /// triple of the split graph, giving a vertex's tokens its ports in
+    /// token order: the input check of both routing entry points.
+    ///
+    /// # Errors
+    ///
+    /// Errors if a token has an endpoint outside the base graph, or a
+    /// vertex sources or sinks more than `deg(v)` tokens.
+    fn port_triples(
+        &self,
+        inst: &RoutingInstance,
+    ) -> Result<Vec<(VertexId, VertexId, u64)>, InstanceError> {
         let base_n = self.graph.n();
+        inst.validate(base_n)?;
         let mut src_count = vec![0u32; base_n];
         let mut dst_count = vec![0u32; base_n];
         let mut triples = Vec::with_capacity(inst.tokens.len());
         for t in &inst.tokens {
-            if t.src as usize >= base_n || t.dst as usize >= base_n {
-                return Err(InstanceError::new("token endpoint outside the base graph"));
-            }
             let sdeg = self.split.base_degree(t.src);
             let ddeg = self.split.base_degree(t.dst);
             let s_port = src_count[t.src as usize];
@@ -87,18 +112,7 @@ impl GeneralRouter {
                 t.payload,
             ));
         }
-        let split_inst = RoutingInstance::from_triples(&triples);
-        let mut out = self.inner.route(&split_inst)?;
-        // Appendix E label reassignment: one propagation + one
-        // serialization, each two inner sorts at unit load.
-        let root = self.inner.hierarchy().root();
-        out.ledger.charge("query/general/port-labels", 2 * self.inner.cost_model().tsort(root, 1));
-        // Map positions back to base vertices.
-        for p in &mut out.positions {
-            *p = self.split.owner(*p);
-        }
-        out.destinations = inst.tokens.iter().map(|t| t.dst).collect();
-        Ok(out)
+        Ok(triples)
     }
 
     /// The unknown-`L` doubling trick (Appendix E remark): try load
@@ -107,12 +121,15 @@ impl GeneralRouter {
     ///
     /// # Errors
     ///
-    /// Propagates [`GeneralRouter::route`] errors from the final
-    /// attempt.
+    /// Errors, before any attempt, on the instances
+    /// [`GeneralRouter::route`] rejects.
     pub fn route_with_doubling(
         &self,
         inst: &RoutingInstance,
     ) -> Result<(RoutingOutcome, u32), InstanceError> {
+        // Every vertex fits its `deg(v)`, so the attempt whose cap
+        // reaches the largest degree truncates nothing and ends the loop.
+        self.port_triples(inst)?;
         let mut attempts = 0u32;
         let mut wasted = congest_sim::RoundLedger::new();
         let mut cap = 1usize;
@@ -146,7 +163,6 @@ impl GeneralRouter {
             let partial = self.route(&RoutingInstance { tokens: truncated })?;
             wasted.charge("query/general/doubling-waste", partial.rounds());
             cap *= 2;
-            assert!(cap <= 2 * self.graph.n(), "doubling runaway");
         }
     }
 }
@@ -183,15 +199,26 @@ mod tests {
         assert!(out.fully_delivered());
     }
 
-    #[test]
-    fn rejects_overloaded_vertices() {
-        let r = general_router(3);
-        // Find a degree-4 vertex and overload it as a destination.
+    /// Five tokens sinking at a degree-4 vertex.
+    fn overloaded_instance(r: &GeneralRouter) -> RoutingInstance {
         let v =
             (0..96u32).find(|&v| r.split().base_degree(v) == 4).expect("base vertex of degree 4");
         let triples: Vec<(u32, u32, u64)> =
             (0..5).map(|i| ((v + 1 + i) % 96, v, i as u64)).collect();
-        assert!(r.route(&RoutingInstance::from_triples(&triples)).is_err());
+        RoutingInstance::from_triples(&triples)
+    }
+
+    #[test]
+    fn rejects_overloaded_vertices() {
+        let r = general_router(3);
+        assert!(r.route(&overloaded_instance(&r)).is_err());
+    }
+
+    #[test]
+    fn doubling_rejects_bad_instances_before_any_attempt() {
+        let r = general_router(3);
+        assert!(r.route_with_doubling(&RoutingInstance::from_triples(&[(0, 96, 0)])).is_err());
+        assert!(r.route_with_doubling(&overloaded_instance(&r)).is_err());
     }
 
     #[test]

@@ -592,27 +592,10 @@ impl Router {
     /// shared precondition of [`Router::route`], [`Router::sort`], and
     /// every engine batch.
     pub(crate) fn validate(&self, job: JobRef<'_>) -> Result<(), InstanceError> {
-        let n = self.graph.n();
         match job {
-            JobRef::Route(inst) => {
-                for t in &inst.tokens {
-                    if t.src as usize >= n || t.dst as usize >= n {
-                        return Err(InstanceError::new(format!(
-                            "token ({}, {}) outside vertex range",
-                            t.src, t.dst
-                        )));
-                    }
-                }
-            }
-            JobRef::Sort(inst) => {
-                for t in &inst.tokens {
-                    if t.src as usize >= n {
-                        return Err(InstanceError::new(format!("source {} outside range", t.src)));
-                    }
-                }
-            }
+            JobRef::Route(inst) => inst.validate(self.graph.n()),
+            JobRef::Sort(inst) => inst.validate(self.graph.n()),
         }
-        Ok(())
     }
 
     /// Validates `job` and runs it alone on a fresh scratch: the body of

@@ -181,8 +181,28 @@ impl RoutingInstance {
         RoutingInstance { tokens }
     }
 
+    /// Checks that every token's endpoints lie in `0..n`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first token with an endpoint outside `0..n`.
+    pub fn validate(&self, n: usize) -> Result<(), InstanceError> {
+        match self.tokens.iter().find(|t| t.src as usize >= n || t.dst as usize >= n) {
+            Some(t) => Err(InstanceError::new(format!(
+                "token ({}, {}) outside vertex range",
+                t.src, t.dst
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// The instance's load `L`: the maximum, over vertices, of tokens
     /// sourced at or destined to that vertex.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a token has an endpoint outside `0..n`
+    /// ([`RoutingInstance::validate`] checks this).
     pub fn load(&self, n: usize) -> usize {
         let mut src_load = vec![0usize; n];
         let mut dst_load = vec![0usize; n];
@@ -241,7 +261,24 @@ impl SortInstance {
         SortInstance { tokens }
     }
 
+    /// Checks that every token's source lies in `0..n`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first token whose source is outside `0..n`.
+    pub fn validate(&self, n: usize) -> Result<(), InstanceError> {
+        match self.tokens.iter().find(|t| t.src as usize >= n) {
+            Some(t) => Err(InstanceError::new(format!("source {} outside range", t.src))),
+            None => Ok(()),
+        }
+    }
+
     /// Maximum tokens per source vertex.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a token's source is outside `0..n`
+    /// ([`SortInstance::validate`] checks this).
     pub fn load(&self, n: usize) -> usize {
         let mut l = vec![0usize; n];
         for t in &self.tokens {
