@@ -11,7 +11,7 @@
 //! recurrences are linear in `L` (§6.5.2), so a query at load `L`
 //! charges `L × unit`.
 
-use crate::network::{odd_even_depth, EmbeddedNetwork};
+use crate::network::odd_even_depth;
 use congest_sim::cost;
 use expander_decomp::{Hierarchy, NodeId, Shuffler};
 use expander_graphs::FlatPaths;
@@ -43,13 +43,15 @@ impl CostModel {
     /// Builds the model bottom-up over the hierarchy.
     ///
     /// `shufflers`, `rounds_flat` (flattened per-iteration matching
-    /// path arenas), `leaf_nets`, and `mstar_sq` are indexed by
+    /// path arenas), `leaf_pass` (each leaf's
+    /// [`EmbeddedNetwork::pass_cost`](crate::network::EmbeddedNetwork::pass_cost)
+    /// at load 1; ignored elsewhere), and `mstar_sq` are indexed by
     /// [`NodeId`].
     pub fn build(
         h: &Hierarchy,
         shufflers: &[Option<Shuffler>],
         rounds_flat: &[Vec<FlatPaths>],
-        leaf_nets: &[Option<EmbeddedNetwork>],
+        leaf_pass: &[u64],
         mstar_sq: Vec<u64>,
     ) -> CostModel {
         let n_nodes = h.nodes().len();
@@ -72,7 +74,7 @@ impl CostModel {
         for id in order {
             let nd = h.node(id);
             if nd.is_leaf() {
-                let unit = leaf_nets[id].as_ref().map(|net| net.pass_cost(1)).unwrap_or(1).max(1);
+                let unit = leaf_pass[id].max(1);
                 model.leafnet_unit[id] = unit;
                 // §6.4: three meet-in-the-middle passes with up to 2L
                 // extra dummies per vertex.

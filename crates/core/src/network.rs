@@ -147,9 +147,10 @@ impl EmbeddedNetwork {
 /// one layer the pairs spread over the host instead of piling onto hub
 /// edges.
 ///
-/// Loads are indexed by the host's canonical pair ids
-/// ([`HostGraph::neighbor_eids_local`]), so parallel copies of a pair
-/// share one load. The search buffers live as long as the workspace.
+/// Loads are indexed by the host graph's canonical pair ids
+/// ([`Graph::neighbor_edge_ids`](expander_graphs::Graph::neighbor_edge_ids)),
+/// so parallel copies of a pair share one load. The search buffers
+/// live as long as the workspace.
 struct SpreadSearch<'h> {
     host: &'h HostGraph,
     /// Paths of the current layer through each pair id.
@@ -164,11 +165,12 @@ struct SpreadSearch<'h> {
 impl<'h> SpreadSearch<'h> {
     /// A workspace over `host` with every load zero.
     fn new(host: &'h HostGraph) -> Self {
+        let n = host.graph().n();
         SpreadSearch {
             host,
-            load: vec![0; host.edge_space()],
-            dist: vec![u64::MAX; host.n()],
-            parent: vec![(u32::MAX, u32::MAX); host.n()],
+            load: vec![0; host.graph().edge_id_count()],
+            dist: vec![u64::MAX; n],
+            parent: vec![(u32::MAX, u32::MAX); n],
             heap: BinaryHeap::new(),
             walk: Vec::new(),
         }
@@ -189,6 +191,7 @@ impl<'h> SpreadSearch<'h> {
     /// Panics if `to` is unreachable from `from`.
     fn route(&mut self, from: VertexId, to: VertexId) -> Path {
         let host = self.host;
+        let graph = host.graph();
         let (lf, lt) = (host.to_local(from), host.to_local(to));
         self.dist.fill(u64::MAX);
         self.parent.fill((u32::MAX, u32::MAX));
@@ -203,7 +206,7 @@ impl<'h> SpreadSearch<'h> {
             if d > self.dist[u as usize] {
                 continue;
             }
-            for (&v, &e) in host.neighbors_local(u).iter().zip(host.neighbor_eids_local(u)) {
+            for (&v, &e) in graph.neighbors(u).iter().zip(graph.neighbor_edge_ids(u)) {
                 let l = self.load[e as usize];
                 let nd = d + (1 + l) * (1 + l);
                 if nd < self.dist[v as usize] {

@@ -146,10 +146,11 @@ fn min_len_for_half(half: f64) -> u32 {
 /// [`Router::preprocess`] derives from a single hierarchy node,
 /// collected in node order after the fan-out.
 enum NodePrep {
-    /// A leaf's embedded sorting network.
+    /// A leaf: what one pass of its embedded sorting network costs at
+    /// unit load, the only part of the network the router keeps.
     Leaf {
-        /// The routable network.
-        net: Box<EmbeddedNetwork>,
+        /// [`EmbeddedNetwork::pass_cost`] at load 1.
+        pass_cost: u64,
     },
     /// An internal node's shuffler plus its dense-id lowerings.
     Internal {
@@ -229,7 +230,6 @@ pub struct Router {
     /// Per node: dense `bad vertex -> M* edge index within its part`
     /// (`u32::MAX` elsewhere); empty vec for leaves.
     pub(crate) mstar_edge: Vec<Vec<u32>>,
-    pub(crate) leaf_nets: Vec<Option<EmbeddedNetwork>>,
     /// Per graph vertex: its best-node delegate (§1.3, Appendix D).
     pub(crate) delegate: Vec<VertexId>,
     /// Per graph vertex: explicit base-graph path `v -> delegate(v)`
@@ -282,11 +282,14 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the edited graph is disconnected or
-    /// otherwise refused by [`Router::preprocess`].
+    /// Returns [`BuildError::InvalidEdit`] for the first edit that
+    /// [`Graph::check_edit`] rejects on the copy edited so far, and
+    /// [`BuildError`] if the edited graph is disconnected or otherwise
+    /// refused by [`Router::preprocess`].
     pub fn repair(&mut self, edits: &[GraphEdit]) -> Result<(), BuildError> {
         let mut graph = self.graph.clone();
         for &e in edits {
+            graph.check_edit(e).map_err(BuildError::InvalidEdit)?;
             graph.apply_edit(e);
         }
         *self = Router::preprocess(&graph, self.config.clone())?;
@@ -313,7 +316,7 @@ impl Router {
         let mut part_of: Vec<Vec<u16>> = vec![Vec::new(); n_nodes];
         let mut mstar_flat: Vec<Vec<FlatPaths>> = vec![Vec::new(); n_nodes];
         let mut mstar_edge: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
-        let mut leaf_nets: Vec<Option<EmbeddedNetwork>> = vec![None; n_nodes];
+        let mut leaf_pass: Vec<u64> = vec![0; n_nodes];
         let mut mstar_sq: Vec<u64> = vec![4; n_nodes];
         // Per node, per part: the flattened `M*` embeddings. Only the
         // chain walk below reads them; they die with this frame.
@@ -332,7 +335,7 @@ impl Router {
             let mut ledger = RoundLedger::new();
             let nd = hier.node(id);
             if nd.is_leaf() {
-                let net = EmbeddedNetwork::build(&hier, id);
+                let pass_cost = EmbeddedNetwork::build(&hier, id).pass_cost(1);
                 // §6.4 preprocessing: gather the leaf topology and
                 // lay down the routable network.
                 ledger.charge(
@@ -340,9 +343,9 @@ impl Router {
                     cost::diameter_primitive(
                         nd.vertices.len() as u64 + nd.diameter.min(1 << 16) as u64,
                         nd.flat_quality as u64,
-                    ) + net.pass_cost(1),
+                    ) + pass_cost,
                 );
-                return (ledger, NodePrep::Leaf { net: Box::new(net) });
+                return (ledger, NodePrep::Leaf { pass_cost });
             }
             // Internal: shuffler + part maps + flattened M*, all
             // lowered to dense ids (edge-id arenas, dispersal
@@ -398,7 +401,7 @@ impl Router {
         for (id, (ledger, prep)) in prepped.into_iter().enumerate() {
             pre_ledger.merge(&ledger);
             match prep {
-                NodePrep::Leaf { net } => leaf_nets[id] = Some(*net),
+                NodePrep::Leaf { pass_cost } => leaf_pass[id] = pass_cost,
                 NodePrep::Internal {
                     sh,
                     flats,
@@ -504,7 +507,7 @@ impl Router {
             *slot = prefix;
         }
 
-        let cost_model = CostModel::build(&hier, &shufflers, &rounds_flat, &leaf_nets, mstar_sq);
+        let cost_model = CostModel::build(&hier, &shufflers, &rounds_flat, &leaf_pass, mstar_sq);
 
         // §6.5 preprocessing recurrences: laying down the routable
         // sorting networks costs `O(log n)·T₂(X, 1)` per internal node
@@ -526,7 +529,6 @@ impl Router {
             part_of,
             mstar_flat,
             mstar_edge,
-            leaf_nets,
             delegate,
             chain,
             chain_flat,
@@ -555,11 +557,6 @@ impl Router {
     /// The shuffler of an internal node, if any.
     pub fn shuffler(&self, node: NodeId) -> Option<&Shuffler> {
         self.shufflers[node].as_ref()
-    }
-
-    /// The embedded sorting network of a leaf node, if any.
-    pub fn leaf_network(&self, node: NodeId) -> Option<&EmbeddedNetwork> {
-        self.leaf_nets[node].as_ref()
     }
 
     /// Rounds charged during preprocessing (Theorem 1.1's first term).
@@ -687,7 +684,7 @@ mod tests {
         }
         for nd in r.hierarchy().nodes() {
             if nd.is_leaf() {
-                assert!(r.leaf_nets[nd.id].is_some());
+                assert!(r.cost_model().leafnet_unit[nd.id] > 0);
             }
         }
         assert!(r.preprocessing_ledger().total() > 0);
@@ -790,5 +787,21 @@ mod tests {
             g.neighbors(0).iter().map(|&v| GraphEdit::RemoveEdge(0, v)).collect();
         assert!(r.repair(&cut).is_err());
         assert_eq!(r, snapshot, "failed repair must not corrupt the router");
+    }
+
+    #[test]
+    fn repair_rejects_invalid_edits_and_leaves_router_unchanged() {
+        let mut r = router(64, 24);
+        let snapshot = r.clone();
+        for bad in [GraphEdit::InsertEdge(0, 64), GraphEdit::InsertEdge(3, 3)] {
+            assert_eq!(r.repair(&[bad]), Err(BuildError::InvalidEdit(bad)));
+            assert_eq!(r, snapshot, "rejected edit {bad} must not touch the router");
+        }
+        // The check runs on the edited copy: vertex 64 exists once the
+        // batch has inserted it, vertex 65 never does.
+        let late =
+            [GraphEdit::InsertVertex, GraphEdit::InsertEdge(64, 0), GraphEdit::InsertEdge(64, 65)];
+        assert_eq!(r.repair(&late), Err(BuildError::InvalidEdit(late[2])));
+        assert_eq!(r, snapshot);
     }
 }

@@ -36,7 +36,7 @@ use crate::cut_player::{deviation_mass, median_split, probe_vector, replay_walk}
 use crate::host::HostGraph;
 use crate::packing::{pack_matching_with, EscalationConfig, MatchingPacking, Packer};
 use congest_sim::{cost, parallel, RoundLedger, ThreadBudget};
-use expander_graphs::{metrics, Embedding, Graph, GraphEdit, Path, VertexId};
+use expander_graphs::{Embedding, Graph, GraphEdit, Path, VertexId};
 use std::error::Error;
 use std::fmt;
 
@@ -122,6 +122,9 @@ pub enum BuildError {
         /// Hierarchy level of the node whose attach failed (root = 0).
         level: u32,
     },
+    /// A repair's edit names a vertex outside the graph or inserts a
+    /// self-loop ([`Graph::check_edit`] rejected it).
+    InvalidEdit(GraphEdit),
 }
 
 impl fmt::Display for BuildError {
@@ -139,6 +142,9 @@ impl fmt::Display for BuildError {
                 "vertex {vertex} stranded at level {level}: the virtual graph disconnects \
                  it from every surviving part during force-attach"
             ),
+            BuildError::InvalidEdit(edit) => {
+                write!(f, "edit {edit} names a vertex out of range or inserts a self-loop")
+            }
         }
     }
 }
@@ -199,10 +205,10 @@ pub struct HierarchyNode {
     pub parts: Vec<HierarchyPart>,
     /// `X_best`: union of good-leaf descendants (sorted).
     pub best: Vec<VertexId>,
-    /// Diameter estimate of `H_X`.
+    /// Double-sweep diameter estimate of `H_X`
+    /// ([`Graph::diameter_estimate`]; `u32::MAX` when `H_X` is
+    /// disconnected, which makes the node a leaf).
     pub diameter: u32,
-    /// Spectral gap of `H_X` (quality witness for the embedding).
-    pub spectral_gap: f64,
 }
 
 impl HierarchyNode {
@@ -271,8 +277,8 @@ impl Hierarchy {
 
         // Top-level game inside G itself.
         let root_host = HostGraph::from_graph(graph);
-        let all: Vec<VertexId> = (0..n as u32).collect();
-        let outcome = builder.partition_game(&root_host, &all, 0, 2);
+        let root_diameter = graph.diameter_estimate();
+        let outcome = builder.partition_game(&root_host, root_diameter, 0, 2);
         if outcome.parts.len() < 2 {
             return Err(BuildError::RootCoverage { covered: 0, unmatched: n });
         }
@@ -290,8 +296,7 @@ impl Hierarchy {
             flat_quality: 2,
             parts: Vec::new(),
             best: Vec::new(),
-            diameter: graph.diameter_estimate(),
-            spectral_gap: metrics::spectral_gap(graph, params.seed),
+            diameter: root_diameter,
         });
 
         let attached = builder.attach_parts(root_id, &root_host, outcome, true)?;
@@ -346,11 +351,14 @@ impl Hierarchy {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`build`](Hierarchy::build), evaluated
-    /// against the edited graph.
+    /// Returns [`BuildError::InvalidEdit`] for the first edit that
+    /// [`Graph::check_edit`] rejects on the copy edited so far, and
+    /// otherwise the failure modes of [`build`](Hierarchy::build),
+    /// evaluated against the edited graph.
     pub fn repair(&mut self, edits: &[GraphEdit]) -> Result<RepairReport, BuildError> {
         let mut graph = self.graph.clone();
         for &e in edits {
+            graph.check_edit(e).map_err(BuildError::InvalidEdit)?;
             graph.apply_edit(e);
         }
         *self = Hierarchy::build(&graph, self.params.clone())?;
@@ -592,9 +600,10 @@ enum Proposal {
 }
 
 impl Builder<'_, '_> {
-    /// Plays the simultaneous cut-matching game over `vertices` inside
-    /// `host`, charging construction rounds at flattened quality
-    /// `flat_quality`.
+    /// Plays the simultaneous cut-matching game over the vertices of
+    /// `host`, whose diameter estimate is `diameter` (finite: the host
+    /// is connected), charging construction rounds at flattened
+    /// quality `flat_quality`.
     ///
     /// Each iteration runs in two stages. The *probe* stage computes
     /// every part's replayed projection and cut proposal — work that
@@ -607,16 +616,18 @@ impl Builder<'_, '_> {
     fn partition_game(
         &mut self,
         host: &HostGraph,
-        vertices: &[VertexId],
+        diameter: u32,
         level: u32,
         flat_quality: usize,
     ) -> GameOutcome {
         let ctx = self.ctx;
-        let n_part = vertices.len().div_ceil(ctx.k);
+        let vertices = host.vertices();
+        let host_n = vertices.len();
+        let n_part = host_n.div_ceil(ctx.k);
         let parts: Vec<Vec<VertexId>> =
             vertices.chunks(n_part.max(1)).map(<[VertexId]>::to_vec).collect();
         let t = parts.len();
-        let host_diam = host.diameter_estimate().min(host.n() as u32) as u64;
+        let host_diam = u64::from(diameter);
 
         // Per-part state.
         let mut active: Vec<Vec<u32>> =
@@ -625,7 +636,7 @@ impl Builder<'_, '_> {
         let mut embeddings: Vec<Embedding> = vec![Embedding::new(); t];
         let mut mixed = vec![false; t];
         // Scratch for the dead-source sweep (reset between uses).
-        let mut dead_mark = vec![false; host.n()];
+        let mut dead_mark = vec![false; host_n];
 
         for iter in 0..ctx.lambda {
             // Probe stage: per-part proposals, in parallel. A part's
@@ -643,7 +654,7 @@ impl Builder<'_, '_> {
                     .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(iter as u64 + 1))
                     .wrapping_add(0xBF58_476D_1CE4_E5B9u64.wrapping_mul(pi as u64 + 1))
                     .wrapping_add((level as u64) << 48);
-                let mut probe = vec![0.0f64; host.n()];
+                let mut probe = vec![0.0f64; host_n];
                 let fresh = probe_vector(parts[pi].len(), seed);
                 for (i, &v) in parts[pi].iter().enumerate() {
                     probe[host.to_local(v) as usize] = fresh[i];
@@ -674,7 +685,7 @@ impl Builder<'_, '_> {
                     }
                     Some(Proposal::Cut { sources, sinks }) => (sources, sinks),
                 };
-                let mut sink_cap = vec![0u32; host.n()];
+                let mut sink_cap = vec![0u32; host_n];
                 for &s in &sinks {
                     sink_cap[s as usize] = 1;
                 }
@@ -765,9 +776,10 @@ impl Builder<'_, '_> {
         is_root: bool,
     ) -> Result<AttachedParts, BuildError> {
         let GameOutcome { parts: game_parts, leftover } = outcome;
+        let host_n = host.graph().n();
         // Sink capacity 1 on every survivor: M* must be a matching.
-        let mut sink_cap = vec![0u32; host.n()];
-        let mut part_of_survivor: Vec<usize> = vec![usize::MAX; host.n()];
+        let mut sink_cap = vec![0u32; host_n];
+        let mut part_of_survivor: Vec<usize> = vec![usize::MAX; host_n];
         for (pi, gp) in game_parts.iter().enumerate() {
             for &v in &gp.survivors {
                 let l = host.to_local(v) as usize;
@@ -803,7 +815,7 @@ impl Builder<'_, '_> {
             // Re-pack against all survivors (capacity refreshed): the
             // earlier failure was under shared caps; Mroot gets its own.
             if !outside.is_empty() {
-                let mut cap2 = vec![0u32; host.n()];
+                let mut cap2 = vec![0u32; host_n];
                 for gp in &game_parts {
                     for &v in &gp.survivors {
                         let l = host.to_local(v) as usize;
@@ -827,7 +839,7 @@ impl Builder<'_, '_> {
                     // Lemma 3.5's premise failed: W is too small to
                     // absorb the stragglers as a matching.
                     return Err(BuildError::RootCoverage {
-                        covered: host.n() - outside.len(),
+                        covered: host_n - outside.len(),
                         unmatched: m2.unmatched.len(),
                     });
                 }
@@ -842,9 +854,8 @@ impl Builder<'_, '_> {
             // inputs do reach this stage.
             let level = self.nodes[node_id].level;
             for &v in &m.unmatched {
-                let l = host.to_local(v);
-                let dist = host.bfs_local(&[l]);
-                let target = (0..host.n())
+                let dist = host.graph().bfs_distances(host.to_local(v));
+                let target = (0..host_n)
                     .filter(|&u| sink_cap[u] > 0 && dist[u] != u32::MAX)
                     .min_by_key(|&u| dist[u]);
                 let Some(target) = target else {
@@ -936,9 +947,8 @@ impl Builder<'_, '_> {
         level: u32,
     ) -> Result<NodeId, BuildError> {
         let id = self.nodes.len();
-        let mut embedding_to_parent = gp.embedding;
-        let vertices = gp.survivors;
-        let virtual_edges = gp.edges;
+        let GamePart { survivors: vertices, edges: virtual_edges, embedding: embedding_to_parent } =
+            gp;
 
         // Flatten through the parent.
         let flat = match parent_flat {
@@ -947,13 +957,10 @@ impl Builder<'_, '_> {
         };
         let flat_quality = flat.quality().max(2);
 
-        // Diameter + gap of H_X.
+        // H_X, built once: its diameter decides whether the node
+        // splits, and the node's own game plays inside it.
         let host = HostGraph::from_edges(self.ctx.graph.n(), vertices.clone(), &virtual_edges);
-        let diameter = host.diameter_estimate();
-        let spectral_gap = gap_of_virtual(&host);
-
-        // Normalize the parent-embedding direction (u, v, path u->v).
-        embedding_to_parent = normalize_embedding(embedding_to_parent);
+        let diameter = host.graph().diameter_estimate();
 
         self.nodes.push(HierarchyNode {
             id,
@@ -967,20 +974,15 @@ impl Builder<'_, '_> {
             parts: Vec::new(),
             best: Vec::new(),
             diameter,
-            spectral_gap,
         });
 
-        let n_here = self.nodes[id].vertices.len();
+        let n_here = host.vertices().len();
         let splittable = n_here > self.ctx.leaf_size
             && level < self.ctx.params.max_levels
             && n_here / self.ctx.k >= self.ctx.params.min_child.max(4)
             && diameter != u32::MAX;
         if splittable {
-            let vertices = self.nodes[id].vertices.clone();
-            let edges = self.nodes[id].virtual_edges.clone();
-            let host = HostGraph::from_edges(self.ctx.graph.n(), vertices.clone(), &edges);
-            let fq = self.nodes[id].flat_quality;
-            let outcome = self.partition_game(&host, &vertices, level, fq);
+            let outcome = self.partition_game(&host, diameter, level, flat_quality);
             if outcome.parts.len() >= 2 {
                 // Both the root and recursive attaches can fail on
                 // hostile input (RootCoverage at the root, Stranded
@@ -1017,15 +1019,15 @@ fn shortest_in_host(host: &HostGraph, from: VertexId, to: VertexId) -> Option<Pa
     let lf = host.to_local(from);
     let lt = host.to_local(to);
     // BFS with parents.
-    let n = host.n();
-    let mut parent = vec![u32::MAX; n];
+    let graph = host.graph();
+    let mut parent = vec![u32::MAX; graph.n()];
     let mut queue = std::collections::VecDeque::from([lf]);
     parent[lf as usize] = lf;
     while let Some(u) = queue.pop_front() {
         if u == lt {
             break;
         }
-        for &v in host.neighbors_local(u) {
+        for &v in graph.neighbors(u) {
             if parent[v as usize] == u32::MAX {
                 parent[v as usize] = u;
                 queue.push_back(v);
@@ -1043,34 +1045,6 @@ fn shortest_in_host(host: &HostGraph, from: VertexId, to: VertexId) -> Option<Pa
     }
     walk.reverse();
     Some(host.path_to_global(&walk))
-}
-
-fn gap_of_virtual(host: &HostGraph) -> f64 {
-    if host.n() < 2 || host.m() == 0 {
-        return 0.0;
-    }
-    // Re-index to a dense local graph; isolated vertices get a self
-    // countweight via a star fallback to keep the estimate defined.
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(host.m());
-    for l in 0..host.n() as u32 {
-        for &u in host.neighbors_local(l) {
-            if l < u {
-                edges.push((l, u));
-            }
-        }
-    }
-    let g = Graph::from_edges(host.n(), &edges);
-    if (0..g.n() as u32).any(|v| g.degree(v) == 0) {
-        return 0.0;
-    }
-    metrics::spectral_gap(&g, 7)
-}
-
-/// Ensures every embedded path runs `u -> v` for its stored pair.
-fn normalize_embedding(e: Embedding) -> Embedding {
-    // Embedding::push enforces the invariant at insertion; packing
-    // already produces source->sink order. Kept for clarity.
-    e
 }
 
 #[cfg(test)]
@@ -1131,9 +1105,9 @@ mod tests {
                 assert_eq!(p.source(), u);
                 assert_eq!(p.target(), v);
                 for w in p.vertices().windows(2) {
-                    let a = parent_host.to_local(w[0]);
+                    let (a, b) = (parent_host.to_local(w[0]), parent_host.to_local(w[1]));
                     assert!(
-                        parent_host.neighbors_local(a).contains(&parent_host.to_local(w[1])),
+                        parent_host.graph().has_edge(a, b),
                         "embedding path hop not in parent H_X"
                     );
                 }
@@ -1158,13 +1132,10 @@ mod tests {
         let h = build(512, 0.4, 6);
         for nd in h.nodes() {
             if nd.parent.is_some() && nd.vertices.len() >= 24 {
-                assert!(
-                    nd.spectral_gap > 0.01,
-                    "node {} (|X|={}) gap {}",
-                    nd.id,
-                    nd.vertices.len(),
-                    nd.spectral_gap
-                );
+                let host =
+                    HostGraph::from_edges(h.graph().n(), nd.vertices.clone(), &nd.virtual_edges);
+                let gap = expander_graphs::metrics::spectral_gap(host.graph(), 7);
+                assert!(gap > 0.01, "node {} (|X|={}) gap {gap}", nd.id, nd.vertices.len());
             }
         }
     }
@@ -1270,6 +1241,18 @@ mod tests {
         let err = h.repair(&edits).expect_err("disconnected graph must fail");
         assert_eq!(err, BuildError::Disconnected);
         assert_eq!(h, before, "failed repair must not mutate the hierarchy");
+    }
+
+    #[test]
+    fn repair_rejects_invalid_edits_and_leaves_hierarchy_unchanged() {
+        let g = generators::random_regular(64, 4, 15).expect("generator");
+        let mut h = Hierarchy::build(&g, HierarchyParams::for_epsilon(0.4)).expect("hierarchy");
+        let before = h.clone();
+        let bad = GraphEdit::RemoveVertex(99);
+        for edits in [vec![bad], vec![GraphEdit::RemoveEdge(0, g.neighbors(0)[0]), bad]] {
+            assert_eq!(h.repair(&edits), Err(BuildError::InvalidEdit(bad)));
+            assert_eq!(h, before, "rejected edit must not mutate the hierarchy");
+        }
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!    on the cluster graph `Y` mix a lazy random walk, verified through
 //!    the exact potential of Definition 5.3.
 //!
-//! The cut player, matching player, and host-graph machinery are public
-//! for tests and for the routing engine's own use.
+//! The cut player, the matching player and [`HostGraph`] (a node's
+//! virtual graph as a [`Graph`](expander_graphs::Graph) over local ids,
+//! with its id map) are public for tests and for the routing engine's
+//! own use.
 //!
 //! # Example
 //!

@@ -65,9 +65,9 @@ struct Parent {
 #[derive(Debug)]
 pub struct Packer<'h> {
     host: &'h HostGraph,
-    /// Per-edge load, indexed densely by [`HostGraph`] edge id — this
-    /// sits in the BFS inner loop, so it must be a flat vector, not a
-    /// hash map.
+    /// Per-edge load, indexed densely by the host graph's canonical
+    /// edge id — this sits in the BFS inner loop, so it must be a flat
+    /// vector, not a hash map.
     edge_load: Vec<u32>,
     /// Stamp of the current phase; 0 is never a live stamp.
     phase: u32,
@@ -82,10 +82,10 @@ pub struct Packer<'h> {
 impl<'h> Packer<'h> {
     /// A packer with no edges loaded.
     pub fn new(host: &'h HostGraph) -> Self {
-        let n = host.n();
+        let n = host.graph().n();
         Packer {
             host,
-            edge_load: vec![0; host.edge_space()],
+            edge_load: vec![0; host.graph().edge_id_count()],
             phase: 0,
             mark: vec![Mark::default(); n],
             parent: vec![Parent::default(); n],
@@ -139,7 +139,8 @@ impl<'h> Packer<'h> {
         congestion_cap: u32,
         dilation_cap: u32,
     ) -> PackResult {
-        assert_eq!(sink_cap.len(), self.host.n(), "sink capacity indexed by host-local id");
+        let graph = self.host.graph();
+        assert_eq!(sink_cap.len(), graph.n(), "sink capacity indexed by host-local id");
         for &s in sources {
             assert_eq!(sink_cap[s as usize], 0, "source {s} doubles as sink");
         }
@@ -150,7 +151,7 @@ impl<'h> Packer<'h> {
         while !remaining.is_empty() {
             result.phases += 1;
             let phase = self.next_phase();
-            let Packer { host, edge_load, mark, parent, claimed, queue, reached, .. } = self;
+            let Packer { edge_load, mark, parent, claimed, queue, reached, .. } = self;
             // Multi-source BFS through edges with residual capacity,
             // depths only, until every live sink is discovered. Depth-0
             // vertices are exactly this phase's sources.
@@ -169,8 +170,8 @@ impl<'h> Packer<'h> {
                     // The queue is in depth order: nothing left expands.
                     break;
                 }
-                let nbrs = host.neighbors_local(u);
-                let eids = host.neighbor_eids_local(u);
+                let nbrs = graph.neighbors(u);
+                let eids = graph.neighbor_edge_ids(u);
                 for (&v, &eid) in nbrs.iter().zip(eids) {
                     if mark[v as usize].phase == phase || edge_load[eid as usize] >= congestion_cap
                     {
@@ -191,8 +192,8 @@ impl<'h> Packer<'h> {
                 let mut v = sink;
                 while mark[v as usize].depth > 0 && parent[v as usize].phase != phase {
                     let dv = mark[v as usize].depth;
-                    let nbrs = host.neighbors_local(v);
-                    let eids = host.neighbor_eids_local(v);
+                    let nbrs = graph.neighbors(v);
+                    let eids = graph.neighbor_edge_ids(v);
                     let mut best: Option<(u32, u32)> = None;
                     for (&u, &eid) in nbrs.iter().zip(eids) {
                         if mark[u as usize].phase == phase
@@ -311,7 +312,7 @@ pub fn pack_matching(
     cfg: EscalationConfig,
 ) -> MatchingPacking {
     let mut packer = Packer::new(host);
-    let mut sink_cap = vec![0u32; host.n()];
+    let mut sink_cap = vec![0u32; host.graph().n()];
     for &t in sinks {
         sink_cap[host.to_local(t) as usize] = sink_multiplicity;
     }
@@ -413,7 +414,7 @@ mod tests {
         // All sources on one side must cross the two ring "bridges";
         // with cap 1 and no escalation only ~2 can match.
         let mut packer = Packer::new(&host);
-        let mut sink_cap = vec![0u32; host.n()];
+        let mut sink_cap = vec![0u32; host.graph().n()];
         for t in 8..12u32 {
             sink_cap[host.to_local(t) as usize] = 1;
         }
@@ -460,13 +461,13 @@ mod tests {
         let host = host_of(&g);
         let mut packer = Packer::new(&host);
         let cfg = EscalationConfig { congestion_cap: 2, dilation_cap: 12, max_escalations: 0 };
-        let mut cap1 = vec![0u32; host.n()];
+        let mut cap1 = vec![0u32; host.graph().n()];
         cap1[host.to_local(6) as usize] = 1;
         let m1 = pack_matching_with(&mut packer, &[host.to_local(0)], &mut cap1, cfg);
         assert_eq!(m1.pairs.len(), 1);
         let c_after_first = packer.congestion();
         assert!(c_after_first >= 1);
-        let mut cap2 = vec![0u32; host.n()];
+        let mut cap2 = vec![0u32; host.graph().n()];
         cap2[host.to_local(7) as usize] = 1;
         let m2 = pack_matching_with(&mut packer, &[host.to_local(1)], &mut cap2, cfg);
         assert_eq!(m2.pairs.len(), 1);

@@ -167,7 +167,8 @@ pub fn build_shuffler(
     }
 
     let host = HostGraph::from_edges(h.graph().n(), nd.vertices.clone(), &nd.virtual_edges);
-    let host_diam = host.diameter_estimate().min(host.n() as u32) as u64;
+    // An internal node's H_X is connected, so its diameter is finite.
+    let host_diam = u64::from(nd.diameter);
     let q_flat = nd.flat_quality as u64;
 
     // Exact walk matrix R (t × t), starting at identity.
@@ -226,7 +227,7 @@ pub fn build_shuffler(
             in_sp[i] = true;
         }
         let mut sources: Vec<u32> = Vec::new();
-        let mut sink_cap = vec![0u32; host.n()];
+        let mut sink_cap = vec![0u32; host.graph().n()];
         for (pi, p) in nd.parts.iter().enumerate() {
             if in_s[pi] {
                 sources.extend(p.all.iter().map(|&v| host.to_local(v)));
@@ -292,14 +293,15 @@ pub fn build_shuffler(
     // Quality of the union of all matchings' paths (Definition 5.4),
     // counted densely over the host's edge-id space instead of
     // collecting a cloned `PathSet`.
-    let mut union_load = vec![0u32; host.edge_space()];
+    let host_graph = host.graph();
+    let mut union_load = vec![0u32; host_graph.edge_id_count()];
     let mut union_dilation = 0usize;
     for r in &rounds {
         for (_, _, p) in r.embedding.iter() {
             union_dilation = union_dilation.max(p.hops());
             for w in p.vertices().windows(2) {
-                let eid = host
-                    .pair_eid(host.to_local(w[0]), host.to_local(w[1]))
+                let eid = host_graph
+                    .edge_id(host.to_local(w[0]), host.to_local(w[1]))
                     .expect("matching path hop outside the host graph");
                 union_load[eid as usize] += 1;
             }

@@ -118,11 +118,7 @@ impl fmt::Display for GraphEdit {
 /// list: parallel copies of a pair share one id, ids number the
 /// distinct pairs in lexicographic `(min, max)` order with no gaps.
 /// Returns the per-edge pair id plus the distinct-pair count.
-///
-/// Shared by [`Graph::from_edges`] and host-graph construction in the
-/// decomposition crate, so the id semantics that the dense congestion
-/// accounting relies on cannot diverge between the two.
-pub fn canonical_pair_ids(edges: &[(VertexId, VertexId)]) -> (Vec<u32>, usize) {
+fn canonical_pair_ids(edges: &[(VertexId, VertexId)]) -> (Vec<u32>, usize) {
     let mut order: Vec<u32> = (0..edges.len() as u32).collect();
     let key = |i: u32| {
         let (u, v) = edges[i as usize];
@@ -296,12 +292,34 @@ impl Graph {
         removed
     }
 
+    /// Checks that [`apply_edit`](Graph::apply_edit) accepts `edit`:
+    /// every vertex it names is `< n`, and an inserted edge is not a
+    /// self-loop.
+    ///
+    /// # Errors
+    ///
+    /// Returns `edit` itself when `apply_edit` would panic on it.
+    pub fn check_edit(&self, edit: GraphEdit) -> Result<(), GraphEdit> {
+        let in_range = |v: VertexId| (v as usize) < self.n();
+        let ok = match edit {
+            GraphEdit::InsertEdge(u, v) => in_range(u) && in_range(v) && u != v,
+            GraphEdit::RemoveEdge(u, v) => in_range(u) && in_range(v),
+            GraphEdit::InsertVertex => true,
+            GraphEdit::RemoveVertex(v) => in_range(v),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(edit)
+        }
+    }
+
     /// Applies one [`GraphEdit`].
     ///
     /// # Panics
     ///
-    /// Panics exactly when the corresponding mutation method does
-    /// (out-of-range endpoints, self-loop insertion).
+    /// Panics exactly when [`check_edit`](Graph::check_edit) rejects
+    /// `edit` (out-of-range endpoints, self-loop insertion).
     pub fn apply_edit(&mut self, edit: GraphEdit) {
         match edit {
             GraphEdit::InsertEdge(u, v) => {
@@ -631,14 +649,18 @@ impl Graph {
         (0..self.n() as u32).map(|v| self.eccentricity(v)).max().expect("non-empty")
     }
 
-    /// Diameter estimate in `[D/2, D]` via a double BFS sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is disconnected or empty.
+    /// Diameter estimate in `[D/2, D]` via a double BFS sweep: the
+    /// eccentricity of the last vertex farthest from vertex 0. Returns
+    /// 0 when the graph has at most one vertex and `u32::MAX` when it
+    /// is disconnected.
     pub fn diameter_estimate(&self) -> u32 {
-        assert!(self.n() > 0, "diameter of the empty graph");
+        if self.n() <= 1 {
+            return 0;
+        }
         let d0 = self.bfs_distances(0);
+        if d0.contains(&u32::MAX) {
+            return u32::MAX;
+        }
         let (far, _) = d0.iter().enumerate().max_by_key(|&(_, d)| *d).expect("non-empty");
         self.eccentricity(far as VertexId)
     }
@@ -797,6 +819,38 @@ mod tests {
         assert_eq!(g.diameter_exact(), 5);
         let est = g.diameter_estimate();
         assert!((3..=5).contains(&est), "estimate {est} out of [D/2, D]");
+    }
+
+    #[test]
+    fn diameter_estimate_of_degenerate_graphs() {
+        assert_eq!(Graph::from_edges(4, &[(0, 1), (2, 3)]).diameter_estimate(), u32::MAX);
+        assert_eq!(Graph::from_edges(1, &[]).diameter_estimate(), 0);
+        assert_eq!(Graph::from_edges(0, &[]).diameter_estimate(), 0);
+    }
+
+    #[test]
+    fn check_edit_accepts_exactly_what_apply_edit_does() {
+        let g = cycle(4);
+        for ok in [
+            GraphEdit::InsertEdge(0, 2),
+            GraphEdit::RemoveEdge(3, 1),
+            GraphEdit::RemoveEdge(2, 2),
+            GraphEdit::InsertVertex,
+            GraphEdit::RemoveVertex(3),
+        ] {
+            assert_eq!(g.check_edit(ok), Ok(()), "{ok}");
+            g.clone().apply_edit(ok);
+        }
+        for bad in [
+            GraphEdit::InsertEdge(0, 4),
+            GraphEdit::InsertEdge(3, 3),
+            GraphEdit::RemoveEdge(9, 0),
+            GraphEdit::RemoveVertex(4),
+        ] {
+            assert_eq!(g.check_edit(bad), Err(bad), "{bad}");
+            let applied = std::panic::catch_unwind(|| g.clone().apply_edit(bad));
+            assert!(applied.is_err(), "{bad} must panic in apply_edit");
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn oracle_spread_path(
 ) -> Path {
     let lf = host.to_local(from);
     let lt = host.to_local(to);
-    let n = host.n();
+    let n = host.graph().n();
     let mut dist = vec![u64::MAX; n];
     let mut parent = vec![u32::MAX; n];
     let mut heap = BinaryHeap::new();
@@ -96,7 +96,7 @@ fn oracle_spread_path(
         if d > dist[u as usize] {
             continue;
         }
-        for &v in host.neighbors_local(u) {
+        for &v in host.graph().neighbors(u) {
             let l = load.get(&(u.min(v), u.max(v))).copied().unwrap_or(0);
             let nd = d + (1 + l) * (1 + l);
             if nd < dist[v as usize] {

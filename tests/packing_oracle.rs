@@ -11,7 +11,7 @@
 
 use expander_decomp::packing::PackResult;
 use expander_decomp::{EscalationConfig, HostGraph, Packer};
-use expander_graphs::generators;
+use expander_graphs::{generators, Graph};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -39,14 +39,15 @@ impl Coverage {
 /// BFS reach, then a parent pass over every discovered vertex, then
 /// the claims.
 struct Oracle<'h> {
-    host: &'h HostGraph,
+    graph: &'h Graph,
     edge_load: Vec<u32>,
     seen: Coverage,
 }
 
 impl<'h> Oracle<'h> {
     fn new(host: &'h HostGraph) -> Self {
-        Oracle { host, edge_load: vec![0; host.edge_space()], seen: Coverage::default() }
+        let graph = host.graph();
+        Oracle { graph, edge_load: vec![0; graph.edge_id_count()], seen: Coverage::default() }
     }
 
     fn congestion(&self) -> u32 {
@@ -60,7 +61,7 @@ impl<'h> Oracle<'h> {
         congestion_cap: u32,
         dilation_cap: u32,
     ) -> PackResult {
-        let n = self.host.n();
+        let n = self.graph.n();
         let mut result = PackResult::default();
         let mut remaining: Vec<u32> = sources.to_vec();
         let mut seen = vec![0u32; n];
@@ -91,8 +92,8 @@ impl<'h> Oracle<'h> {
                 if du >= dilation_cap {
                     continue;
                 }
-                let nbrs = self.host.neighbors_local(u);
-                let eids = self.host.neighbor_eids_local(u);
+                let nbrs = self.graph.neighbors(u);
+                let eids = self.graph.neighbor_edge_ids(u);
                 for (&v, &eid) in nbrs.iter().zip(eids) {
                     if seen[v as usize] == phase || self.edge_load[eid as usize] >= congestion_cap {
                         continue;
@@ -118,8 +119,8 @@ impl<'h> Oracle<'h> {
                     continue;
                 }
                 let dv = depth[v as usize];
-                let nbrs = self.host.neighbors_local(v);
-                let eids = self.host.neighbor_eids_local(v);
+                let nbrs = self.graph.neighbors(v);
+                let eids = self.graph.neighbor_edge_ids(v);
                 let mut best: Option<(u32, u32)> = None;
                 for (&u, &eid) in nbrs.iter().zip(eids) {
                     if seen[u as usize] == phase
@@ -218,7 +219,7 @@ fn escalate(
 /// raised to `2·diam + 2` of the host.
 fn game_config(host: &HostGraph, congestion_cap: u32) -> EscalationConfig {
     let cfg = EscalationConfig::default();
-    let dilation_cap = cfg.dilation_cap.max(2 * host.diameter_estimate() + 2);
+    let dilation_cap = cfg.dilation_cap.max(2 * host.graph().diameter_estimate() + 2);
     EscalationConfig { congestion_cap, dilation_cap, ..cfg }
 }
 
@@ -233,7 +234,7 @@ fn play_game(
     cfg: EscalationConfig,
     seed: u64,
 ) -> Coverage {
-    let n = host.n();
+    let n = host.graph().n();
     let locals: Vec<u32> = (0..n as u32).collect();
     let mut active: Vec<Vec<u32>> = locals.chunks(n.div_ceil(parts)).map(<[u32]>::to_vec).collect();
     let t = active.len();
@@ -312,7 +313,8 @@ fn random_regular_games_match_the_oracle() {
 fn repeated_pair_hosts_match_the_oracle() {
     for (n, k, seed) in [(200, 12, 1), (228, 20, 2)] {
         let host = matching_union(n, k, seed);
-        assert!(host.m() > host.edge_space(), "n = {n}: no repeated pair");
+        let graph = host.graph();
+        assert!(graph.m() > graph.edge_id_count(), "n = {n}: no repeated pair");
         let seen = play_game(&host, 37, 6, game_config(&host, 4), seed);
         assert!(seen.exits > 0, "n = {n}: the early exit never fired");
         let seen = play_game(&host, 8, 4, game_config(&host, 1), seed);
@@ -392,7 +394,7 @@ fn benchmark_root_shapes_match_the_oracle() {
         let g = generators::random_regular(n, 4, 1).expect("generator");
         let host = HostGraph::from_graph(&g);
         let cfg = EscalationConfig {
-            dilation_cap: 2 * host.diameter_estimate() + 2,
+            dilation_cap: 2 * host.graph().diameter_estimate() + 2,
             ..EscalationConfig::default()
         };
         let seen = play_game(&host, parts, iterations, cfg, n as u64);

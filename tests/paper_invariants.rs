@@ -4,7 +4,7 @@
 
 use congest_sim::{path_sched, programs, RoundLedger, Simulator};
 use expander_core::{Router, RouterConfig, RoutingInstance};
-use expander_decomp::{build_shuffler, Hierarchy, HierarchyParams, ShufflerParams};
+use expander_decomp::{build_shuffler, Hierarchy, HierarchyParams, HostGraph, ShufflerParams};
 use expander_graphs::{generators, metrics, Path, PathSet, SplitGraph};
 
 #[test]
@@ -20,6 +20,26 @@ fn property_3_1_holds_across_seeds_and_families() {
     let m = generators::margulis(18); // 324 vertices
     let h = Hierarchy::build(&m, HierarchyParams::for_epsilon(0.4)).unwrap();
     assert!(h.validate().is_empty());
+}
+
+/// Property 3.1's virtual graphs are expanders at both benchmark
+/// shapes (graph seed 1, ε = 0.4): every non-root node with |X| ≥ 24
+/// has a spectral gap above 0.01 in its `H_X`.
+#[test]
+#[ignore = "release-only: the benchmark shapes, n = 8192 and 4096"]
+fn property_3_1_virtual_graphs_are_expanders_at_benchmark_shapes() {
+    for n in [8192, 4096] {
+        let g = generators::random_regular(n, 4, 1).unwrap();
+        let h = Hierarchy::build(&g, HierarchyParams::for_epsilon(0.4)).unwrap();
+        let mut checked = 0;
+        for nd in h.nodes().iter().filter(|nd| nd.parent.is_some() && nd.vertices.len() >= 24) {
+            let host = HostGraph::from_edges(n, nd.vertices.clone(), &nd.virtual_edges);
+            let gap = metrics::spectral_gap(host.graph(), 7);
+            assert!(gap > 0.01, "n = {n}: node {} (|X| = {}) gap {gap}", nd.id, nd.vertices.len());
+            checked += 1;
+        }
+        assert!(checked > 0, "n = {n}: no node to check");
+    }
 }
 
 #[test]
