@@ -12,9 +12,9 @@
 //! charges `L × unit`.
 
 use crate::network::odd_even_depth;
+use crate::router::NodeTables;
 use congest_sim::cost;
-use expander_decomp::{Hierarchy, NodeId, Shuffler};
-use expander_graphs::FlatPaths;
+use expander_decomp::{Hierarchy, NodeId};
 
 /// Per-node unit costs (rounds per unit load) for the charged
 /// subroutines.
@@ -42,15 +42,14 @@ pub struct CostModel {
 impl CostModel {
     /// Builds the model bottom-up over the hierarchy.
     ///
-    /// `shufflers`, `rounds_flat` (flattened per-iteration matching
-    /// path arenas), `leaf_pass` (each leaf's
+    /// `tables` (each internal node's [`NodeTables`]), `leaf_pass`
+    /// (each leaf's
     /// [`EmbeddedNetwork::pass_cost`](crate::network::EmbeddedNetwork::pass_cost)
     /// at load 1; ignored elsewhere), and `mstar_sq` are indexed by
     /// [`NodeId`].
-    pub fn build(
+    pub(crate) fn build(
         h: &Hierarchy,
-        shufflers: &[Option<Shuffler>],
-        rounds_flat: &[Vec<FlatPaths>],
+        tables: &[Option<NodeTables>],
         leaf_pass: &[u64],
         mstar_sq: Vec<u64>,
     ) -> CostModel {
@@ -83,10 +82,12 @@ impl CostModel {
                 model.tsort_unit[id] = 3 * unit;
                 continue;
             }
-            let lambda = shufflers[id].as_ref().map_or(1, Shuffler::len) as u64;
+            let tab = tables[id].as_ref().expect("internal node has tables");
+            let lambda = tab.round_tables.len() as u64;
             // Shuffler move cost at the Lemma 6.6 per-portal batch
             // (19L tokens pile up at portals in the worst iteration).
-            let move_unit: u64 = rounds_flat[id]
+            let move_unit: u64 = tab
+                .rounds_flat
                 .iter()
                 .map(|fp| cost::route_batched_cd(fp.congestion() as u64, fp.dilation() as u64, 19))
                 .sum();
@@ -107,11 +108,7 @@ impl CostModel {
             // embedding qualities (the union quality of Definition 5.4
             // over-counts congestion across iterations that never share
             // a round).
-            let q_round = shufflers[id]
-                .as_ref()
-                .and_then(|s| s.round_qualities_flat.iter().copied().max())
-                .unwrap_or(2);
-            let q_net = nd.flat_quality.max(q_round) as u64;
+            let q_net = nd.flat_quality.max(tab.round_quality) as u64;
             let layers = odd_even_depth(nd.best.len().max(2)) as u64;
             model.tsort_unit[id] =
                 t3 + rho_ceil * layers * 2 * q_net * q_net + model.mstar_sq[id] + child_tsort;

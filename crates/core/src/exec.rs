@@ -386,11 +386,11 @@ impl<'r> Scratch<'r> {
     pub(crate) fn new(r: &'r Router) -> Scratch<'r> {
         Scratch {
             r,
-            vertex_load: vec![0; r.graph.n()],
+            vertex_load: vec![0; r.graph().n()],
             vertex_touched: Vec::new(),
             part_load: vec![0; r.max_parts],
             groups: DenseGroups::default(),
-            mc: FlatMoveCost::new(r.graph.edge_id_count()),
+            mc: FlatMoveCost::new(r.graph().edge_id_count()),
             fallback_rr: vec![0; r.max_parts],
             toks_tmp: Vec::new(),
             child_bounds: Vec::new(),
@@ -599,7 +599,7 @@ impl<'r> Exec<'r> {
         scratch: &mut Scratch<'_>,
         inst: &SortInstance,
     ) -> Option<(Vec<usize>, Vec<u32>)> {
-        let n = self.r.graph.n();
+        let n = self.r.graph().n();
         let hier = &self.r.hier;
         let root = hier.root();
         if inst.tokens.is_empty() {
@@ -629,7 +629,7 @@ impl<'r> Exec<'r> {
         let q_net = hier
             .node(root)
             .flat_quality
-            .max(self.r.shufflers[root].as_ref().map_or(2, |s| s.quality_flat))
+            .max(self.r.tables[root].as_ref().map_or(2, |tab| tab.quality_flat))
             as u64;
         self.ledger.charge("query/sort/network", layers * 2 * cap * q_net * q_net);
         let mut order: Vec<usize> = (0..total).collect();
@@ -690,9 +690,9 @@ impl<'r> Exec<'r> {
 fn build_dummy_entry(r: &Router, scratch: &mut Scratch<'_>, node: NodeId, l: u64) -> DummyEntry {
     let nd = r.hier.node(node);
     let t = nd.part_count();
-    let part_of = &r.part_of[node];
+    let part_of = &r.tables(node).part_of;
     let mut st = std::mem::take(&mut scratch.dummy_state);
-    st.prepare(r.graph.n(), t);
+    st.prepare(r.graph().n(), t);
     // 2L dummies per vertex of X*_j, marked j, born at home. Birth
     // vertices double as the escort-back targets of every future merge
     // against this entry.
@@ -1045,8 +1045,8 @@ fn task2(
 
     // Marker rewrite: global best rank -> (part, local rank), through
     // the precomputed rank → part table.
-    let prefix = &r.best_prefix[node];
-    let rank_part = &r.rank_part[node];
+    let tab = r.tables(node);
+    let (prefix, rank_part) = (&tab.best_prefix, &tab.rank_part);
     for &t in toks.iter() {
         let iz = exec.marker[t];
         let j = rank_part[iz as usize] as usize;
@@ -1065,14 +1065,14 @@ fn task2(
     for &t in toks.iter() {
         let j = exec.mark_of[t] as usize;
         let v = exec.pos[t];
-        let ei = r.mstar_edge[node][v as usize];
+        let ei = tab.mstar_edge[v as usize];
         debug_assert_eq!(
             ei != u32::MAX,
             r.hier.node(nd.parts[j].child).vertices.binary_search(&v).is_err(),
             "M* edge map disagrees with child membership"
         );
         if ei != u32::MAX {
-            let fp = &r.mstar_flat[node][j];
+            let fp = &tab.mstar_flat[j];
             scratch.mc.add_flat(fp, ei as usize, 1);
             exec.pos[t] = fp.target(ei as usize);
         }
@@ -1118,8 +1118,8 @@ fn task3(r: &Router, scratch: &mut Scratch<'_>, exec: &mut Exec<'_>, toks: &[usi
     exec.stats.task3_calls += 1;
 
     let mut st = std::mem::take(&mut scratch.job_state);
-    st.prepare(r.graph.n(), t);
-    let part_of = &r.part_of[node];
+    st.prepare(r.graph().n(), t);
+    let part_of = &r.tables(node).part_of;
     for &tk in toks {
         st.push_token(t, exec.pos[tk], exec.mark_of[tk], part_of);
     }
@@ -1160,15 +1160,15 @@ fn disperse(
 ) {
     let nd = r.hier.node(node);
     let t = nd.part_count();
-    let sh = r.shufflers[node].as_ref().expect("internal node has shuffler");
-    let part_of = &r.part_of[node];
-    let lambda = sh.rounds.len();
+    let tab = r.tables(node);
+    let part_of = &tab.part_of;
+    let lambda = tab.round_tables.len();
     if exec.stats.max_load_trace.len() < lambda {
         exec.stats.max_load_trace.resize(lambda, 0);
     }
 
     for q in 0..lambda {
-        let table = &r.round_tables[node][q];
+        let table = &tab.round_tables[q];
         // Round-start per-part maxima: the previous round's post-move
         // load trace (Lemma 6.6) and this round's portal charge (§6.2)
         // read them straight off the incremental accounting.
@@ -1205,7 +1205,7 @@ fn disperse(
 
         // Move ⌊(m_ij/2)·|T_il|⌋ tokens from part i to part j,
         // scanning the round-start buckets.
-        let flat = &r.rounds_flat[node][q];
+        let flat = &tab.rounds_flat[q];
         scratch.mc.reset();
         let mut max_bucket = 0u32;
         for i in 0..t {
@@ -1263,8 +1263,8 @@ fn disperse(
     exec.ledger.charge("query/task3/portal", st.portal_total);
     exec.ledger.charge("query/task3/disperse", st.total_cost);
     if check && t >= 2 {
-        let lambda = sh.rounds.len() as f64;
-        let err = sh.final_potential().sqrt();
+        let lambda = lambda as f64;
+        let err = tab.final_potential.sqrt();
         scratch.env_count.clear();
         scratch.env_count.resize(t * t, 0.0);
         scratch.env_tot.clear();
@@ -1316,7 +1316,7 @@ fn merge(
 ) {
     let nd = r.hier.node(node);
     let t = nd.part_count();
-    let part_of = &r.part_of[node];
+    let part_of = &r.tables(node).part_of;
 
     // Combined per-part load for the merge-sort charge: dummy landings
     // joined with the live real loads, then the real-only maxima. The

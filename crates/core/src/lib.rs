@@ -34,8 +34,9 @@
 //! # What lives here
 //!
 //! * [`Router`] — the public preprocessing/query API (Theorem 1.1):
-//!   [`Router::preprocess`] builds the hierarchy, one shuffler per
-//!   internal node, leaf sorting networks, and the best-delegate
+//!   [`Router::preprocess`] builds the hierarchy, lowers one shuffler
+//!   per internal node into the tables queries read and each leaf's
+//!   sorting network into its pass cost, and walks the best-delegate
 //!   chains; [`Router::route`] answers a Task 1 instance in
 //!   `poly(ψ⁻¹)·log^{O(1/ε)} n` charged rounds; [`Router::sort`]
 //!   answers an expander-sorting instance (Theorem 5.6).

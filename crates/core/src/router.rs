@@ -7,7 +7,7 @@ use crate::network::EmbeddedNetwork;
 use crate::token::{InstanceError, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::{cost, parallel, RoundLedger};
 use expander_decomp::{
-    build_shuffler, BuildError, Hierarchy, HierarchyParams, NodeId, Shuffler, ShufflerParams,
+    build_shuffler, BuildError, Hierarchy, HierarchyNode, HierarchyParams, NodeId, ShufflerParams,
     ShufflerRound,
 };
 use expander_graphs::{Embedding, FlatPaths, Graph, GraphEdit, Path, VertexId};
@@ -142,36 +142,119 @@ fn min_len_for_half(half: f64) -> u32 {
     lo
 }
 
-/// Output of one node's parallel preprocessing task: everything
-/// [`Router::preprocess`] derives from a single hierarchy node,
-/// collected in node order after the fan-out.
-enum NodePrep {
-    /// A leaf: what one pass of its embedded sorting network costs at
-    /// unit load, the only part of the network the router keeps.
-    Leaf {
-        /// [`EmbeddedNetwork::pass_cost`] at load 1.
-        pass_cost: u64,
-    },
-    /// An internal node's shuffler plus its dense-id lowerings.
-    Internal {
-        /// The node's shuffler.
-        sh: Box<Shuffler>,
-        /// Per-round flattened path arenas.
-        flats: Vec<FlatPaths>,
-        /// Per-round dispersal tables.
-        tables: Vec<RoundTable>,
-        /// Dense `global vertex -> part index` map.
-        po: Vec<u16>,
-        /// Per-part flattened `M*` arenas.
-        arenas: Vec<FlatPaths>,
-        /// Per-part flattened `M*` embeddings (consumed by the chain
-        /// walk).
-        embs: Vec<Embedding>,
-        /// Dense `bad vertex -> M* edge index` map.
-        bad_edge: Vec<u32>,
-        /// Worst `Q(flat M*)²` across the parts.
-        worst_mstar: u64,
-    },
+/// What queries and the cost model read of one internal hierarchy
+/// node, built by that node's preprocessing task. The task lowers the
+/// node's shuffler into `rounds_flat` and `round_tables`, reads the
+/// three numbers below off it, and drops it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct NodeTables {
+    /// Per shuffler round (`λ` of them, as in `round_tables`): the
+    /// matching paths as a base-graph edge-id arena.
+    pub(crate) rounds_flat: Vec<FlatPaths>,
+    /// Per round: the dense dispersal table (fractional rows plus
+    /// orientation-resolved portal edge refs).
+    pub(crate) round_tables: Vec<RoundTable>,
+    /// Dense `global vertex -> part index` (`u16::MAX` when absent).
+    pub(crate) part_of: Vec<u16>,
+    /// Per part: flattened `M*` path arena.
+    pub(crate) mstar_flat: Vec<FlatPaths>,
+    /// Dense `bad vertex -> M* edge index within its part` (`u32::MAX`
+    /// elsewhere).
+    pub(crate) mstar_edge: Vec<u32>,
+    /// Prefix counts of best vertices per part
+    /// (`prefix[j] = Σ_{j' < j} |best ∩ X*_{j'}|`, length `t + 1`).
+    pub(crate) best_prefix: Vec<u32>,
+    /// Dense `best rank -> part index` (the inverse of `best_prefix`,
+    /// length = total best count).
+    pub(crate) rank_part: Vec<u16>,
+    /// The shuffler's final potential `Π(λ)` (Lemma 6.2's envelope).
+    pub(crate) final_potential: f64,
+    /// The shuffler's flattened union quality
+    /// ([`Shuffler::quality_flat`](expander_decomp::Shuffler::quality_flat)).
+    pub(crate) quality_flat: usize,
+    /// The worst flattened per-round quality
+    /// ([`Shuffler::round_qualities_flat`](expander_decomp::Shuffler::round_qualities_flat)),
+    /// 2 without rounds.
+    pub(crate) round_quality: usize,
+}
+
+impl NodeTables {
+    /// Lowers internal node `id`'s shuffler and parts to dense ids,
+    /// charging the shuffler's construction to `ledger`. Returns the
+    /// record, the worst `Q(flat M*)²` over the parts (at least 4) and
+    /// the parts' flattened `M*` embeddings, which only the chain walk
+    /// reads.
+    fn build(
+        hier: &Hierarchy,
+        id: NodeId,
+        params: &ShufflerParams,
+        ledger: &mut RoundLedger,
+    ) -> (NodeTables, u64, Vec<Embedding>) {
+        let graph = hier.graph();
+        let nd = hier.node(id);
+        let t = nd.part_count();
+        let sh = build_shuffler(hier, id, params, ledger);
+        let mut part_of = vec![u16::MAX; graph.n()];
+        for (pi, p) in nd.parts.iter().enumerate() {
+            for &v in &p.all {
+                part_of[v as usize] = pi as u16;
+            }
+        }
+        // One flatten batch per node: the shuffler rounds, then the
+        // parts' M* embeddings.
+        let mut round_embs = hier.flatten_from(
+            id,
+            sh.rounds
+                .iter()
+                .map(|r| &r.embedding)
+                .chain(nd.parts.iter().map(|p| &p.matching_embedding)),
+        );
+        let part_embs = round_embs.split_off(sh.rounds.len());
+        let mut rounds_flat = Vec::with_capacity(sh.rounds.len());
+        let mut round_tables = Vec::with_capacity(sh.rounds.len());
+        for (round, flat) in sh.rounds.iter().zip(round_embs) {
+            let flat = FlatPaths::from_embedding(graph, &flat);
+            round_tables.push(RoundTable::build(round, t, &flat));
+            rounds_flat.push(flat);
+        }
+        let mut worst_mstar = 4u64;
+        let mut mstar_flat = Vec::with_capacity(nd.parts.len());
+        let mut mstar_edge = vec![u32::MAX; graph.n()];
+        for flat in &part_embs {
+            let q = flat.quality().max(2) as u64;
+            worst_mstar = worst_mstar.max(q * q);
+            for (i, &(b, _)) in flat.virtual_edges().iter().enumerate() {
+                mstar_edge[b as usize] = i as u32;
+            }
+            mstar_flat.push(FlatPaths::from_embedding(graph, flat));
+        }
+        // Best-prefix table for the Task 2 marker rewrite, plus the
+        // inverse `rank -> part` lookup so the rewrite reads a u16
+        // instead of binary-searching the prefix per token.
+        let mut best_prefix = Vec::with_capacity(t + 1);
+        best_prefix.push(0u32);
+        for p in &nd.parts {
+            let last = *best_prefix.last().expect("non-empty");
+            best_prefix.push(last + hier.node(p.child).best.len() as u32);
+        }
+        let mut rank_part = vec![0u16; *best_prefix.last().expect("non-empty") as usize];
+        for (j, w) in best_prefix.windows(2).enumerate() {
+            rank_part[w[0] as usize..w[1] as usize].fill(j as u16);
+        }
+        let tables = NodeTables {
+            rounds_flat,
+            round_tables,
+            part_of,
+            mstar_flat,
+            mstar_edge,
+            best_prefix,
+            rank_part,
+            final_potential: sh.final_potential(),
+            quality_flat: sh.quality_flat,
+            round_quality: sh.round_qualities_flat.iter().copied().max().unwrap_or(2),
+        };
+        (tables, worst_mstar, part_embs)
+    }
 }
 
 /// Configuration for [`Router::preprocess`].
@@ -213,23 +296,9 @@ impl RouterConfig {
 /// exactly, so tests can check that two routers are byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Router {
-    pub(crate) graph: Graph,
     pub(crate) hier: Hierarchy,
-    pub(crate) shufflers: Vec<Option<Shuffler>>,
-    /// Flattened per-iteration shuffler path arenas, by node: every
-    /// matching path lowered to base-graph edge ids.
-    pub(crate) rounds_flat: Vec<Vec<FlatPaths>>,
-    /// Per node, per round: the dense dispersal table (fractional rows
-    /// plus orientation-resolved portal edge refs).
-    pub(crate) round_tables: Vec<Vec<RoundTable>>,
-    /// Per node: dense `global vertex -> part index` (`u16::MAX` when
-    /// absent); empty vec for leaves.
-    pub(crate) part_of: Vec<Vec<u16>>,
-    /// Per node, per part: flattened `M*` path arena.
-    pub(crate) mstar_flat: Vec<Vec<FlatPaths>>,
-    /// Per node: dense `bad vertex -> M* edge index within its part`
-    /// (`u32::MAX` elsewhere); empty vec for leaves.
-    pub(crate) mstar_edge: Vec<Vec<u32>>,
+    /// Per node: what queries read of it (`None` at leaves).
+    pub(crate) tables: Vec<Option<NodeTables>>,
     /// Per graph vertex: its best-node delegate (§1.3, Appendix D).
     pub(crate) delegate: Vec<VertexId>,
     /// Per graph vertex: explicit base-graph path `v -> delegate(v)`
@@ -245,12 +314,6 @@ pub struct Router {
     /// Per graph vertex: rank within the root best set (`u32::MAX` for
     /// non-best vertices).
     pub(crate) best_rank: Vec<u32>,
-    /// Per node: prefix counts of best vertices per part
-    /// (`prefix[j] = Σ_{j' < j} |best ∩ X*_{j'}|`, length `t + 1`).
-    pub(crate) best_prefix: Vec<Vec<u32>>,
-    /// Per node: dense `best rank -> part index` (the inverse of
-    /// `best_prefix`, length = total best count; empty for leaves).
-    pub(crate) rank_part: Vec<Vec<u16>>,
     /// Maximum part count over internal nodes (query scratch sizing).
     pub(crate) max_parts: usize,
     pub(crate) cost: CostModel,
@@ -259,8 +322,11 @@ pub struct Router {
 }
 
 impl Router {
-    /// Preprocesses `graph` (a constant-degree expander): hierarchy,
-    /// shufflers, leaf networks, delegate chains, cost model.
+    /// Preprocesses `graph` (a constant-degree expander): builds the
+    /// hierarchy, lowers each internal node's shuffler into the tables
+    /// queries read and each leaf's sorting network into its pass cost,
+    /// then walks the delegate chains and builds the cost model. The
+    /// router keeps neither the shufflers nor the leaf networks.
     ///
     /// # Errors
     ///
@@ -287,7 +353,7 @@ impl Router {
     /// [`BuildError`] if the edited graph is disconnected or otherwise
     /// refused by [`Router::preprocess`].
     pub fn repair(&mut self, edits: &[GraphEdit]) -> Result<(), BuildError> {
-        let mut graph = self.graph.clone();
+        let mut graph = self.graph().clone();
         for &e in edits {
             graph.check_edit(e).map_err(BuildError::InvalidEdit)?;
             graph.apply_edit(e);
@@ -299,39 +365,25 @@ impl Router {
     /// Whether `graph` has mutated past the snapshot this router was
     /// derived from — the staleness signal the churn ladder acts on.
     pub fn is_stale(&self, graph: &Graph) -> bool {
-        graph.epoch() != self.graph.epoch()
+        graph.epoch() != self.graph().epoch()
     }
 
     /// Derives every preprocessed structure from a built hierarchy.
     fn derive(hier: Hierarchy, config: RouterConfig) -> Router {
-        let graph = hier.graph().clone();
-        let graph = &graph;
+        let graph = hier.graph();
         let mut pre_ledger = RoundLedger::new();
         pre_ledger.merge(hier.ledger());
 
-        let n_nodes = hier.nodes().len();
-        let mut shufflers: Vec<Option<Shuffler>> = vec![None; n_nodes];
-        let mut rounds_flat: Vec<Vec<FlatPaths>> = vec![Vec::new(); n_nodes];
-        let mut round_tables: Vec<Vec<RoundTable>> = vec![Vec::new(); n_nodes];
-        let mut part_of: Vec<Vec<u16>> = vec![Vec::new(); n_nodes];
-        let mut mstar_flat: Vec<Vec<FlatPaths>> = vec![Vec::new(); n_nodes];
-        let mut mstar_edge: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
-        let mut leaf_pass: Vec<u64> = vec![0; n_nodes];
-        let mut mstar_sq: Vec<u64> = vec![4; n_nodes];
-        // Per node, per part: the flattened `M*` embeddings. Only the
-        // chain walk below reads them; they die with this frame.
-        let mut mstar_embs: Vec<Vec<Embedding>> = vec![Vec::new(); n_nodes];
-        let mut max_parts = 1usize;
-
-        // Per-node preprocessing (leaf networks; shuffler construction,
-        // embedding flattening, and the FlatPaths/RoundTable lowering
-        // for internal nodes) reads only the immutable hierarchy, so
-        // the nodes fan out across the thread budget. Each task charges
-        // a private ledger; merging the task ledgers in node order as
+        // Per-node preprocessing (a leaf's network pass cost; an
+        // internal node's shuffler, flattening and dense lowering into
+        // its `NodeTables`) reads only the immutable hierarchy, so the
+        // nodes fan out across the thread budget. Each task charges a
+        // private ledger; merging the task ledgers in node order as
         // they come back keeps the preprocessing ledger byte-identical
         // to the sequential build.
+        let n_nodes = hier.nodes().len();
         let budget = parallel::ThreadBudget::new(parallel::build_threads(config.hierarchy.threads));
-        let prepped: Vec<(RoundLedger, NodePrep)> = parallel::run_tasks(&budget, n_nodes, |id| {
+        let prepped = parallel::run_tasks(&budget, n_nodes, |id| {
             let mut ledger = RoundLedger::new();
             let nd = hier.node(id);
             if nd.is_leaf() {
@@ -345,85 +397,27 @@ impl Router {
                         nd.flat_quality as u64,
                     ) + pass_cost,
                 );
-                return (ledger, NodePrep::Leaf { pass_cost });
+                return (ledger, None, pass_cost, 4, Vec::new());
             }
-            // Internal: shuffler + part maps + flattened M*, all
-            // lowered to dense ids (edge-id arenas, dispersal
-            // tables, vertex-indexed lookups) so the query path
-            // never hashes.
-            let t = nd.part_count();
-            let sh = build_shuffler(&hier, id, &config.shuffler, &mut ledger);
-            let mut po = vec![u16::MAX; graph.n()];
-            for (pi, p) in nd.parts.iter().enumerate() {
-                for &v in &p.all {
-                    po[v as usize] = pi as u16;
-                }
-            }
-            // One flatten batch per node: the shuffler rounds, then
-            // the parts' M* embeddings.
-            let mut round_embs = hier.flatten_from(
-                id,
-                sh.rounds
-                    .iter()
-                    .map(|r| &r.embedding)
-                    .chain(nd.parts.iter().map(|p| &p.matching_embedding)),
-            );
-            let part_embs = round_embs.split_off(sh.rounds.len());
-            let mut flats = Vec::with_capacity(sh.rounds.len());
-            let mut tables = Vec::with_capacity(sh.rounds.len());
-            for (round, flat) in sh.rounds.iter().zip(round_embs) {
-                flats.push(FlatPaths::from_embedding(graph, &flat));
-                tables.push(RoundTable::build(round, t, flats.last().expect("just pushed")));
-            }
-            let mut worst_mstar = 4u64;
-            let mut part_arenas = Vec::with_capacity(nd.parts.len());
-            let mut bad_edge = vec![u32::MAX; graph.n()];
-            for flat in &part_embs {
-                let q = flat.quality().max(2) as u64;
-                worst_mstar = worst_mstar.max(q * q);
-                for (i, &(b, _)) in flat.virtual_edges().iter().enumerate() {
-                    bad_edge[b as usize] = i as u32;
-                }
-                part_arenas.push(FlatPaths::from_embedding(graph, flat));
-            }
-            let prep = NodePrep::Internal {
-                sh: Box::new(sh),
-                flats,
-                tables,
-                po,
-                arenas: part_arenas,
-                embs: part_embs,
-                bad_edge,
-                worst_mstar,
-            };
-            (ledger, prep)
+            let (tables, worst_mstar, mstar_embs) =
+                NodeTables::build(&hier, id, &config.shuffler, &mut ledger);
+            (ledger, Some(tables), 0, worst_mstar, mstar_embs)
         });
-        for (id, (ledger, prep)) in prepped.into_iter().enumerate() {
+        let mut tables = Vec::with_capacity(n_nodes);
+        let mut leaf_pass = Vec::with_capacity(n_nodes);
+        let mut mstar_sq = Vec::with_capacity(n_nodes);
+        // Per node, per part: the flattened `M*` embeddings. Only the
+        // chain walk below reads them; they die with this frame.
+        let mut mstar_embs = Vec::with_capacity(n_nodes);
+        for (ledger, node_tables, pass_cost, worst_mstar, embs) in prepped {
             pre_ledger.merge(&ledger);
-            match prep {
-                NodePrep::Leaf { pass_cost } => leaf_pass[id] = pass_cost,
-                NodePrep::Internal {
-                    sh,
-                    flats,
-                    tables,
-                    po,
-                    arenas,
-                    embs,
-                    bad_edge,
-                    worst_mstar,
-                } => {
-                    max_parts = max_parts.max(hier.node(id).part_count());
-                    mstar_embs[id] = embs;
-                    shufflers[id] = Some(*sh);
-                    rounds_flat[id] = flats;
-                    round_tables[id] = tables;
-                    part_of[id] = po;
-                    mstar_flat[id] = arenas;
-                    mstar_edge[id] = bad_edge;
-                    mstar_sq[id] = worst_mstar;
-                }
-            }
+            tables.push(node_tables);
+            leaf_pass.push(pass_cost);
+            mstar_sq.push(worst_mstar);
+            mstar_embs.push(embs);
         }
+        let max_parts = hier.nodes().iter().map(HierarchyNode::part_count).fold(1, usize::max);
+
         // Delegates and chains (Appendix D's all-to-best delegation).
         let root = hier.root();
         let root_best = hier.node(root).best.clone();
@@ -450,17 +444,12 @@ impl Router {
                 cur = hier.mroot()[idx].1;
             }
             let mut node = root;
-            loop {
-                let nd = hier.node(node);
-                if nd.is_leaf() {
-                    break;
-                }
-                let pi = part_of[node][cur as usize] as usize;
-                let part = &nd.parts[pi];
-                let child = part.child;
+            while let Some(tab) = &tables[node] {
+                let pi = tab.part_of[cur as usize] as usize;
+                let child = hier.node(node).parts[pi].child;
                 if hier.node(child).vertices.binary_search(&cur).is_err() {
                     // Bad vertex: hop to its good mate.
-                    let ei = mstar_edge[node][cur as usize] as usize;
+                    let ei = tab.mstar_edge[cur as usize] as usize;
                     let p = mstar_embs[node][pi].path(ei).clone();
                     let mate = p.target();
                     segs.push(p);
@@ -482,32 +471,7 @@ impl Router {
             cost::route_batched_cd(chain_flat.congestion() as u64, chain_flat.dilation() as u64, 1),
         );
 
-        // Best-prefix tables for the Task 2 marker rewrite, plus the
-        // inverse `rank -> part` lookup so the rewrite reads a u16
-        // instead of binary-searching the prefix per token.
-        let mut best_prefix: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
-        let mut rank_part: Vec<Vec<u16>> = vec![Vec::new(); n_nodes];
-        for (id, slot) in best_prefix.iter_mut().enumerate() {
-            let nd = hier.node(id);
-            if nd.is_leaf() {
-                continue;
-            }
-            let mut prefix = Vec::with_capacity(nd.parts.len() + 1);
-            prefix.push(0u32);
-            for p in &nd.parts {
-                let last = *prefix.last().expect("non-empty");
-                prefix.push(last + hier.node(p.child).best.len() as u32);
-            }
-            let total = *prefix.last().expect("non-empty") as usize;
-            let mut ranks = vec![0u16; total];
-            for (j, w) in prefix.windows(2).enumerate() {
-                ranks[w[0] as usize..w[1] as usize].fill(j as u16);
-            }
-            rank_part[id] = ranks;
-            *slot = prefix;
-        }
-
-        let cost_model = CostModel::build(&hier, &shufflers, &rounds_flat, &leaf_pass, mstar_sq);
+        let cost_model = CostModel::build(&hier, &tables, &leaf_pass, mstar_sq);
 
         // §6.5 preprocessing recurrences: laying down the routable
         // sorting networks costs `O(log n)·T₂(X, 1)` per internal node
@@ -521,22 +485,14 @@ impl Router {
         }
 
         Router {
-            graph: graph.clone(),
             hier,
-            shufflers,
-            rounds_flat,
-            round_tables,
-            part_of,
-            mstar_flat,
-            mstar_edge,
+            tables,
             delegate,
             chain,
             chain_flat,
             mroot_of,
             mroot_flat,
             best_rank,
-            best_prefix,
-            rank_part,
             max_parts,
             cost: cost_model,
             pre_ledger,
@@ -544,9 +500,9 @@ impl Router {
         }
     }
 
-    /// The base graph.
+    /// The base graph: the snapshot the hierarchy was built from.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.hier.graph()
     }
 
     /// The underlying hierarchy.
@@ -554,9 +510,13 @@ impl Router {
         &self.hier
     }
 
-    /// The shuffler of an internal node, if any.
-    pub fn shuffler(&self, node: NodeId) -> Option<&Shuffler> {
-        self.shufflers[node].as_ref()
+    /// The tables of internal node `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is a leaf.
+    pub(crate) fn tables(&self, node: NodeId) -> &NodeTables {
+        self.tables[node].as_ref().expect("internal node has tables")
     }
 
     /// Rounds charged during preprocessing (Theorem 1.1's first term).
@@ -590,8 +550,8 @@ impl Router {
     /// every engine batch.
     pub(crate) fn validate(&self, job: JobRef<'_>) -> Result<(), InstanceError> {
         match job {
-            JobRef::Route(inst) => inst.validate(self.graph.n()),
-            JobRef::Sort(inst) => inst.validate(self.graph.n()),
+            JobRef::Route(inst) => inst.validate(self.graph().n()),
+            JobRef::Sort(inst) => inst.validate(self.graph().n()),
         }
     }
 
@@ -678,12 +638,15 @@ mod tests {
         let internal: Vec<_> = r.hierarchy().nodes().iter().filter(|nd| !nd.is_leaf()).collect();
         assert!(!internal.is_empty());
         for nd in &internal {
-            assert!(r.shuffler(nd.id).is_some(), "internal node lacks shuffler");
-            assert!(!r.rounds_flat[nd.id].is_empty());
-            assert_eq!(r.best_prefix[nd.id].len(), nd.parts.len() + 1);
+            let tab = r.tables(nd.id);
+            assert!(!tab.rounds_flat.is_empty());
+            assert_eq!(tab.round_tables.len(), tab.rounds_flat.len());
+            assert_eq!(tab.mstar_flat.len(), nd.parts.len());
+            assert_eq!(tab.best_prefix.len(), nd.parts.len() + 1);
         }
         for nd in r.hierarchy().nodes() {
             if nd.is_leaf() {
+                assert!(r.tables[nd.id].is_none(), "leaf {} keeps tables", nd.id);
                 assert!(r.cost_model().leafnet_unit[nd.id] > 0);
             }
         }
@@ -723,13 +686,45 @@ mod tests {
             if nd.is_leaf() {
                 continue;
             }
-            let prefix = &r.best_prefix[nd.id];
+            let tab = r.tables(nd.id);
+            let prefix = &tab.best_prefix;
             assert_eq!(
                 *prefix.last().expect("non-empty") as usize,
                 nd.best.len(),
                 "prefix total mismatches best count"
             );
+            assert_eq!(tab.rank_part.len(), nd.best.len());
         }
+    }
+
+    #[test]
+    fn tables_keep_what_queries_read_of_the_shuffler() {
+        // ε = 0.12 gives a depth-3 hierarchy at n = 512.
+        let g = generators::random_regular(512, 4, 1).expect("generator");
+        let r = Router::preprocess(&g, RouterConfig::for_epsilon(0.12)).expect("router");
+        let mut internal = 0;
+        for nd in r.hierarchy().nodes() {
+            let Some(tab) = &r.tables[nd.id] else { continue };
+            internal += 1;
+            let mut ledger = RoundLedger::new();
+            let sh = build_shuffler(r.hierarchy(), nd.id, &r.config().shuffler, &mut ledger);
+            assert_eq!(tab.round_tables.len(), sh.len(), "node {}: λ", nd.id);
+            assert_eq!(tab.rounds_flat.len(), sh.len(), "node {}: flat rounds", nd.id);
+            assert_eq!(
+                tab.final_potential.to_bits(),
+                sh.final_potential().to_bits(),
+                "node {}: Π(λ)",
+                nd.id
+            );
+            assert_eq!(tab.quality_flat, sh.quality_flat, "node {}: union quality", nd.id);
+            assert_eq!(
+                tab.round_quality,
+                sh.round_qualities_flat.iter().copied().max().unwrap_or(2),
+                "node {}: worst round quality",
+                nd.id
+            );
+        }
+        assert!(internal > 0);
     }
 
     #[test]

@@ -122,7 +122,8 @@ impl RoutingInstance {
             tokens: (0..n as u32)
                 .map(|v| RouteToken {
                     src: v,
-                    dst: v.reverse_bits() >> (32 - bits),
+                    // n = 1 has no bits: a shift by 32 would overflow.
+                    dst: v.reverse_bits().checked_shr(32 - bits).unwrap_or(0),
                     payload: v as u64,
                 })
                 .collect(),
@@ -612,12 +613,16 @@ mod tests {
 
     #[test]
     fn bit_reversal_is_a_permutation() {
+        for n in [1usize, 2, 16] {
+            let inst = RoutingInstance::bit_reversal(n);
+            let mut dsts: Vec<u32> = inst.tokens.iter().map(|t| t.dst).collect();
+            dsts.sort_unstable();
+            assert_eq!(dsts, (0..n as u32).collect::<Vec<_>>(), "n = {n}");
+            assert_eq!(inst.load(n), 1, "n = {n}");
+        }
         let inst = RoutingInstance::bit_reversal(16);
-        let mut dsts: Vec<u32> = inst.tokens.iter().map(|t| t.dst).collect();
-        dsts.sort_unstable();
-        assert_eq!(dsts, (0..16u32).collect::<Vec<_>>());
         assert_eq!(inst.tokens[1].dst, 8, "0001 reversed over 4 bits is 1000");
-        assert_eq!(inst.load(16), 1);
+        assert_eq!(RoutingInstance::bit_reversal(2).tokens[1].dst, 1);
     }
 
     #[test]

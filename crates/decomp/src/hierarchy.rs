@@ -193,11 +193,12 @@ pub struct HierarchyNode {
     /// Edges of the virtual graph `H_X` (global ids). At the root this
     /// is the full base graph (`H_root = G`, identity embedding).
     pub virtual_edges: Vec<(VertexId, VertexId)>,
-    /// Embedding of `H_X` into the parent's virtual graph (`None` at
-    /// the root: identity).
-    pub embedding_to_parent: Option<Embedding>,
     /// Flattened embedding `f⁰_X : H_X → G` (Definition 3.3); `None`
-    /// at the root.
+    /// at the root. It is the node's only embedding of `H_X`: at level
+    /// 1 it is the game's embedding into `G` itself, and deeper it is
+    /// the game's embedding into the parent's `H_X` composed with the
+    /// parent's `flat`, after which the uncomposed embedding is
+    /// dropped. Its virtual edges are `virtual_edges`, in order.
     pub flat: Option<Embedding>,
     /// `Q(f⁰_X(H_X))`, the flattened quality (2 at the root: identity).
     pub flat_quality: usize,
@@ -291,7 +292,6 @@ impl Hierarchy {
             level: 0,
             vertices: Vec::new(), // filled below
             virtual_edges: root_edges,
-            embedding_to_parent: None,
             flat: None,
             flat_quality: 2,
             parts: Vec::new(),
@@ -947,13 +947,19 @@ impl Builder<'_, '_> {
         level: u32,
     ) -> Result<NodeId, BuildError> {
         let id = self.nodes.len();
-        let GamePart { survivors: vertices, edges: virtual_edges, embedding: embedding_to_parent } =
-            gp;
+        let GamePart { survivors: vertices, edges: virtual_edges, embedding } = gp;
 
-        // Flatten through the parent.
+        // Flatten through the parent. A level-1 node's game played in
+        // `G`, so its embedding already is `f⁰_X`; deeper, the
+        // embedding into the parent's `H_X` is dropped once composed,
+        // before the subtree below is built.
         let flat = match parent_flat {
-            None => embedding_to_parent.clone(),
-            Some(parent_flat) => parent_flat.compose_after([&embedding_to_parent]).remove(0),
+            None => embedding,
+            Some(parent_flat) => {
+                let flat = parent_flat.compose_after([&embedding]).remove(0);
+                drop(embedding);
+                flat
+            }
         };
         let flat_quality = flat.quality().max(2);
 
@@ -968,7 +974,6 @@ impl Builder<'_, '_> {
             level,
             vertices,
             virtual_edges,
-            embedding_to_parent: Some(embedding_to_parent),
             flat: Some(flat),
             flat_quality,
             parts: Vec::new(),
@@ -1087,31 +1092,16 @@ mod tests {
     }
 
     #[test]
-    fn children_embeddings_live_in_parent() {
-        let h = build(256, 0.4, 4);
+    fn flat_embeds_exactly_the_virtual_edges() {
+        let h = build(512, 0.12, 4);
+        assert!(h.depth() >= 2, "want nodes below level 1");
         for nd in h.nodes() {
-            let Some(parent) = nd.parent else { continue };
-            let parent_host = HostGraph::from_edges(
-                h.graph().n(),
-                if parent == h.root() {
-                    (0..h.graph().n() as u32).collect()
-                } else {
-                    h.node(parent).vertices.clone()
-                },
-                &h.node(parent).virtual_edges,
-            );
-            let emb = nd.embedding_to_parent.as_ref().expect("non-root");
-            for (u, v, p) in emb.iter() {
-                assert_eq!(p.source(), u);
-                assert_eq!(p.target(), v);
-                for w in p.vertices().windows(2) {
-                    let (a, b) = (parent_host.to_local(w[0]), parent_host.to_local(w[1]));
-                    assert!(
-                        parent_host.graph().has_edge(a, b),
-                        "embedding path hop not in parent H_X"
-                    );
-                }
+            if nd.parent.is_none() {
+                assert!(nd.flat.is_none(), "the root embeds nothing");
+                continue;
             }
+            let flat = nd.flat.as_ref().expect("non-root node has f⁰");
+            assert_eq!(flat.virtual_edges(), &nd.virtual_edges[..], "node {}", nd.id);
         }
     }
 

@@ -16,8 +16,8 @@ fn main() {
         metrics::spectral_gap(&g, 1)
     );
 
-    // 2. Preprocess (Theorem 1.1): hierarchy + shufflers + leaf
-    //    networks + delegate chains.
+    // 2. Preprocess (Theorem 1.1): hierarchy + shufflers lowered into
+    //    per-node query tables + leaf network costs + delegate chains.
     let router = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("expander input");
     let pre = router.preprocessing_ledger();
     println!("\npreprocessing rounds: {}", pre.total());

@@ -11,7 +11,10 @@
 //! Prints per-stage timings (hierarchy, full preprocess, one
 //! permutation query) plus the charged-round totals, so thread-count
 //! scaling and the ROADMAP's 10⁵-vertex goal can be checked from one
-//! command.
+//! command. After preprocessing it prints the process's resident set
+//! (`VmRSS`) and its peak (`VmHWM`) from `/proc/self/status`, or `n/a`
+//! where that file cannot be read; the standalone hierarchy is dropped
+//! first, so both describe the router.
 
 use expander_core::{QueryEngine, Router, RouterConfig, RoutingInstance};
 use expander_decomp::{Hierarchy, HierarchyParams};
@@ -37,6 +40,7 @@ fn main() {
         h.depth(),
         h.ledger().total()
     );
+    drop(h);
 
     let t2 = Instant::now();
     let router = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router");
@@ -45,6 +49,7 @@ fn main() {
         t2.elapsed(),
         router.preprocessing_ledger().total()
     );
+    println!("memory after preprocess: VmRSS {}, VmHWM {}", status_kb("VmRSS"), status_kb("VmHWM"));
 
     let inst = RoutingInstance::permutation(n, 7);
     let t3 = Instant::now();
@@ -71,4 +76,17 @@ fn main() {
         b as f64 / dt.as_secs_f64(),
         stats.total_rounds,
     );
+}
+
+/// The `field` line of `/proc/self/status` (e.g. `"123456 kB"`), or
+/// `n/a` where the file or the field cannot be read.
+fn status_kb(field: &str) -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status.lines().find_map(|line| {
+                line.strip_prefix(field)?.strip_prefix(':').map(|v| v.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "n/a".to_string())
 }

@@ -1,4 +1,5 @@
-//! Steady-state allocation accounting for the query hot path.
+//! Allocation accounting for the query hot path and for what a
+//! preprocessed router keeps.
 //!
 //! The dispersal round loop must not allocate: grouping, load
 //! counting, and congestion accounting all reuse the per-query scratch
@@ -7,41 +8,52 @@
 //! fewer times than the round-loop volume (rounds × tokens) — the
 //! pre-scratch implementation built several `HashMap`s per round per
 //! flock and sat two orders of magnitude above the bound asserted
-//! here.
+//! here. The allocator also tracks live bytes, which bounds the heap a
+//! router retains after preprocessing.
 //!
 //! The counter is process-wide, so it also sees whatever tests libtest
 //! runs beside the one measuring. Every test therefore holds
 //! [`SERIAL`] for its whole body.
 
+use congest_sim::RoundLedger;
 use expander_core::{QueryEngine, Router, RouterConfig, RoutingInstance};
+use expander_decomp::build_shuffler;
 use expander_graphs::generators;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates every operation to `System`; only adds a relaxed
-// counter bump on the allocation paths.
+/// Bytes currently allocated: added on alloc, subtracted on dealloc,
+/// moved by the size difference on realloc.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+// SAFETY: delegates every operation to `System`; only adds relaxed
+// counter updates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -63,6 +75,21 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
+/// Runs `f` and returns its output with the bytes it left allocated.
+fn bytes_left_by<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let out = f();
+    (out, LIVE_BYTES.load(Ordering::Relaxed) - before)
+}
+
+/// The shuffler round count `λ` of the router's root, rebuilt from its
+/// hierarchy: the router keeps the lowered rounds, not the shuffler.
+fn root_rounds(router: &Router) -> u64 {
+    let h = router.hierarchy();
+    let sh = build_shuffler(h, h.root(), &router.config().shuffler, &mut RoundLedger::new());
+    sh.len() as u64
+}
+
 #[test]
 fn query_allocations_do_not_scale_with_dispersal_rounds() {
     let _serial = serial();
@@ -71,8 +98,7 @@ fn query_allocations_do_not_scale_with_dispersal_rounds() {
     let router = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router");
     let inst = RoutingInstance::permutation(n, 9);
 
-    let root = router.hierarchy().root();
-    let rounds = router.shuffler(root).expect("root shuffler").len() as u64;
+    let rounds = root_rounds(&router);
     let tokens = inst.tokens.len() as u64;
 
     let (out, allocs) = allocations_during(|| router.route(&inst).expect("valid"));
@@ -107,8 +133,7 @@ fn fused_rounds_allocate_nothing_in_steady_state() {
     let insts: Vec<RoutingInstance> =
         (0..b as u64).map(|s| RoutingInstance::permutation(n, 70 + s)).collect();
 
-    let root = router.hierarchy().root();
-    let rounds = router.shuffler(root).expect("root shuffler").len() as u64;
+    let rounds = root_rounds(&router);
 
     let engine = QueryEngine::new(&router).with_threads(Some(1));
     // First batch warms the pool and the dummy caches.
@@ -172,4 +197,21 @@ fn pooled_batch_reuses_scratch_across_jobs() {
         2 * per_job_warm < cold_solo,
         "warm pooled job allocates {per_job_warm}, cold solo query {cold_solo}"
     );
+}
+
+/// The heap a preprocessed router keeps at n = 1024, ε = 0.4 (graph
+/// seed 1): its hierarchy, each internal node's query tables, the
+/// delegate chains and the cost model, measured at 1,158,166 bytes at
+/// every build-thread count. The limit adds under 10%; a router that
+/// also kept each node's shuffler retained about twice as much.
+#[test]
+fn preprocessed_router_retains_bounded_heap() {
+    let _serial = serial();
+    const LIMIT: i64 = 1_270_000;
+    let g = generators::random_regular(1024, 4, 1).expect("generator");
+    let (router, retained) =
+        bytes_left_by(|| Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router"));
+    eprintln!("Router::preprocess left {retained} bytes allocated (limit {LIMIT})");
+    assert!(retained <= LIMIT, "router retains {retained} bytes, above the limit of {LIMIT}");
+    drop(router);
 }

@@ -2,11 +2,13 @@
 //! produce byte-identical output for every thread count.
 //!
 //! The staged preprocessing pipeline (hierarchy construction, per-node
-//! shuffler builds, embedding flattening, delegate chains) executes
-//! independent tasks on a worker pool and merges results — node
-//! arenas, forked round ledgers — in canonical task order. These tests
-//! pin the contract: ledgers, node tables, shufflers, and routed
-//! outcomes from a `threads = 4` build equal the `threads = 1`
+//! shuffler builds and their lowering into the router's per-node
+//! tables, embedding flattening, delegate chains) executes independent
+//! tasks on a worker pool and merges results — node arenas, forked
+//! round ledgers — in canonical task order. These tests pin the
+//! contract: ledgers, node tables, routed outcomes, and the root's
+//! shuffler, which the router does not keep and the test rebuilds on
+//! each hierarchy, from a `threads = 4` build equal the `threads = 1`
 //! (sequential-path) build exactly, at n ∈ {256, 1024}.
 
 use congest_sim::RoundLedger;
