@@ -44,10 +44,10 @@
 //! | Real/dummy pairing and escort-back (§6.3) | `merge`, `DummyEntry` |
 
 use crate::engine::{JobOutcome, JobRef};
-use crate::router::Router;
+use crate::router::{RoundEntry, RoundTable, Router};
 use crate::token::{QueryStats, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::RoundLedger;
-use expander_decomp::NodeId;
+use expander_decomp::{HierarchyNode, NodeId};
 use expander_graphs::{FlatPaths, Graph};
 
 /// Dense movement cost accumulator over a graph's canonical edge-id
@@ -171,7 +171,7 @@ fn observe_mc(stats: &mut QueryStats, mc: &FlatMoveCost) -> u64 {
 /// iterated in increasing order — the deterministic replacement for the
 /// per-round `HashMap<(part, mark), Vec<_>>` builds.
 #[derive(Debug, Default)]
-struct DenseGroups {
+pub(crate) struct DenseGroups {
     keys: Vec<u32>,
     start: Vec<u32>,
     cursor: Vec<u32>,
@@ -181,7 +181,7 @@ struct DenseGroups {
 impl DenseGroups {
     /// Rebuilds the buckets from one key per item; reuses capacity, so
     /// steady-state rebuilds allocate nothing.
-    fn build(&mut self, n_keys: usize, item_keys: impl Iterator<Item = u32>) {
+    pub(crate) fn build(&mut self, n_keys: usize, item_keys: impl Iterator<Item = u32>) {
         self.keys.clear();
         self.keys.extend(item_keys);
         self.start.clear();
@@ -204,7 +204,7 @@ impl DenseGroups {
     }
 
     /// Item indices carrying `key`, in insertion order.
-    fn group(&self, key: usize) -> &[u32] {
+    pub(crate) fn group(&self, key: usize) -> &[u32] {
         &self.items[self.start[key] as usize..self.start[key + 1] as usize]
     }
 
@@ -361,7 +361,8 @@ pub(crate) struct Scratch<'r> {
     groups: DenseGroups,
     /// Movement-cost accumulator of the walked legs.
     mc: FlatMoveCost,
-    /// Round-robin fallback cursors per part.
+    /// Round-robin fallback cursors per part, each kept below its
+    /// part's vertex count.
     fallback_rr: Vec<usize>,
     /// Partition staging buffer for the Task 2 worklist.
     toks_tmp: Vec<usize>,
@@ -369,9 +370,8 @@ pub(crate) struct Scratch<'r> {
     /// internal node pushes its partition's `t + 1` offsets, recurses
     /// into the children, and pops them again.
     child_bounds: Vec<u32>,
-    /// Dispersion-envelope counters (`t × t` and `t`).
-    env_count: Vec<f64>,
-    env_tot: Vec<f64>,
+    /// Per mark: its token total, then its Lemma 6.2 envelope bound.
+    env_bound: Vec<f64>,
     /// Cached dummy dispersals, reused across the queries of a batch.
     dummies: DummyCache,
     /// The query's incremental dispersal state.
@@ -394,8 +394,7 @@ impl<'r> Scratch<'r> {
             fallback_rr: vec![0; r.max_parts],
             toks_tmp: Vec::new(),
             child_bounds: Vec::new(),
-            env_count: Vec::new(),
-            env_tot: Vec::new(),
+            env_bound: Vec::new(),
             dummies: DummyCache::new(r.hier.nodes().len()),
             job_state: DisperseState::default(),
             dummy_state: DisperseState::default(),
@@ -417,10 +416,7 @@ impl<'r> Scratch<'r> {
             + self.mc.touched.capacity()
             + self.child_bounds.capacity())
             * 4
-            + (self.fallback_rr.capacity()
-                + self.toks_tmp.capacity()
-                + self.env_count.capacity()
-                + self.env_tot.capacity())
+            + (self.fallback_rr.capacity() + self.toks_tmp.capacity() + self.env_bound.capacity())
                 * 8
             + self.job_state.approx_bytes()
             + self.dummy_state.approx_bytes();
@@ -471,6 +467,11 @@ struct Exec<'r> {
     marker: Vec<u32>,
     /// Per-token current part mark within the active Task 2 node.
     mark_of: Vec<u16>,
+    /// The §6.4 leaf passes' rounds summed over the job's leaves,
+    /// charged to `query/task2/leaf` once Task 2 returns: each leaf's
+    /// charge is positive, so the sum leaves the ledger byte-identical
+    /// to one charge per leaf.
+    leaf_rounds: u64,
 }
 
 impl<'r> Exec<'r> {
@@ -482,6 +483,7 @@ impl<'r> Exec<'r> {
             pos: Vec::new(),
             marker: Vec::new(),
             mark_of: Vec::new(),
+            leaf_rounds: 0,
         }
     }
 
@@ -763,6 +765,10 @@ fn build_dummy_entry(r: &Router, scratch: &mut Scratch<'_>, node: NodeId, l: u64
 ///   would produce, because that sort is stable over the ascending
 ///   token scan. Moved tokens are drained from their bucket's consumed
 ///   prefix and re-inserted in index order.
+/// * `occupied` marks the non-empty buckets of each part's row and
+///   `row_max` bounds the longest one, so the sweeps of a sparse flock
+///   visit only occupied buckets and the round scan skips rows that
+///   cannot emit a token.
 /// * `vload`/`hist`/`pmax` maintain per-vertex loads and the per-part
 ///   load maxima (the Lemma 6.6 quantities) under single-token
 ///   increments/decrements, so round charges read them in `O(t)`.
@@ -777,12 +783,20 @@ struct DisperseState {
     pos: Vec<u32>,
     /// Flock marks (constant during a dispersal).
     mark: Vec<u16>,
-    /// Token indices per `part · t + mark` key, ascending.
+    /// Token indices per `part · t + mark` key, ascending. Every bucket
+    /// is empty at rest: `teardown` clears the ones a flock filled.
     buckets: Vec<Vec<u32>>,
-    /// Per bucket: tokens consumed from its front in the current round.
-    moved_prefix: Vec<u32>,
-    /// Buckets with a nonzero consumed prefix this round.
-    touched_buckets: Vec<u32>,
+    /// Per part `i`: bit `l` is set exactly when bucket `i · t + l`
+    /// holds tokens. One `u128` covers a row because `t ≤ k ≤ 96`, the
+    /// clamp of `k` in `Hierarchy::build`.
+    occupied: Vec<u128>,
+    /// Per part `i`: an upper bound on the longest bucket of row `i`,
+    /// exact after a scan of the row and raised by pushes and merges in
+    /// between. A row whose bound is below the round table's
+    /// `row_min_len(i)` cannot emit a token, so the scan skips it.
+    row_max: Vec<u32>,
+    /// This round's consumed bucket prefixes, as `(key, tokens)`.
+    drained: Vec<(u32, u32)>,
     /// This round's deferred `(token, new position)` moves.
     moves: Vec<(u32, u32)>,
     /// Staging buffer for the moves regrouped as `(new key, token)`.
@@ -801,25 +815,32 @@ struct DisperseState {
     /// one ledger charge per dispersal; per-phase sums make that
     /// byte-identical to charging every round separately).
     portal_total: u64,
-    /// Upper bound on the longest bucket (exact after every full round
-    /// scan; only raised by pushes and merges in between) — the
+    /// Upper bound on the longest bucket (the largest `row_max`) — the
     /// quiescence early-out of [`disperse`] compares it against the
     /// round table's smallest moving length.
     max_bucket: u32,
+    /// Sweep every bucket even when the flock is sparse (the sweep tests
+    /// compare both paths).
+    #[cfg(test)]
+    force_dense: bool,
+    /// Tokens moved by flocks on the sparse path (read by the sweep
+    /// tests).
+    #[cfg(test)]
+    sparse_moved: u64,
 }
 
 impl DisperseState {
     /// Estimated heap bytes the pooled state retains.
     fn approx_bytes(&self) -> usize {
         let mut b = (self.pos.capacity()
-            + self.moved_prefix.capacity()
-            + self.touched_buckets.capacity()
+            + self.row_max.capacity()
             + self.vload.capacity()
             + self.vtouched.capacity()
             + self.pmax.capacity())
             * 4
             + self.mark.capacity() * 2
-            + (self.moves.capacity() + self.pending.capacity()) * 8
+            + (self.drained.capacity() + self.moves.capacity() + self.pending.capacity()) * 8
+            + self.occupied.capacity() * 16
             + (self.buckets.capacity() + self.hist.capacity()) * std::mem::size_of::<Vec<u32>>();
         for v in self.buckets.iter().chain(&self.hist) {
             b += v.capacity() * 4;
@@ -828,9 +849,11 @@ impl DisperseState {
     }
 
     /// Readies the state for a node with `t` parts over an `n`-vertex
-    /// graph. Grow-only; a pooled state re-prepares without allocating
-    /// once warm.
+    /// graph. Grow-only, and `O(t)` on top of the growth: the buckets
+    /// come back empty from `teardown`. A pooled state re-prepares
+    /// without allocating once warm.
     fn prepare(&mut self, n: usize, t: usize) {
+        debug_assert!(t <= 128, "a row of {t} buckets overflows the u128 occupancy mask");
         self.pos.clear();
         self.mark.clear();
         if self.vload.len() < n {
@@ -839,12 +862,12 @@ impl DisperseState {
         if self.buckets.len() < t * t {
             self.buckets.resize_with(t * t, Vec::new);
         }
-        for b in &mut self.buckets[..t * t] {
-            b.clear();
-        }
-        self.moved_prefix.clear();
-        self.moved_prefix.resize(t * t, 0);
-        self.touched_buckets.clear();
+        debug_assert!(self.buckets.iter().all(Vec::is_empty), "prepare on a torn-down state");
+        self.occupied.clear();
+        self.occupied.resize(t, 0);
+        self.row_max.clear();
+        self.row_max.resize(t, 0);
+        self.drained.clear();
         self.moves.clear();
         if self.hist.len() < t {
             self.hist.resize_with(t, Vec::new);
@@ -857,19 +880,36 @@ impl DisperseState {
         debug_assert!(self.vtouched.is_empty(), "prepare on a torn-down state");
     }
 
+    /// Whether the flock has fewer tokens than its `t²` buckets. The
+    /// sweeps of a sparse flock visit only the occupied buckets; those
+    /// of a dense flock walk every bucket in a plain loop, which beats
+    /// walking the occupancy bits when most buckets hold tokens.
+    fn is_sparse(&self, t: usize) -> bool {
+        #[cfg(test)]
+        if self.force_dense {
+            return false;
+        }
+        self.pos.len() < t * t
+    }
+
     /// Appends one token to the flock, bucketing it and counting its
     /// load. Tokens must arrive in worklist order so every bucket stays
     /// ascending.
     fn push_token(&mut self, t: usize, pos: u32, mark: u16, part_of: &[u16]) {
         let p = part_of[pos as usize];
         debug_assert!(p != u16::MAX, "token outside the node");
-        let key = u32::from(p) * t as u32 + u32::from(mark);
+        let p = usize::from(p);
+        let key = p * t + usize::from(mark);
         let idx = self.pos.len() as u32;
         self.pos.push(pos);
         self.mark.push(mark);
-        self.buckets[key as usize].push(idx);
-        self.max_bucket = self.max_bucket.max(self.buckets[key as usize].len() as u32);
-        self.inc_load(pos, p as usize);
+        let bucket = &mut self.buckets[key];
+        bucket.push(idx);
+        let len = bucket.len() as u32;
+        self.occupied[p] |= 1 << mark;
+        self.row_max[p] = self.row_max[p].max(len);
+        self.max_bucket = self.max_bucket.max(len);
+        self.inc_load(pos, p);
     }
 
     /// Counts one token landing on `v` (in part `p`).
@@ -916,12 +956,18 @@ impl DisperseState {
     /// bucket. Work is proportional to the moved tokens and the
     /// buckets they leave or enter, never the whole flock.
     fn apply_moves(&mut self, t: usize, part_of: &[u16]) {
-        for &key in &self.touched_buckets {
-            let cnt = self.moved_prefix[key as usize] as usize;
-            self.buckets[key as usize].drain(..cnt);
-            self.moved_prefix[key as usize] = 0;
+        for &(key, cnt) in &self.drained {
+            let bucket = &mut self.buckets[key as usize];
+            bucket.drain(..cnt as usize);
+            if bucket.is_empty() {
+                self.occupied[key as usize / t] &= !(1 << (key as usize % t));
+            }
         }
-        self.touched_buckets.clear();
+        self.drained.clear();
+        #[cfg(test)]
+        {
+            self.sparse_moved += self.moves.len() as u64 * u64::from(self.is_sparse(t));
+        }
         let moves = std::mem::take(&mut self.moves);
         let mut pending = std::mem::take(&mut self.pending);
         pending.clear();
@@ -963,6 +1009,9 @@ impl DisperseState {
                 }
                 k -= 1;
             }
+            let (p, l) = (key as usize / t, key as usize % t);
+            self.occupied[p] |= 1 << l;
+            self.row_max[p] = self.row_max[p].max(grown);
             self.max_bucket = self.max_bucket.max(grown);
             lo = hi;
         }
@@ -971,9 +1020,15 @@ impl DisperseState {
         self.moves.clear();
     }
 
-    /// Returns the state to its pooled resting shape: dense arrays
-    /// zeroed through the touched lists, histograms emptied.
+    /// Returns the state to its pooled resting shape: the flock's
+    /// buckets and dense arrays emptied through the occupancy masks and
+    /// touched lists, histograms emptied.
     fn teardown(&mut self, t: usize) {
+        let sparse = self.is_sparse(t);
+        for i in 0..t {
+            let row = &mut self.buckets[i * t..(i + 1) * t];
+            for_each_col(self.occupied[i], t, sparse, |l| row[l].clear());
+        }
         for &v in &self.vtouched {
             self.vload[v as usize] = 0;
         }
@@ -981,6 +1036,23 @@ impl DisperseState {
         for hp in &mut self.hist[..t] {
             hp.clear();
         }
+    }
+}
+
+/// Calls `f(l)`, in ascending order, for every mark `l` whose bucket
+/// in a row with occupancy mask `occupied` may hold tokens: the set
+/// bits for a sparse flock, all `t` marks for a dense one (see
+/// [`DisperseState::is_sparse`]).
+#[inline(always)]
+fn for_each_col(occupied: u128, t: usize, sparse: bool, mut f: impl FnMut(usize)) {
+    if sparse {
+        let mut bits = occupied;
+        while bits != 0 {
+            f(bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    } else {
+        (0..t).for_each(f);
     }
 }
 
@@ -996,18 +1068,17 @@ pub(crate) fn run_single(scratch: &mut Scratch<'_>, job: JobRef<'_>) -> JobOutco
     scratch.mc.reset();
     scratch.reset_vertices();
     let mut exec = Exec::new(r);
-    let root = r.hier.root();
     match job {
         JobRef::Route(inst) => {
             if let Some(mut toks) = exec.route_prologue(scratch, inst) {
-                task2(r, scratch, &mut exec, &mut toks, root);
+                task2_root(scratch, &mut exec, &mut toks);
             }
             JobOutcome::Route(exec.route_epilogue(scratch, inst))
         }
         JobRef::Sort(inst) => {
             let owner = match exec.sort_prologue(scratch, inst) {
                 Some((mut toks, owner)) => {
-                    task2(r, scratch, &mut exec, &mut toks, root);
+                    task2_root(scratch, &mut exec, &mut toks);
                     owner
                 }
                 None => Vec::new(),
@@ -1015,6 +1086,14 @@ pub(crate) fn run_single(scratch: &mut Scratch<'_>, job: JobRef<'_>) -> JobOutco
             JobOutcome::Sort(exec.sort_epilogue(scratch, &owner))
         }
     }
+}
+
+/// Task 2 over the whole worklist at the root, then the job's one
+/// leaf charge.
+fn task2_root(scratch: &mut Scratch<'_>, exec: &mut Exec<'_>, toks: &mut [usize]) {
+    let r = scratch.r;
+    task2(r, scratch, exec, toks, r.hier.root());
+    exec.ledger.charge("query/task2/leaf", exec.leaf_rounds);
 }
 
 /// Task 2 over the worklist slice `toks` at `node`: marker rewrite,
@@ -1038,7 +1117,7 @@ fn task2(
         }
         let lc = scratch.max_vertex_load().max(1);
         scratch.reset_vertices();
-        exec.ledger.charge("query/task2/leaf", 6 * lc * r.cost.leafnet_unit[node]);
+        exec.leaf_rounds += 6 * lc * r.cost.leafnet_unit[node];
         exec.stats.charged_sorts += 3;
         return;
     }
@@ -1144,12 +1223,48 @@ fn task3(r: &Router, scratch: &mut Scratch<'_>, exec: &mut Exec<'_>, toks: &[usi
     scratch.job_state = st;
 }
 
+/// What a dispersal round reads off the flock's per-part load maxima at
+/// its start. Only a round that moves tokens changes the maxima, so
+/// [`disperse`] reads them once up front and again after each such
+/// round, and an idle round costs `O(1)`.
+struct RoundStart {
+    /// The largest part maximum: the previous round's post-move load
+    /// trace (Lemma 6.6).
+    max_load: u32,
+    /// Portal routing (§6.2), charged as two expander sorts per part at
+    /// the part's current load. Parts are parallel CONGEST instances,
+    /// so the round cost is the worst part, not the sum.
+    portal_charge: u64,
+    /// Parts holding tokens (each charges its two sorts).
+    loaded_parts: u64,
+}
+
+impl RoundStart {
+    /// Folds the maxima branch-free: an unloaded part contributes 0 to
+    /// every field.
+    fn read(r: &Router, nd: &HierarchyNode, pmax: &[u32]) -> RoundStart {
+        let mut start = RoundStart { max_load: 0, portal_charge: 0, loaded_parts: 0 };
+        for (part, &load) in nd.parts.iter().zip(pmax) {
+            start.max_load = start.max_load.max(load);
+            start.portal_charge =
+                start.portal_charge.max(2 * u64::from(load) * r.cost.tsort_unit[part.child]);
+            start.loaded_parts += u64::from(load > 0);
+        }
+        start
+    }
+}
+
 /// The dispersal round loop (§6.1, Lemma 6.2): all `λ` rounds run back
 /// to back over the flock's incremental state (buckets and per-part
 /// load maxima maintained move by move, not rescanned), so the state
 /// stays cache-resident for the whole dispersal and the merge that
-/// follows. Charges land in `exec`'s ledger; congestion and dilation
-/// accumulate through the scratch accumulator, reset per round.
+/// follows. A round costs what its tokens cost: an idle round reuses
+/// the [`RoundStart`] of the last round that moved tokens and skips its
+/// scan when no bucket is long enough to move, a scanned round skips
+/// the rows whose buckets are all too short, and a sparse flock's scan
+/// visits only its occupied buckets. Charges land in `exec`'s ledger;
+/// congestion and dilation accumulate through the scratch accumulator,
+/// reset per round.
 fn disperse(
     r: &Router,
     scratch: &mut Scratch<'_>,
@@ -1163,42 +1278,27 @@ fn disperse(
     let tab = r.tables(node);
     let part_of = &tab.part_of;
     let lambda = tab.round_tables.len();
+    let sparse = st.is_sparse(t);
     if exec.stats.max_load_trace.len() < lambda {
         exec.stats.max_load_trace.resize(lambda, 0);
     }
 
-    for q in 0..lambda {
-        let table = &tab.round_tables[q];
-        // Round-start per-part maxima: the previous round's post-move
-        // load trace (Lemma 6.6) and this round's portal charge (§6.2)
-        // read them straight off the incremental accounting.
+    let mut start = RoundStart::read(r, nd, &st.pmax[..t]);
+    for (q, table) in tab.round_tables.iter().enumerate() {
         if q > 0 {
-            let round_max = st.pmax[..t].iter().copied().max().unwrap_or(0);
             let slot = &mut exec.stats.max_load_trace[q - 1];
-            *slot = (*slot).max(round_max);
+            *slot = (*slot).max(start.max_load);
         }
-        // Portal routing (§6.2): charged as two expander sorts per
-        // part at the part's current load. Parts are parallel CONGEST
-        // instances, so the round cost is the worst part, not the sum.
-        // Folded branch-free — an unloaded part contributes 0 to the
-        // max and 0 sorts.
-        let mut portal_charge = 0u64;
-        let mut portal_parts = 0u64;
-        for (j, part) in nd.parts.iter().enumerate() {
-            let load = u64::from(st.pmax[j]);
-            portal_charge = portal_charge.max(2 * load * r.cost.tsort_unit[part.child]);
-            portal_parts += u64::from(load > 0);
-        }
-        exec.stats.charged_sorts += 2 * portal_parts;
-        st.portal_total += portal_charge;
+        exec.stats.charged_sorts += 2 * start.loaded_parts;
+        st.portal_total += start.portal_charge;
 
         // Quiescence early-out: when even the flock's largest bucket is
         // below the round's smallest moving length, every entry's move
         // count floors to zero — the whole scan (and its table reads)
         // is a no-op, and skipping it leaves costs, stats, and state
         // untouched exactly as the full scan would. `st.max_bucket` is
-        // an upper bound (drains never lower it); each full scan
-        // re-tightens it.
+        // an upper bound (drains never lower it); each scan re-tightens
+        // it.
         if st.max_bucket < table.min_move_len() {
             continue;
         }
@@ -1211,83 +1311,121 @@ fn disperse(
         for i in 0..t {
             // Integer form of the `len · m_ij/2 ≥ 1` floor guard:
             // buckets below the row's precomputed threshold cannot
-            // emit a token from any entry; emit counts are clamped to
-            // the tokens left so the emit loop has no per-token
-            // exhaustion branch.
-            let min_len = table.row_min_len(i) as usize;
-            let row = table.row(i);
-            for l in 0..t {
-                let key = i * t + l;
-                let bucket = &st.buckets[key];
-                max_bucket = max_bucket.max(bucket.len() as u32);
-                if bucket.len() < min_len {
-                    continue;
-                }
-                let mut cursor = 0usize;
-                for entry in row {
-                    let cnt = (entry.m_ij / 2.0 * bucket.len() as f64).floor() as usize;
-                    let cnt = cnt.min(bucket.len() - cursor);
-                    if cnt == 0 {
-                        continue;
+            // emit a token from any entry, so a row whose longest
+            // bucket is below it is skipped whole.
+            let min_len = table.row_min_len(i);
+            if st.row_max[i] >= min_len {
+                let row = table.row(i);
+                let buckets = &st.buckets[i * t..(i + 1) * t];
+                let mut row_max = 0u32;
+                for_each_col(st.occupied[i], t, sparse, |l| {
+                    let bucket = &buckets[l];
+                    row_max = row_max.max(bucket.len() as u32);
+                    if bucket.len() >= min_len as usize {
+                        let cnt = emit(table, row, flat, bucket, &mut scratch.mc, &mut st.moves);
+                        if cnt > 0 {
+                            st.drained.push(((i * t + l) as u32, cnt));
+                        }
                     }
-                    let refs = table.edge_refs(entry);
-                    let targets = table.ref_targets(entry);
-                    debug_assert!(!refs.is_empty(), "portal entry without edges");
-                    for (c, &tok) in bucket[cursor..cursor + cnt].iter().enumerate() {
-                        let ri = c % refs.len();
-                        let ei = (refs[ri] >> 1) as usize;
-                        scratch.mc.add_flat(flat, ei, 1);
-                        // Path pre-oriented from part i towards j.
-                        st.moves.push((tok, targets[ri]));
-                    }
-                    cursor += cnt;
-                }
-                if cursor > 0 {
-                    st.moved_prefix[key] = cursor as u32;
-                    st.touched_buckets.push(key as u32);
-                }
+                });
+                st.row_max[i] = row_max;
+            } else {
+                debug_assert!(
+                    st.buckets[i * t..(i + 1) * t].iter().all(|b| b.len() < min_len as usize),
+                    "row {i}'s bound skips a bucket that moves"
+                );
             }
+            max_bucket = max_bucket.max(st.row_max[i]);
         }
         st.max_bucket = max_bucket;
-        st.total_cost += observe_mc(&mut exec.stats, &scratch.mc);
-        st.apply_moves(t, part_of);
+        if !st.moves.is_empty() {
+            st.total_cost += observe_mc(&mut exec.stats, &scratch.mc);
+            st.apply_moves(t, part_of);
+            start = RoundStart::read(r, nd, &st.pmax[..t]);
+        }
     }
 
     // Epilogue: final-round trace, the dispersal charge, and the
     // Lemma 6.2 dispersion-envelope check.
+    debug_assert!(
+        (0..t * t).all(|key| {
+            let bit = st.occupied[key / t] >> (key % t) & 1 == 1;
+            bit != st.buckets[key].is_empty()
+        }),
+        "occupancy masks disagree with the buckets"
+    );
     if lambda > 0 {
-        let max_load = st.pmax[..t].iter().copied().max().unwrap_or(0);
         let slot = &mut exec.stats.max_load_trace[lambda - 1];
-        *slot = (*slot).max(max_load);
+        *slot = (*slot).max(start.max_load);
     }
     exec.ledger.charge("query/task3/portal", st.portal_total);
     exec.ledger.charge("query/task3/disperse", st.total_cost);
     if check && t >= 2 {
+        // Every `(part, mark)` cell of a mark with tokens is checked.
+        // Marks are fixed during a dispersal, so a mark's total is the
+        // sum of its final buckets, and only occupied cells are compared:
+        // an empty cell never exceeds its positive bound.
         let lambda = lambda as f64;
         let err = tab.final_potential.sqrt();
-        scratch.env_count.clear();
-        scratch.env_count.resize(t * t, 0.0);
-        scratch.env_tot.clear();
-        scratch.env_tot.resize(t, 0.0);
-        for idx in 0..st.pos.len() {
-            let p = part_of[st.pos[idx] as usize] as usize;
-            let l = st.mark[idx] as usize;
-            scratch.env_count[p * t + l] += 1.0;
-            scratch.env_tot[l] += 1.0;
+        let bound = &mut scratch.env_bound;
+        bound.clear();
+        bound.resize(t, 0.0);
+        for i in 0..t {
+            let row = &st.buckets[i * t..(i + 1) * t];
+            for_each_col(st.occupied[i], t, sparse, |l| bound[l] += row[l].len() as f64);
         }
-        for p in 0..t {
-            for (l, &tot) in scratch.env_tot.iter().enumerate() {
-                if tot == 0.0 {
-                    continue;
-                }
-                exec.stats.dispersion_checked += 1;
-                let bound = tot / t as f64 + tot * err + lambda * t as f64 + 1.0;
-                if scratch.env_count[p * t + l] > bound {
-                    exec.stats.dispersion_violations += 1;
-                }
+        let mut marks = 0u64;
+        for b in bound.iter_mut() {
+            let tot = *b;
+            if tot > 0.0 {
+                marks += 1;
+                *b = tot / t as f64 + tot * err + lambda * t as f64 + 1.0;
             }
         }
+        exec.stats.dispersion_checked += marks * t as u64;
+        for i in 0..t {
+            let row = &st.buckets[i * t..(i + 1) * t];
+            for_each_col(st.occupied[i], t, sparse, |l| {
+                exec.stats.dispersion_violations += u64::from(row[l].len() as f64 > bound[l]);
+            });
+        }
     }
+}
+
+/// Emits one round-start bucket of row `row`: `⌊(m_ij/2)·len⌋` tokens
+/// per entry, taken from the bucket's front and sent along the entry's
+/// portal edges round-robin. Emit counts are clamped to the tokens
+/// left, so the emit loop has no per-token exhaustion branch. Returns
+/// the tokens consumed.
+fn emit(
+    table: &RoundTable,
+    row: &[RoundEntry],
+    flat: &FlatPaths,
+    bucket: &[u32],
+    mc: &mut FlatMoveCost,
+    moves: &mut Vec<(u32, u32)>,
+) -> u32 {
+    let mut cursor = 0usize;
+    for entry in row {
+        let cnt = (entry.m_ij / 2.0 * bucket.len() as f64).floor() as usize;
+        let cnt = cnt.min(bucket.len() - cursor);
+        if cnt == 0 {
+            continue;
+        }
+        let refs = table.edge_refs(entry);
+        let targets = table.ref_targets(entry);
+        debug_assert!(!refs.is_empty(), "portal entry without edges");
+        for (c, &tok) in bucket[cursor..cursor + cnt].iter().enumerate() {
+            let ri = c % refs.len();
+            let ei = (refs[ri] >> 1) as usize;
+            mc.add_flat(flat, ei, 1);
+            // Path pre-oriented from the bucket's part towards the
+            // entry's.
+            moves.push((tok, targets[ri]));
+        }
+        cursor += cnt;
+    }
+    cursor as u32
 }
 
 /// §6.3 merge: pair reals with dummies per (part, mark); dummies
@@ -1299,9 +1437,10 @@ fn disperse(
 /// congestion ≤ `legs` and dilation ≤ D ≤ 2·D̂, where D̂ is the root
 /// node's `diameter` — the eccentricity of one vertex, and D ≤
 /// 2·ecc(v) for every v. The charge is `legs × 2·D̂`. Group iteration
-/// runs in ascending dense-key order — the fallback round-robin
-/// counters are shared across groups with the same mark, so the order
-/// must be deterministic or target choices vary run to run. The
+/// runs in ascending dense-key order, over the occupied buckets only
+/// for a sparse flock — the fallback round-robin counters are shared
+/// across groups with the same mark, so the order must be
+/// deterministic or target choices vary run to run. The
 /// real-token groups and per-part load maxima come from the flock's
 /// incremental dispersal state (no rescan of the flock); the dummy side
 /// (final buckets, landing loads, origins) comes precomputed from the
@@ -1350,28 +1489,32 @@ fn merge(
         *rr = 0;
     }
     let mut legs = 0u64;
-    for key in 0..t * t {
-        let reals = &st.buckets[key];
-        if reals.is_empty() {
-            continue;
-        }
-        // Two-pointer split: the dummy-paired prefix streams the
-        // entry's group-contiguous origins in rank order — one
-        // sequential pass over two contiguous u32 slices; the
-        // dummy-starved suffix takes fallback legs.
-        let origins = dummy.group(key);
-        let paired = reals.len().min(origins.len());
-        for (&ri, &origin) in reals[..paired].iter().zip(origins) {
-            st.pos[ri as usize] = origin;
-        }
-        let starved = &reals[paired..];
-        let lp = key % t;
-        let target_part = &nd.parts[lp].all;
-        for &ri in starved {
-            st.pos[ri as usize] = target_part[scratch.fallback_rr[lp] % target_part.len()];
-            scratch.fallback_rr[lp] += 1;
-        }
-        legs += starved.len() as u64;
+    let sparse = st.is_sparse(t);
+    for i in 0..t {
+        let row = &st.buckets[i * t..(i + 1) * t];
+        for_each_col(st.occupied[i], t, sparse, |lp| {
+            let reals = &row[lp];
+            if reals.is_empty() {
+                return;
+            }
+            // Two-pointer split: the dummy-paired prefix streams the
+            // entry's group-contiguous origins in rank order — one
+            // sequential pass over two contiguous u32 slices; the
+            // dummy-starved suffix takes fallback legs.
+            let origins = dummy.group(i * t + lp);
+            let paired = reals.len().min(origins.len());
+            for (&ri, &origin) in reals[..paired].iter().zip(origins) {
+                st.pos[ri as usize] = origin;
+            }
+            let starved = &reals[paired..];
+            let target_part = &nd.parts[lp].all;
+            let rr = &mut scratch.fallback_rr[lp];
+            for &ri in starved {
+                st.pos[ri as usize] = target_part[*rr];
+                *rr = if *rr + 1 == target_part.len() { 0 } else { *rr + 1 };
+            }
+            legs += starved.len() as u64;
+        });
     }
     exec.stats.fallback_tokens += legs;
     let d_hat = u64::from(r.hier.node(r.hier.root()).diameter);
@@ -1497,6 +1640,41 @@ mod tests {
         let inst = SortInstance::from_triples(&triples);
         let out = r.sort(&inst).expect("valid");
         assert!(out.is_sorted(&inst, 128, 1));
+    }
+
+    #[test]
+    fn sparse_sweeps_match_the_dense_sweeps() {
+        // Flocks with fewer tokens than buckets take the sparse sweeps:
+        // below the root of the depth-3 router (ε = 0.12 at n = 512),
+        // and at the depth-1 root (ε = 0.4 at n = 1024) for the hot
+        // spot, whose tokens crowd into few buckets and so move.
+        let mut moved = 0;
+        for (n, eps) in [(512, 0.12), (1024, 0.4)] {
+            let g = generators::random_regular(n, 4, 1).expect("generator");
+            let r = Router::preprocess(&g, RouterConfig::for_epsilon(eps)).expect("router");
+            let mut sparse = Scratch::new(&r);
+            let mut dense = Scratch::new(&r);
+            dense.job_state.force_dense = true;
+            dense.dummy_state.force_dense = true;
+            // 4 tokens from each of 50 vertices to one of 50 others.
+            let hot: Vec<(u32, u32, u64)> =
+                (0..200u32).map(|i| (i / 4, n as u32 / 2 + i / 4, u64::from(i))).collect();
+            let mut routes = vec![RoutingInstance::from_triples(&hot)];
+            routes.extend((4..=6).map(|l| RoutingInstance::uniform_load(n, l, 40 + l as u64)));
+            for inst in &routes {
+                let job = JobRef::Route(inst);
+                let a = run_single(&mut sparse, job).into_route().expect("route");
+                let b = run_single(&mut dense, job).into_route().expect("route");
+                assert_eq!(a, b, "n = {n}: route at load {}", inst.load(n));
+            }
+            let sort = SortInstance::random(n, 4, 7);
+            let a = run_single(&mut sparse, JobRef::Sort(&sort)).into_sort().expect("sort");
+            let b = run_single(&mut dense, JobRef::Sort(&sort)).into_sort().expect("sort");
+            assert_eq!((a.positions, a.ledger, a.stats), (b.positions, b.ledger, b.stats));
+            assert_eq!(dense.job_state.sparse_moved, 0);
+            moved += sparse.job_state.sparse_moved;
+        }
+        assert!(moved > 0, "no sparse flock moved a token");
     }
 
     #[test]

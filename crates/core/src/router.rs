@@ -2,7 +2,7 @@
 
 use crate::cost_model::CostModel;
 use crate::engine::{JobOutcome, JobRef};
-use crate::exec::{self, Scratch};
+use crate::exec::{self, DenseGroups, Scratch};
 use crate::network::EmbeddedNetwork;
 use crate::token::{InstanceError, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::{cost, parallel, RoundLedger};
@@ -59,6 +59,12 @@ impl RoundTable {
     /// the packed refs), consulted to pre-orient each ref's landing
     /// vertex.
     fn build(round: &ShufflerRound, t: usize, flat: &FlatPaths) -> RoundTable {
+        // The matched pairs grouped once by unordered part pair, in
+        // ascending matching index within a pair, so a round costs
+        // `O(t² + |M|)`.
+        let pair = |a: usize, b: usize| a.min(b) * t + a.max(b);
+        let mut by_pair = DenseGroups::default();
+        by_pair.build(t * t, round.endpoint_parts.iter().map(|&(a, b)| pair(a, b) as u32));
         let mut table = RoundTable::default();
         for i in 0..t {
             table.row_start.push(table.entries.len() as u32);
@@ -68,16 +74,12 @@ impl RoundTable {
                     continue;
                 }
                 let lo = table.edge_refs.len() as u32;
-                for (ei, &(a, b)) in round.endpoint_parts.iter().enumerate() {
-                    if (a == i && b == j) || (a == j && b == i) {
-                        table.edge_refs.push(((ei as u32) << 1) | u32::from(a != i));
-                        // Orient the path from part i towards part j.
-                        table.ref_target.push(if a != i {
-                            flat.source(ei)
-                        } else {
-                            flat.target(ei)
-                        });
-                    }
+                for &ei in by_pair.group(pair(i, j)) {
+                    let reversed = round.endpoint_parts[ei as usize].0 != i;
+                    table.edge_refs.push((ei << 1) | u32::from(reversed));
+                    // Orient the path from part i towards part j.
+                    let ei = ei as usize;
+                    table.ref_target.push(if reversed { flat.source(ei) } else { flat.target(ei) });
                 }
                 let hi = table.edge_refs.len() as u32;
                 debug_assert!(hi > lo, "fractional mass without portal edges");
@@ -337,7 +339,7 @@ impl Router {
             return Err(BuildError::TooSmall { n: graph.n() });
         }
         let hier = Hierarchy::build(graph, config.hierarchy.clone())?;
-        Ok(Router::derive(hier, config))
+        Router::from_hierarchy(hier, config.shuffler)
     }
 
     /// Repairs the router after `edits` mutated its graph: the edits
@@ -368,8 +370,23 @@ impl Router {
         graph.epoch() != self.graph().epoch()
     }
 
-    /// Derives every preprocessed structure from a built hierarchy.
-    fn derive(hier: Hierarchy, config: RouterConfig) -> Router {
+    /// Derives the router from a built hierarchy: everything
+    /// [`Router::preprocess`] does after its hierarchy build, so a caller
+    /// that builds (or times) the hierarchy itself does not pay for a
+    /// second build. The router's hierarchy configuration is
+    /// `hier.params()`, so [`Router::repair`] rebuilds with the
+    /// parameters the hierarchy was built with.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::TooSmall`] if the graph has fewer than 64
+    /// vertices, as [`Router::preprocess`] does.
+    pub fn from_hierarchy(hier: Hierarchy, shuffler: ShufflerParams) -> Result<Router, BuildError> {
+        let n = hier.graph().n();
+        if n < 64 {
+            return Err(BuildError::TooSmall { n });
+        }
+        let config = RouterConfig { hierarchy: hier.params().clone(), shuffler };
         let graph = hier.graph();
         let mut pre_ledger = RoundLedger::new();
         pre_ledger.merge(hier.ledger());
@@ -484,7 +501,7 @@ impl Router {
             }
         }
 
-        Router {
+        Ok(Router {
             hier,
             tables,
             delegate,
@@ -497,7 +514,7 @@ impl Router {
             cost: cost_model,
             pre_ledger,
             config,
-        }
+        })
     }
 
     /// The base graph: the snapshot the hierarchy was built from.
@@ -697,11 +714,54 @@ mod tests {
         }
     }
 
+    /// The round-table builder before it grouped the matched pairs: per
+    /// ordered part pair with positive mass, a rescan of the round's
+    /// whole matching.
+    fn rescanned_round_table(round: &ShufflerRound, t: usize, flat: &FlatPaths) -> RoundTable {
+        let mut table = RoundTable::default();
+        for i in 0..t {
+            table.row_start.push(table.entries.len() as u32);
+            let mut half_max = 0.0f64;
+            for j in 0..t {
+                if j == i || round.fractional[i][j] <= 0.0 {
+                    continue;
+                }
+                let lo = table.edge_refs.len() as u32;
+                for (ei, &(a, b)) in round.endpoint_parts.iter().enumerate() {
+                    if (a == i && b == j) || (a == j && b == i) {
+                        table.edge_refs.push(((ei as u32) << 1) | u32::from(a != i));
+                        table.ref_target.push(if a != i {
+                            flat.source(ei)
+                        } else {
+                            flat.target(ei)
+                        });
+                    }
+                }
+                let hi = table.edge_refs.len() as u32;
+                half_max = half_max.max(round.fractional[i][j] / 2.0);
+                table.entries.push(RoundEntry { m_ij: round.fractional[i][j], lo, hi });
+            }
+            table.row_min_len.push(min_len_for_half(half_max));
+        }
+        table.row_start.push(table.entries.len() as u32);
+        table.min_move_len = table.row_min_len.iter().copied().min().unwrap_or(u32::MAX);
+        table
+    }
+
     #[test]
     fn tables_keep_what_queries_read_of_the_shuffler() {
         // ε = 0.12 gives a depth-3 hierarchy at n = 512.
-        let g = generators::random_regular(512, 4, 1).expect("generator");
-        let r = Router::preprocess(&g, RouterConfig::for_epsilon(0.12)).expect("router");
+        for (n, eps) in [(512, 0.12), (1024, 0.4)] {
+            let g = generators::random_regular(n, 4, 1).expect("generator");
+            let r = Router::preprocess(&g, RouterConfig::for_epsilon(eps)).expect("router");
+            check_tables_against_shufflers(&r);
+        }
+    }
+
+    /// Rebuilds every internal node's shuffler and checks what the
+    /// router kept of it, each round table against the rescanning
+    /// builder included.
+    fn check_tables_against_shufflers(r: &Router) {
         let mut internal = 0;
         for nd in r.hierarchy().nodes() {
             let Some(tab) = &r.tables[nd.id] else { continue };
@@ -710,6 +770,14 @@ mod tests {
             let sh = build_shuffler(r.hierarchy(), nd.id, &r.config().shuffler, &mut ledger);
             assert_eq!(tab.round_tables.len(), sh.len(), "node {}: λ", nd.id);
             assert_eq!(tab.rounds_flat.len(), sh.len(), "node {}: flat rounds", nd.id);
+            for (q, round) in sh.rounds.iter().enumerate() {
+                assert_eq!(
+                    tab.round_tables[q],
+                    rescanned_round_table(round, nd.part_count(), &tab.rounds_flat[q]),
+                    "node {}: round {q}'s table",
+                    nd.id
+                );
+            }
             assert_eq!(
                 tab.final_potential.to_bits(),
                 sh.final_potential().to_bits(),
@@ -744,6 +812,22 @@ mod tests {
     fn rejects_small_graphs() {
         let g = generators::ring(32);
         assert!(Router::preprocess(&g, RouterConfig::default()).is_err());
+    }
+
+    #[test]
+    fn from_hierarchy_equals_preprocess() {
+        let g = generators::random_regular(512, 4, 11).expect("generator");
+        let config = RouterConfig::for_epsilon(0.4);
+        let hier = Hierarchy::build(&g, config.hierarchy.clone()).expect("hierarchy");
+        let derived = Router::from_hierarchy(hier, config.shuffler.clone()).expect("router");
+        assert_eq!(derived, Router::preprocess(&g, config).expect("router"));
+
+        let small = generators::random_regular(32, 4, 1).expect("generator");
+        let hier = Hierarchy::build(&small, HierarchyParams::for_epsilon(0.4)).expect("hierarchy");
+        assert_eq!(
+            Router::from_hierarchy(hier, ShufflerParams::default()),
+            Err(BuildError::TooSmall { n: 32 })
+        );
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //!     cargo run --release --example scale_probe
 //! ```
 //!
-//! Prints per-stage timings (hierarchy, full preprocess, one
-//! permutation query) plus the charged-round totals, so thread-count
-//! scaling and the ROADMAP's 10⁵-vertex goal can be checked from one
-//! command. After preprocessing it prints the process's resident set
-//! (`VmRSS`) and its peak (`VmHWM`) from `/proc/self/status`, or `n/a`
-//! where that file cannot be read; the standalone hierarchy is dropped
-//! first, so both describe the router.
+//! Prints per-stage timings (`Hierarchy::build`, then
+//! `Router::from_hierarchy` deriving the router from that hierarchy —
+//! together they are `Router::preprocess` — and one permutation query)
+//! plus the charged-round totals, so thread-count scaling and the
+//! ROADMAP's 10⁵-vertex goal can be checked from one command. After
+//! preprocessing it prints the process's resident set (`VmRSS`) and its
+//! peak (`VmHWM`) from `/proc/self/status`, or `n/a` where that file
+//! cannot be read; the router owns the hierarchy, so both describe the
+//! router.
 
 use expander_core::{QueryEngine, Router, RouterConfig, RoutingInstance};
-use expander_decomp::{Hierarchy, HierarchyParams};
+use expander_decomp::Hierarchy;
 use expander_graphs::generators;
 use std::time::Instant;
 
@@ -31,8 +33,9 @@ fn main() {
     let g = generators::random_regular(n, 4, 42).expect("generator");
     println!("generate 4-regular expander: {:.2?}", t0.elapsed());
 
+    let config = RouterConfig::for_epsilon(0.4);
     let t1 = Instant::now();
-    let h = Hierarchy::build(&g, HierarchyParams::for_epsilon(0.4)).expect("hierarchy");
+    let h = Hierarchy::build(&g, config.hierarchy.clone()).expect("hierarchy");
     println!(
         "Hierarchy::build: {:.2?}  ({} nodes, depth {}, {} charged rounds)",
         t1.elapsed(),
@@ -40,14 +43,14 @@ fn main() {
         h.depth(),
         h.ledger().total()
     );
-    drop(h);
 
     let t2 = Instant::now();
-    let router = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router");
+    let router = Router::from_hierarchy(h, config.shuffler).expect("router");
     println!(
-        "Router::preprocess: {:.2?}  ({} charged rounds)",
+        "Router::from_hierarchy: {:.2?}  ({} charged rounds, preprocessing {:.2?} in all)",
         t2.elapsed(),
-        router.preprocessing_ledger().total()
+        router.preprocessing_ledger().total(),
+        t1.elapsed()
     );
     println!("memory after preprocess: VmRSS {}, VmHWM {}", status_kb("VmRSS"), status_kb("VmHWM"));
 
