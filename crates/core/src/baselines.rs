@@ -75,10 +75,7 @@ pub fn cs20_query_cost(r: &Router, measured_query_rounds: u64) -> u64 {
     let rebuild = pre.phase("pre/shuffler/cut-player") + pre.phase("pre/shuffler/matching-player");
     let k = r.hierarchy().k() as u64;
     let root = r.hierarchy().root();
-    let q = r.tables[root]
-        .as_ref()
-        .map_or(2, |tab| tab.round_quality)
-        .max(r.hierarchy().node(root).flat_quality) as u64;
+    let q = r.cost_model().round_quality[root].max(r.hierarchy().node(root).flat_quality as u64);
     let c_logn = r.cost_model().c_logn;
     measured_query_rounds + rebuild + k * k * q * q * c_logn
 }

@@ -29,6 +29,9 @@ pub struct CostModel {
     /// Unit cost of one full shuffler dispersal's token moves, at the
     /// Lemma 6.6 per-portal batch constant (internal nodes only).
     pub move_unit: Vec<u64>,
+    /// The worst quality of one shuffler round's paths in `G`, at least
+    /// 2 (internal nodes only; 0 at leaves).
+    pub(crate) round_quality: Vec<u64>,
     /// `max_i Q(f⁰(M*_i))²` per node.
     pub mstar_sq: Vec<u64>,
     /// `T_sort(X, L)/L` (Theorem 5.6 recurrence).
@@ -61,6 +64,7 @@ impl CostModel {
             rho_ceil,
             leafnet_unit: vec![0; n_nodes],
             move_unit: vec![0; n_nodes],
+            round_quality: vec![0; n_nodes],
             mstar_sq,
             tsort_unit: vec![0; n_nodes],
             t2_unit: vec![0; n_nodes],
@@ -86,12 +90,16 @@ impl CostModel {
             let lambda = tab.round_tables.len() as u64;
             // Shuffler move cost at the Lemma 6.6 per-portal batch
             // (19L tokens pile up at portals in the worst iteration).
-            let move_unit: u64 = tab
-                .rounds_flat
-                .iter()
-                .map(|fp| cost::route_batched_cd(fp.congestion() as u64, fp.dilation() as u64, 19))
-                .sum();
+            // The worst round quality reuses the same measurements:
+            // each `congestion()` call clears an edge-space vector.
+            let (mut move_unit, mut round_quality) = (0, 2);
+            for fp in &tab.rounds_flat {
+                let (c, d) = (fp.congestion() as u64, fp.dilation() as u64);
+                move_unit += cost::route_batched_cd(c, d, 19);
+                round_quality = round_quality.max(c + d);
+            }
             model.move_unit[id] = move_unit;
+            model.round_quality[id] = round_quality;
             let child_tsort = nd.parts.iter().map(|p| model.tsort_unit[p.child]).max().unwrap_or(1);
             let child_t2 = nd.parts.iter().map(|p| model.t2_unit[p.child]).max().unwrap_or(1);
             // T₃(X, L) = O(log n)·T_sort(child, O(L log n)) + O(L)·Q²
@@ -108,7 +116,7 @@ impl CostModel {
             // embedding qualities (the union quality of Definition 5.4
             // over-counts congestion across iterations that never share
             // a round).
-            let q_net = nd.flat_quality.max(tab.round_quality) as u64;
+            let q_net = (nd.flat_quality as u64).max(round_quality);
             let layers = odd_even_depth(nd.best.len().max(2)) as u64;
             model.tsort_unit[id] =
                 t3 + rho_ceil * layers * 2 * q_net * q_net + model.mstar_sq[id] + child_tsort;

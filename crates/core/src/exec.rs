@@ -628,11 +628,7 @@ impl<'r> Exec<'r> {
         let b = best.len().max(1);
         let cap = total.div_ceil(b) as u64;
         let layers = crate::network::odd_even_depth(b.max(2)) as u64;
-        let q_net = hier
-            .node(root)
-            .flat_quality
-            .max(self.r.tables[root].as_ref().map_or(2, |tab| tab.quality_flat))
-            as u64;
+        let q_net = hier.node(root).flat_quality.max(self.r.root_union_quality) as u64;
         self.ledger.charge("query/sort/network", layers * 2 * cap * q_net * q_net);
         let mut order: Vec<usize> = (0..total).collect();
         order.sort_by_key(|&i| (inst.tokens[i].key, i));

@@ -145,9 +145,11 @@ fn min_len_for_half(half: f64) -> u32 {
 }
 
 /// What queries and the cost model read of one internal hierarchy
-/// node, built by that node's preprocessing task. The task lowers the
-/// node's shuffler into `rounds_flat` and `round_tables`, reads the
-/// three numbers below off it, and drops it.
+/// node, built by that node's preprocessing task. The task flattens the
+/// node's shuffler rounds once, lowers them into `rounds_flat` and
+/// `round_tables`, keeps the final potential, and drops the shuffler.
+/// A round's base-graph quality is its `rounds_flat` arena's, which
+/// [`CostModel`] reads.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct NodeTables {
     /// Per shuffler round (`λ` of them, as in `round_tables`): the
@@ -171,27 +173,22 @@ pub(crate) struct NodeTables {
     pub(crate) rank_part: Vec<u16>,
     /// The shuffler's final potential `Π(λ)` (Lemma 6.2's envelope).
     pub(crate) final_potential: f64,
-    /// The shuffler's flattened union quality
-    /// ([`Shuffler::quality_flat`](expander_decomp::Shuffler::quality_flat)).
-    pub(crate) quality_flat: usize,
-    /// The worst flattened per-round quality
-    /// ([`Shuffler::round_qualities_flat`](expander_decomp::Shuffler::round_qualities_flat)),
-    /// 2 without rounds.
-    pub(crate) round_quality: usize,
 }
 
 impl NodeTables {
     /// Lowers internal node `id`'s shuffler and parts to dense ids,
     /// charging the shuffler's construction to `ledger`. Returns the
-    /// record, the worst `Q(flat M*)²` over the parts (at least 4) and
-    /// the parts' flattened `M*` embeddings, which only the chain walk
-    /// reads.
+    /// record, the worst `Q(flat M*)²` over the parts (at least 4), the
+    /// parts' flattened `M*` embeddings, which only the chain walk
+    /// reads, and the shuffler's union quality
+    /// [`quality_hx`](expander_decomp::Shuffler::quality_hx), which
+    /// only the root's sort charge reads.
     fn build(
         hier: &Hierarchy,
         id: NodeId,
         params: &ShufflerParams,
         ledger: &mut RoundLedger,
-    ) -> (NodeTables, u64, Vec<Embedding>) {
+    ) -> (NodeTables, u64, Vec<Embedding>, usize) {
         let graph = hier.graph();
         let nd = hier.node(id);
         let t = nd.part_count();
@@ -252,10 +249,8 @@ impl NodeTables {
             best_prefix,
             rank_part,
             final_potential: sh.final_potential(),
-            quality_flat: sh.quality_flat,
-            round_quality: sh.round_qualities_flat.iter().copied().max().unwrap_or(2),
         };
-        (tables, worst_mstar, part_embs)
+        (tables, worst_mstar, part_embs, sh.quality_hx)
     }
 }
 
@@ -318,6 +313,10 @@ pub struct Router {
     pub(crate) best_rank: Vec<u32>,
     /// Maximum part count over internal nodes (query scratch sizing).
     pub(crate) max_parts: usize,
+    /// The root shuffler's union quality `Q(M_X)`
+    /// ([`quality_hx`](expander_decomp::Shuffler::quality_hx): the root's
+    /// `H_X` is `G`), which the sort network's charge reads.
+    pub(crate) root_union_quality: usize,
     pub(crate) cost: CostModel,
     pre_ledger: RoundLedger,
     config: RouterConfig,
@@ -414,19 +413,26 @@ impl Router {
                         nd.flat_quality as u64,
                     ) + pass_cost,
                 );
-                return (ledger, None, pass_cost, 4, Vec::new());
+                return (ledger, None, pass_cost, 4, Vec::new(), 0);
             }
-            let (tables, worst_mstar, mstar_embs) =
+            let (tables, worst_mstar, mstar_embs, union_quality) =
                 NodeTables::build(&hier, id, &config.shuffler, &mut ledger);
-            (ledger, Some(tables), 0, worst_mstar, mstar_embs)
+            (ledger, Some(tables), 0, worst_mstar, mstar_embs, union_quality)
         });
+        let root = hier.root();
+        let mut root_union_quality = 0;
         let mut tables = Vec::with_capacity(n_nodes);
         let mut leaf_pass = Vec::with_capacity(n_nodes);
         let mut mstar_sq = Vec::with_capacity(n_nodes);
         // Per node, per part: the flattened `M*` embeddings. Only the
         // chain walk below reads them; they die with this frame.
         let mut mstar_embs = Vec::with_capacity(n_nodes);
-        for (ledger, node_tables, pass_cost, worst_mstar, embs) in prepped {
+        for (id, (ledger, node_tables, pass_cost, worst_mstar, embs, union_quality)) in
+            prepped.into_iter().enumerate()
+        {
+            if id == root {
+                root_union_quality = union_quality;
+            }
             pre_ledger.merge(&ledger);
             tables.push(node_tables);
             leaf_pass.push(pass_cost);
@@ -436,7 +442,6 @@ impl Router {
         let max_parts = hier.nodes().iter().map(HierarchyNode::part_count).fold(1, usize::max);
 
         // Delegates and chains (Appendix D's all-to-best delegation).
-        let root = hier.root();
         let root_best = hier.node(root).best.clone();
         let mut best_rank = vec![u32::MAX; graph.n()];
         for (r, &b) in root_best.iter().enumerate() {
@@ -511,6 +516,7 @@ impl Router {
             mroot_flat,
             best_rank,
             max_parts,
+            root_union_quality,
             cost: cost_model,
             pre_ledger,
             config,
@@ -525,6 +531,12 @@ impl Router {
     /// The underlying hierarchy.
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hier
+    }
+
+    /// The number of shuffler rounds `λ` of `node` (0 at leaves, which
+    /// have no shuffler).
+    pub fn shuffler_rounds(&self, node: NodeId) -> usize {
+        self.tables[node].as_ref().map_or(0, |tab| tab.round_tables.len())
     }
 
     /// The tables of internal node `node`.
@@ -759,16 +771,20 @@ mod tests {
     }
 
     /// Rebuilds every internal node's shuffler and checks what the
-    /// router kept of it, each round table against the rescanning
-    /// builder included.
+    /// router kept of it: each round table against the rescanning
+    /// builder, `λ` and `Π(λ)`, and the qualities read off the round
+    /// arenas against the shuffler's own flatten: every round alone
+    /// through `flatten_from`, and at the root the union of the rounds,
+    /// which must equal `quality_hx`.
     fn check_tables_against_shufflers(r: &Router) {
+        let h = r.hierarchy();
         let mut internal = 0;
-        for nd in r.hierarchy().nodes() {
+        for nd in h.nodes() {
             let Some(tab) = &r.tables[nd.id] else { continue };
             internal += 1;
             let mut ledger = RoundLedger::new();
-            let sh = build_shuffler(r.hierarchy(), nd.id, &r.config().shuffler, &mut ledger);
-            assert_eq!(tab.round_tables.len(), sh.len(), "node {}: λ", nd.id);
+            let sh = build_shuffler(h, nd.id, &r.config().shuffler, &mut ledger);
+            assert_eq!(r.shuffler_rounds(nd.id), sh.len(), "node {}: λ", nd.id);
             assert_eq!(tab.rounds_flat.len(), sh.len(), "node {}: flat rounds", nd.id);
             for (q, round) in sh.rounds.iter().enumerate() {
                 assert_eq!(
@@ -784,15 +800,40 @@ mod tests {
                 "node {}: Π(λ)",
                 nd.id
             );
-            assert_eq!(tab.quality_flat, sh.quality_flat, "node {}: union quality", nd.id);
+            let flat = h.flatten_from(nd.id, sh.rounds.iter().map(|round| &round.embedding));
+            let mut worst = 2;
+            for (q, emb) in flat.iter().enumerate() {
+                let quality = emb.quality().max(2);
+                assert_eq!(
+                    tab.rounds_flat[q].quality().max(2),
+                    quality,
+                    "node {}: round {q}'s quality",
+                    nd.id
+                );
+                worst = worst.max(quality);
+            }
             assert_eq!(
-                tab.round_quality,
-                sh.round_qualities_flat.iter().copied().max().unwrap_or(2),
+                r.cost_model().round_quality[nd.id],
+                worst as u64,
                 "node {}: worst round quality",
                 nd.id
             );
+            if nd.id == h.root() {
+                let mut union = Embedding::new();
+                for round in &sh.rounds {
+                    for (u, v, p) in round.embedding.iter() {
+                        union.push(u, v, p.clone());
+                    }
+                }
+                let union_quality = h.flatten_from(nd.id, [&union])[0].quality().max(2);
+                assert_eq!(union_quality, sh.quality_hx, "root: union quality in G");
+                assert_eq!(r.root_union_quality, sh.quality_hx, "root: kept union quality");
+            }
         }
         assert!(internal > 0);
+        for nd in h.nodes().iter().filter(|nd| nd.is_leaf()) {
+            assert_eq!(r.shuffler_rounds(nd.id), 0, "leaf {}: λ", nd.id);
+        }
     }
 
     #[test]

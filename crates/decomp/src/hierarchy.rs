@@ -43,13 +43,29 @@ use std::fmt;
 /// Index of a node inside a [`Hierarchy`].
 pub type NodeId = usize;
 
+/// Cut-matching iterations per part: `⌈LAMBDA_FACTOR · log₂ n⌉`, at
+/// least 6.
+const LAMBDA_FACTOR: f64 = 1.5;
+
+/// Safety cap on hierarchy depth.
+const MAX_LEVELS: u32 = 8;
+
+/// The part count `k = ⌈n^ε⌉`, clamped to `3..=96`. An `n^ε` within
+/// rounding of an integer counts as that integer: `1024^0.4` evaluates
+/// to 16.000000000000004, and its ceiling would be 17.
+fn parts_per_node(n: usize, epsilon: f64) -> usize {
+    let x = (n as f64).powf(epsilon);
+    let nearest = x.round();
+    let k = if (x - nearest).abs() <= 1e-9 * x { nearest } else { x.ceil() };
+    (k as usize).clamp(3, 96)
+}
+
 /// Tuning knobs for [`Hierarchy::build`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyParams {
-    /// The paper's `ε`: nodes split into `k = ⌈n^ε⌉` parts.
+    /// The paper's `ε`: nodes split into `k = ⌈n^ε⌉` parts, clamped to
+    /// `3..=96`.
     pub epsilon: f64,
-    /// Cut-matching iterations per part = `⌈lambda_factor · log₂ n⌉`.
-    pub lambda_factor: f64,
     /// Nodes of at most this size become leaves; `None` picks
     /// `max(4k, 48)`.
     pub leaf_size: Option<usize>,
@@ -57,8 +73,6 @@ pub struct HierarchyParams {
     pub min_child: usize,
     /// Base seed for all derandomized projections.
     pub seed: u64,
-    /// Safety cap on hierarchy depth.
-    pub max_levels: u32,
     /// Initial packing caps (escalated geometrically).
     pub escalation: EscalationConfig,
     /// Worker threads for the staged parallel build. `None` defers to
@@ -73,11 +87,9 @@ impl Default for HierarchyParams {
     fn default() -> Self {
         HierarchyParams {
             epsilon: 0.33,
-            lambda_factor: 1.5,
             leaf_size: None,
             min_child: 6,
             seed: 0xE5CA1ADE,
-            max_levels: 8,
             escalation: EscalationConfig::default(),
             threads: None,
         }
@@ -171,12 +183,18 @@ pub struct HierarchyPart {
     pub child: NodeId,
     /// The bad set `X'_i` (sorted).
     pub bad: Vec<VertexId>,
-    /// Matching `M*_i`: `(bad vertex, good mate)` pairs.
-    pub matching: Vec<(VertexId, VertexId)>,
-    /// Paths in this node's `H_X` realizing the matching.
+    /// Paths in this node's `H_X` realizing the matching `M*_i`.
     pub matching_embedding: Embedding,
     /// All vertices `X*_i` (sorted).
     pub all: Vec<VertexId>,
+}
+
+impl HierarchyPart {
+    /// Matching `M*_i`: `(bad vertex, good mate)` pairs, the virtual
+    /// edges of [`HierarchyPart::matching_embedding`].
+    pub fn matching(&self) -> &[(VertexId, VertexId)] {
+        self.matching_embedding.virtual_edges()
+    }
 }
 
 /// A node of the hierarchical decomposition.
@@ -238,7 +256,6 @@ pub struct Hierarchy {
     nodes: Vec<HierarchyNode>,
     root: NodeId,
     outside: Vec<VertexId>,
-    mroot: Vec<(VertexId, VertexId)>,
     mroot_embedding: Embedding,
     rho_best: f64,
     ledger: RoundLedger,
@@ -260,10 +277,9 @@ impl Hierarchy {
         if !graph.is_connected() {
             return Err(BuildError::Disconnected);
         }
-        let k = (n as f64).powf(params.epsilon).ceil() as usize;
-        let k = k.clamp(3, 96);
+        let k = parts_per_node(n, params.epsilon);
         let leaf_size = params.leaf_size.unwrap_or_else(|| (4 * k).max(48));
-        let lambda = ((n as f64).log2() * params.lambda_factor).ceil().max(6.0) as u32;
+        let lambda = ((n as f64).log2() * LAMBDA_FACTOR).ceil().max(6.0) as u32;
 
         let threads = parallel::build_threads(params.threads);
         let ctx = BuildCtx {
@@ -300,7 +316,7 @@ impl Hierarchy {
         });
 
         let attached = builder.attach_parts(root_id, &root_host, outcome, true)?;
-        let AttachedParts { parts, outside, mroot, mroot_embedding } = attached;
+        let AttachedParts { parts, outside, mroot_embedding } = attached;
         let mut root_vertices: Vec<VertexId> = Vec::new();
         for p in &parts {
             root_vertices.extend_from_slice(&p.all);
@@ -331,7 +347,6 @@ impl Hierarchy {
             nodes: builder.nodes,
             root: root_id,
             outside,
-            mroot,
             mroot_embedding,
             rho_best,
             ledger: builder.ledger,
@@ -406,9 +421,10 @@ impl Hierarchy {
         &self.outside
     }
 
-    /// The `Mroot` matching `(outside vertex, root mate)` (Lemma 3.5).
+    /// The `Mroot` matching `(outside vertex, root mate)` (Lemma 3.5),
+    /// the virtual edges of [`Hierarchy::mroot_embedding`].
     pub fn mroot(&self) -> &[(VertexId, VertexId)] {
-        &self.mroot
+        self.mroot_embedding.virtual_edges()
     }
 
     /// Paths in `G` realizing [`Hierarchy::mroot`].
@@ -464,7 +480,7 @@ impl Hierarchy {
         if (w as f64) < 0.66 * n as f64 {
             issues.push(format!("root covers {w}/{n} < 2/3"));
         }
-        if self.outside.len() != self.mroot.len() {
+        if self.outside.len() != self.mroot().len() {
             issues.push("Mroot does not saturate V \\ W".to_owned());
         }
         for nd in &self.nodes {
@@ -499,17 +515,17 @@ impl Hierarchy {
                 if p.bad.len() > child.vertices.len() {
                     issues.push(format!("node {}: |X'| > |X| in a part", nd.id));
                 }
-                if p.matching.len() != p.bad.len() {
+                if p.matching().len() != p.bad.len() {
                     issues.push(format!("node {}: matching does not saturate X'", nd.id));
                 }
-                let mut mates: Vec<VertexId> = p.matching.iter().map(|&(_, g)| g).collect();
+                let mut mates: Vec<VertexId> = p.matching().iter().map(|&(_, g)| g).collect();
                 mates.sort_unstable();
                 let pre_dedup = mates.len();
                 mates.dedup();
                 if mates.len() != pre_dedup {
                     issues.push(format!("node {}: M* is not a matching", nd.id));
                 }
-                for &(b, g) in &p.matching {
+                for &(b, g) in p.matching() {
                     if child.vertices.binary_search(&g).is_err() {
                         issues.push(format!("node {}: mate {g} outside good child", nd.id));
                     }
@@ -578,9 +594,7 @@ struct AttachedParts {
     parts: Vec<HierarchyPart>,
     /// Root only: vertices left outside `W` (empty for internal nodes).
     outside: Vec<VertexId>,
-    /// Root only: the `Mroot` matching pairs for `outside`.
-    mroot: Vec<(VertexId, VertexId)>,
-    /// Root only: embedding of the `Mroot` pairs.
+    /// Root only: the `Mroot` matching of `outside`, as its embedding.
     mroot_embedding: Embedding,
 }
 
@@ -707,12 +721,15 @@ impl Builder<'_, '_> {
                         m.phases as u64 * m.final_dilation_cap as u64,
                     ) + cost::route_once(&m.embedding.to_path_set()) * (flat_quality as u64).pow(2),
                 );
-                if !m.pairs.is_empty() {
+                if !m.embedding.is_empty() {
                     progress = true;
                 }
-                let MatchingPacking { pairs, embedding, unmatched, .. } = m;
-                let local_pairs: Vec<(u32, u32)> =
-                    pairs.iter().map(|&(a, b)| (host.to_local(a), host.to_local(b))).collect();
+                let MatchingPacking { embedding, unmatched, .. } = m;
+                let local_pairs: Vec<(u32, u32)> = embedding
+                    .virtual_edges()
+                    .iter()
+                    .map(|&(a, b)| (host.to_local(a), host.to_local(b)))
+                    .collect();
                 history[pi].push(local_pairs);
                 embeddings[pi] = std::mem::take(&mut embeddings[pi]).union(embedding);
                 // Deactivate unmatched sources (sparse-cut side) with a
@@ -795,22 +812,18 @@ impl Builder<'_, '_> {
         self.ledger.charge("pre/hierarchy/leftover", cost::route_once(&m.embedding.to_path_set()));
 
         let mut bad_per_part: Vec<Vec<VertexId>> = vec![Vec::new(); game_parts.len()];
-        let mut matching_per_part: Vec<Vec<(VertexId, VertexId)>> =
-            vec![Vec::new(); game_parts.len()];
         let mut paths_per_part: Vec<Embedding> = vec![Embedding::new(); game_parts.len()];
-        for (i, &(b, g)) in m.pairs.iter().enumerate() {
+        let (pairs, paths) = m.embedding.into_parts();
+        for ((b, g), p) in pairs.into_iter().zip(paths) {
             let pi = part_of_survivor[host.to_local(g) as usize];
             bad_per_part[pi].push(b);
-            matching_per_part[pi].push((b, g));
-            let p = m.embedding.path(i);
-            paths_per_part[pi].push(b, g, p.clone());
+            paths_per_part[pi].push(b, g, p);
         }
 
-        let (outside, mroot, mroot_embedding) = if is_root {
+        let (outside, mroot_embedding) = if is_root {
             // Stragglers live outside W; Lemma 3.5 matches them in.
             let mut outside = m.unmatched.clone();
             outside.sort_unstable();
-            let mut pairs = Vec::new();
             let mut emb = Embedding::new();
             // Re-pack against all survivors (capacity refreshed): the
             // earlier failure was under shared caps; Mroot gets its own.
@@ -831,10 +844,6 @@ impl Builder<'_, '_> {
                 let m2 = pack_matching_with(&mut p2, &src2, &mut cap2, cfg2);
                 self.ledger
                     .charge("pre/hierarchy/mroot", cost::route_once(&m2.embedding.to_path_set()));
-                for (i, &(s, t)) in m2.pairs.iter().enumerate() {
-                    pairs.push((s, t));
-                    emb.push(s, t, m2.embedding.path(i).clone());
-                }
                 if !m2.unmatched.is_empty() {
                     // Lemma 3.5's premise failed: W is too small to
                     // absorb the stragglers as a matching.
@@ -843,8 +852,9 @@ impl Builder<'_, '_> {
                         unmatched: m2.unmatched.len(),
                     });
                 }
+                emb = m2.embedding;
             }
-            (outside, pairs, emb)
+            (outside, emb)
         } else {
             // Internal nodes must cover X exactly (Property 3.1(1));
             // force-attach stragglers via shortest paths (substitution
@@ -867,7 +877,6 @@ impl Builder<'_, '_> {
                         return Err(BuildError::Stranded { vertex: v, level });
                     };
                     bad_per_part[0].push(v);
-                    matching_per_part[0].push((v, g));
                     paths_per_part[0].push(v, g, path);
                     continue;
                 };
@@ -878,10 +887,9 @@ impl Builder<'_, '_> {
                     return Err(BuildError::Stranded { vertex: v, level });
                 };
                 bad_per_part[pi].push(v);
-                matching_per_part[pi].push((v, g));
                 paths_per_part[pi].push(v, g, path);
             }
-            (Vec::new(), Vec::new(), Embedding::new())
+            (Vec::new(), Embedding::new())
         };
 
         // Recurse into the children and assemble the parts. Sibling
@@ -925,12 +933,11 @@ impl Builder<'_, '_> {
             parts.push(HierarchyPart {
                 child,
                 bad,
-                matching: std::mem::take(&mut matching_per_part[pi]),
                 matching_embedding: std::mem::take(&mut paths_per_part[pi]),
                 all,
             });
         }
-        Ok(AttachedParts { parts, outside, mroot, mroot_embedding })
+        Ok(AttachedParts { parts, outside, mroot_embedding })
     }
 
     /// Builds the subtree rooted at `gp` into this builder's arena and
@@ -983,7 +990,7 @@ impl Builder<'_, '_> {
 
         let n_here = host.vertices().len();
         let splittable = n_here > self.ctx.leaf_size
-            && level < self.ctx.params.max_levels
+            && level < MAX_LEVELS
             && n_here / self.ctx.k >= self.ctx.params.min_child.max(4)
             && diameter != u32::MAX;
         if splittable {
@@ -1061,6 +1068,16 @@ mod tests {
         let g = generators::random_regular(n, 4, seed).expect("generator");
         let params = HierarchyParams { epsilon: eps, seed, ..HierarchyParams::default() };
         Hierarchy::build(&g, params).expect("hierarchy")
+    }
+
+    #[test]
+    fn part_count_is_the_exact_ceiling() {
+        // 1024^0.4 and 32768^0.4 are 16 and 64, a few ulps high in f64.
+        for (n, eps, k) in [(1024, 0.4, 16), (32768, 0.4, 64), (8192, 0.4, 37), (4096, 0.4, 28)] {
+            assert_eq!(parts_per_node(n, eps), k, "n = {n}, ε = {eps}");
+        }
+        assert_eq!(parts_per_node(64, 0.1), 3, "clamped below");
+        assert_eq!(parts_per_node(1 << 20, 0.5), 96, "clamped above");
     }
 
     #[test]

@@ -260,12 +260,11 @@ impl<'h> Packer<'h> {
     }
 }
 
-/// A matching of global-id sources to sinks together with its embedding.
+/// A matching of global-id sources to sinks, as its embedding.
 #[derive(Debug, Clone, Default)]
 pub struct MatchingPacking {
-    /// `(source, sink)` pairs in global ids.
-    pub pairs: Vec<(VertexId, VertexId)>,
-    /// Paths realizing the pairs (global ids, valid in the host).
+    /// Paths realizing the matching (global ids, valid in the host);
+    /// its virtual edges are the `(source, sink)` pairs.
     pub embedding: Embedding,
     /// Sources left unmatched after all escalations.
     pub unmatched: Vec<VertexId>,
@@ -343,9 +342,7 @@ pub fn pack_matching_with(
         for p in r.paths {
             out.dilation = out.dilation.max(p.len() as u32 - 1);
             let path = host.path_to_global(&p);
-            let (src, dst) = (path.source(), path.target());
-            out.pairs.push((src, dst));
-            out.embedding.push(src, dst, path);
+            out.embedding.push(path.source(), path.target(), path);
         }
         remaining = r.unmatched;
         if escalation < cfg.max_escalations {
@@ -377,18 +374,15 @@ mod tests {
         let sinks: Vec<u32> = (64..128).collect();
         let m = pack_matching(&host, &sources, &sinks, 1, EscalationConfig::default());
         assert!(m.unmatched.is_empty(), "unmatched: {:?}", m.unmatched);
-        assert_eq!(m.pairs.len(), 32);
+        assert_eq!(m.embedding.len(), 32);
         // Each path really connects its pair inside the host.
-        for (i, &(s, t)) in m.pairs.iter().enumerate() {
-            let p = m.embedding.path(i);
-            assert_eq!(p.source(), s);
-            assert_eq!(p.target(), t);
+        for (s, t, p) in m.embedding.iter() {
             assert!(p.is_valid_in(&g));
             assert!(sources.contains(&s));
             assert!(sinks.contains(&t));
         }
         // A matching: every sink used at most once.
-        let mut used: Vec<u32> = m.pairs.iter().map(|&(_, t)| t).collect();
+        let mut used: Vec<u32> = m.embedding.virtual_edges().iter().map(|&(_, t)| t).collect();
         used.sort_unstable();
         let before = used.len();
         used.dedup();
@@ -422,7 +416,7 @@ mod tests {
         let cfg = EscalationConfig { congestion_cap: 1, dilation_cap: 16, max_escalations: 0 };
         let m = pack_matching_with(&mut packer, &sources, &mut sink_cap, cfg);
         assert!(packer.congestion() <= 1);
-        assert!(m.pairs.len() <= 2, "ring admits only 2 edge-disjoint crossings");
+        assert!(m.embedding.len() <= 2, "ring admits only 2 edge-disjoint crossings");
     }
 
     #[test]
@@ -442,7 +436,7 @@ mod tests {
         let host = host_of(&g);
         let cfg = EscalationConfig { congestion_cap: 8, dilation_cap: 3, max_escalations: 0 };
         let m = pack_matching(&host, &[0], &[9], 1, cfg);
-        assert_eq!(m.pairs.len(), 0, "sink is 9 hops away, cap is 3");
+        assert!(m.embedding.is_empty(), "sink is 9 hops away, cap is 3");
         assert_eq!(m.unmatched, vec![0]);
     }
 
@@ -452,7 +446,7 @@ mod tests {
         let host = host_of(&g);
         let m = pack_matching(&host, &[0, 1, 2], &[7], 3, EscalationConfig::default());
         assert!(m.unmatched.is_empty());
-        assert!(m.pairs.iter().all(|&(_, t)| t == 7));
+        assert!(m.embedding.virtual_edges().iter().all(|&(_, t)| t == 7));
     }
 
     #[test]
@@ -464,13 +458,13 @@ mod tests {
         let mut cap1 = vec![0u32; host.graph().n()];
         cap1[host.to_local(6) as usize] = 1;
         let m1 = pack_matching_with(&mut packer, &[host.to_local(0)], &mut cap1, cfg);
-        assert_eq!(m1.pairs.len(), 1);
+        assert_eq!(m1.embedding.len(), 1);
         let c_after_first = packer.congestion();
         assert!(c_after_first >= 1);
         let mut cap2 = vec![0u32; host.graph().n()];
         cap2[host.to_local(7) as usize] = 1;
         let m2 = pack_matching_with(&mut packer, &[host.to_local(1)], &mut cap2, cfg);
-        assert_eq!(m2.pairs.len(), 1);
+        assert_eq!(m2.embedding.len(), 1);
         assert!(packer.congestion() <= 2, "shared cap respected");
     }
 }

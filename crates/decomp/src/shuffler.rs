@@ -7,15 +7,24 @@
 //! matchings* on `Y` (Definition 5.1) induce a lazy random walk that
 //! mixes: the potential `Π(i) = Σ_y ‖R_i[y] − 1/|Y|‖²` (Definition 5.3)
 //! is driven below `1/(9n³)` in `λ = O(log n)` iterations (Lemma B.5).
-//! The exact `t × t` walk matrix is maintained throughout, so the decay
-//! is *verified*, not assumed.
+//! The exact `t × t` walk matrix is maintained throughout and `Π` is
+//! summed from it after every round, so the decay is *verified*, not
+//! assumed, and the game stops on the walk's own potential.
+//!
+//! A shuffler holds its rounds as paths in the node's virtual graph
+//! `H_X`, its potential trace, and its union quality in `H_X`. The
+//! router flattens the rounds once, lowers them to base-graph edge-id
+//! arenas, and reads every base-graph quality off those arenas.
 
 use crate::cut_player::{median_split, probe_vector, rst_separation};
 use crate::hierarchy::{Hierarchy, NodeId};
 use crate::host::HostGraph;
 use crate::packing::{pack_matching_with, EscalationConfig, Packer};
 use congest_sim::{cost, RoundLedger};
-use expander_graphs::{Embedding, VertexId};
+use expander_graphs::Embedding;
+
+/// Seed of the cut player's derandomized projections.
+const SEED: u64 = 0x5EEDED;
 
 /// Cut-player strategy, exposed for the ablation experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,17 +39,13 @@ pub enum CutStrategy {
     RstOnly,
 }
 
-/// Tuning knobs for [`build_shuffler`].
-#[derive(Debug, Clone, PartialEq)]
+/// Tuning knobs for [`build_shuffler`]. The game always plays to the
+/// paper's target `Π ≤ 1/(9n³)` with the default packing caps.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShufflerParams {
-    /// Seed for the derandomized projections.
-    pub seed: u64,
-    /// Hard cap on iterations (`O(log n)` with a generous constant).
+    /// Hard cap on iterations; 0 resolves against `n` at build time
+    /// (see [`ShufflerParams::iteration_cap`]).
     pub max_iterations: u32,
-    /// Target potential; `None` uses the paper's `1/(9n³)`.
-    pub target_potential: Option<f64>,
-    /// Packing caps for the matching player.
-    pub escalation: EscalationConfig,
     /// Cut-player strategy (ablation knob).
     pub cut_strategy: CutStrategy,
     /// Use the paper's literal normalizer `n' = 6|X|/k` instead of the
@@ -49,26 +54,25 @@ pub struct ShufflerParams {
     pub paper_normalizer: bool,
 }
 
-impl Default for ShufflerParams {
-    fn default() -> Self {
-        ShufflerParams {
-            seed: 0x5EEDED,
-            max_iterations: 0, // resolved against n at build time
-            target_potential: None,
-            escalation: EscalationConfig::default(),
-            cut_strategy: CutStrategy::Alternate,
-            paper_normalizer: false,
+impl ShufflerParams {
+    /// The iteration cap a shuffler of an `n`-vertex graph runs under:
+    /// `max_iterations`, or `8·⌈log₂ n⌉ + 16` (`O(log n)` with a
+    /// generous constant) when that is 0.
+    pub fn iteration_cap(&self, n: usize) -> u32 {
+        if self.max_iterations > 0 {
+            self.max_iterations
+        } else {
+            8 * ((n as f64).log2().ceil() as u32) + 16
         }
     }
 }
 
-/// One iteration of the shuffler: the matching on `X`, its embedding
-/// into `H_X`, and the induced fractional matching on `Y`.
+/// One iteration of the shuffler: the matching on `X` embedded into
+/// `H_X`, and the induced fractional matching on `Y`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShufflerRound {
-    /// `M^q_X` as `(u, v)` global-id pairs.
-    pub matching: Vec<(VertexId, VertexId)>,
-    /// Paths in `H_X` realizing the matching.
+    /// Paths in `H_X` realizing `M^q_X`; its virtual edges are the
+    /// matched `(u, v)` global-id pairs.
     pub embedding: Embedding,
     /// The natural fractional matching `{x_ab}` on `Y` (symmetric,
     /// `t × t`, zero diagonal).
@@ -84,18 +88,13 @@ pub struct Shuffler {
     pub node: NodeId,
     /// The matching sequence.
     pub rounds: Vec<ShufflerRound>,
-    /// `Π(0), Π(1), …` — the verified potential trace.
+    /// `Π(0), Π(1), …` — the potential of the exact walk matrix after
+    /// each round.
     pub potential_trace: Vec<f64>,
     /// Quality of the union of embeddings, measured in `H_X`
-    /// (Definition 5.4's `Q(M_X)`).
+    /// (Definition 5.4's `Q(M_X)`). At the root `H_X = G`, so it is the
+    /// union's quality in the base graph too.
     pub quality_hx: usize,
-    /// Quality of the union after flattening to `G`.
-    pub quality_flat: usize,
-    /// Flattened quality of each round's embedding on its own. The
-    /// rounds run in *separate iterations*, so per-iteration round
-    /// charges use these (the union quality over-counts congestion of
-    /// matchings that never share a round).
-    pub round_qualities_flat: Vec<usize>,
     /// `|X*_i|` for each part.
     pub part_sizes: Vec<usize>,
     /// The normalizer `n'` of Definition 5.1.
@@ -135,12 +134,8 @@ pub fn build_shuffler(
     let t = nd.part_count();
     assert!(t >= 2, "shuffler needs an internal node with >= 2 parts");
     let n = h.graph().n() as f64;
-    let target = params.target_potential.unwrap_or(1.0 / (9.0 * n * n * n));
-    let max_iters = if params.max_iterations > 0 {
-        params.max_iterations
-    } else {
-        8 * (n.log2().ceil() as u32) + 16
-    };
+    let target = 1.0 / (9.0 * n * n * n);
+    let max_iters = params.iteration_cap(h.graph().n());
 
     let part_sizes: Vec<usize> = nd.parts.iter().map(|p| p.all.len()).collect();
     let max_part = *part_sizes.iter().max().expect("non-empty");
@@ -187,7 +182,7 @@ pub fn build_shuffler(
         // matchings, fast bulk mixing); odd iterations take the RST
         // separation (targets the far-from-uniform stragglers that
         // drive the Lemma B.5 potential argument).
-        let r_probe = probe_vector(t, params.seed.wrapping_add(iter as u64 * 0x9E37_79B9));
+        let r_probe = probe_vector(t, SEED.wrapping_add(iter as u64 * 0x9E37_79B9));
         let mu: Vec<f64> = (0..t).map(|a| (0..t).map(|b| r_mat[a][b] * r_probe[b]).sum()).collect();
         let sep = match params.cut_strategy {
             CutStrategy::Alternate => {
@@ -238,7 +233,7 @@ pub fn build_shuffler(
             }
         }
         let mut packer = Packer::new(&host);
-        let mut cfg = params.escalation;
+        let mut cfg = EscalationConfig::default();
         cfg.dilation_cap = cfg.dilation_cap.max(2 * host_diam as u32 + 2);
         let m = pack_matching_with(&mut packer, &sources, &mut sink_cap, cfg);
         // The packer was fresh, so its measured edge loads ARE the
@@ -251,14 +246,14 @@ pub fn build_shuffler(
                     * q_flat
                     * q_flat,
         );
-        if m.pairs.is_empty() {
+        if m.embedding.is_empty() {
             continue;
         }
 
         // Natural fractional matching on Y (Definition 5.1).
         let mut fractional = vec![vec![0.0f64; t]; t];
-        let mut endpoint_parts = Vec::with_capacity(m.pairs.len());
-        for &(u, v) in &m.pairs {
+        let mut endpoint_parts = Vec::with_capacity(m.embedding.len());
+        for &(u, v) in m.embedding.virtual_edges() {
             let (a, b) = (part_of[u as usize], part_of[v as usize]);
             debug_assert!(a != b, "matching edge inside one part");
             fractional[a][b] += 1.0 / normalizer;
@@ -267,27 +262,23 @@ pub fn build_shuffler(
         }
 
         // R ← R_M · R  (Definition 5.2), applied sparsely: only rows of
-        // parts incident to matched pairs change, and the potential is
-        // maintained incrementally instead of re-summed over t² cells.
+        // parts incident to matched pairs change. Π is then summed over
+        // all t² cells, so the stop rule reads the walk's own potential.
         let mut touched: Vec<(usize, usize)> =
             endpoint_parts.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
         touched.sort_unstable();
         touched.dedup();
         let entries: Vec<(usize, usize, f64)> =
             touched.into_iter().map(|(a, b)| (a, b, fractional[a][b])).collect();
-        let new_potential = apply_fractional_sparse(&mut r_mat, &entries, potential);
+        apply_fractional_sparse(&mut r_mat, &entries);
+        let new_potential = potential_of(&r_mat);
         debug_assert!(
             new_potential <= potential + 1e-9,
             "potential increased: {potential} -> {new_potential}"
         );
         potential = new_potential;
         trace.push(potential);
-        rounds.push(ShufflerRound {
-            matching: m.pairs,
-            embedding: m.embedding,
-            fractional,
-            endpoint_parts,
-        });
+        rounds.push(ShufflerRound { embedding: m.embedding, fractional, endpoint_parts });
     }
 
     // Quality of the union of all matchings' paths (Definition 5.4),
@@ -309,37 +300,8 @@ pub fn build_shuffler(
     }
     let union_congestion = union_load.into_iter().max().unwrap_or(0) as usize;
     let quality_hx = (union_congestion + union_dilation).max(2);
-    // Flattened qualities. At base level (no flatten embedding) the
-    // paths already live in `G` and pair-merged host congestion equals
-    // base-graph congestion, so the union/round clones are skipped.
-    let (quality_flat, round_qualities_flat) = if h.node(node).flat.is_none() {
-        (quality_hx, rounds.iter().map(|r| r.embedding.quality().max(2)).collect())
-    } else {
-        // One flatten batch: every round, then their union, whose
-        // parallel-copy rotation runs across the rounds.
-        let mut union_emb = Embedding::new();
-        for r in &rounds {
-            for (u, v, p) in r.embedding.iter() {
-                union_emb.push(u, v, p.clone());
-            }
-        }
-        let batch = rounds.iter().map(|r| &r.embedding).chain([&union_emb]);
-        let mut qualities: Vec<usize> =
-            h.flatten_from(node, batch).iter().map(|f| f.quality().max(2)).collect();
-        let union_quality = qualities.pop().expect("the union is the last batch entry");
-        (union_quality, qualities)
-    };
 
-    Shuffler {
-        node,
-        rounds,
-        potential_trace: trace,
-        quality_hx,
-        quality_flat,
-        round_qualities_flat,
-        part_sizes,
-        normalizer,
-    }
+    Shuffler { node, rounds, potential_trace: trace, quality_hx, part_sizes, normalizer }
 }
 
 /// `R_M · R` with `R_M[i,i] = 1/2 + (1 − Σ_{k≠i} x_ik)/2`,
@@ -363,26 +325,19 @@ pub fn apply_fractional(r_mat: &[Vec<f64>], x: &[Vec<f64>]) -> Vec<Vec<f64>> {
     out
 }
 
-/// In-place sparse form of [`apply_fractional`] with incremental
-/// potential maintenance.
+/// In-place sparse form of [`apply_fractional`].
 ///
 /// `entries` is the round's fractional matching as unique
-/// `(a, b, x_ab)` triples with `a < b`; `potential` is `Π` of the
-/// incoming `r_mat`. Only rows of parts incident to an entry change
-/// (absent rows have `stay = 1`), so one update costs
+/// `(a, b, x_ab)` triples with `a < b`. Only rows of parts incident to
+/// an entry change (absent rows have `stay = 1`), so one update costs
 /// `O(|touched| · (t + |entries|))` instead of the dense `O(t³)`
-/// product, and the returned potential adjusts only the touched rows'
-/// norms. Under `debug_assertions` the result is checked cell-by-cell
-/// against the dense [`apply_fractional`] / [`potential_of`] path.
-pub fn apply_fractional_sparse(
-    r_mat: &mut [Vec<f64>],
-    entries: &[(usize, usize, f64)],
-    potential: f64,
-) -> f64 {
-    let t = r_mat.len();
-    let uniform = 1.0 / t as f64;
+/// product. Each row adds its terms in the dense product's order, so
+/// the result is the dense one bit for bit; under `debug_assertions`
+/// it is checked cell-by-cell against [`apply_fractional`].
+pub fn apply_fractional_sparse(r_mat: &mut [Vec<f64>], entries: &[(usize, usize, f64)]) {
     #[cfg(debug_assertions)]
     let dense_result = {
+        let t = r_mat.len();
         let mut x = vec![vec![0.0f64; t]; t];
         for &(a, b, v) in entries {
             x[a][b] = v;
@@ -390,15 +345,10 @@ pub fn apply_fractional_sparse(
         }
         apply_fractional(r_mat, &x)
     };
-    let row_norm = |row: &[f64]| row.iter().map(|&x| (x - uniform) * (x - uniform)).sum::<f64>();
     let mut rows: Vec<usize> = entries.iter().flat_map(|&(a, b, _)| [a, b]).collect();
     rows.sort_unstable();
     rows.dedup();
     let old: Vec<Vec<f64>> = rows.iter().map(|&i| r_mat[i].clone()).collect();
-    let mut pot = potential;
-    for o in &old {
-        pot -= row_norm(o);
-    }
     for (ri, &i) in rows.iter().enumerate() {
         let off_sum: f64 =
             entries.iter().filter(|&&(a, b, _)| a == i || b == i).map(|&(_, _, v)| v).sum();
@@ -420,22 +370,13 @@ pub fn apply_fractional_sparse(
                 *cell += 0.5 * v * oj[c];
             }
         }
-        pot += row_norm(new_row);
     }
     #[cfg(debug_assertions)]
-    {
-        for (sparse, dense) in r_mat.iter().zip(&dense_result) {
-            for (s, d) in sparse.iter().zip(dense) {
-                debug_assert!((s - d).abs() <= 1e-12, "sparse/dense walk cell mismatch: {s} {d}");
-            }
+    for (sparse, dense) in r_mat.iter().zip(&dense_result) {
+        for (s, d) in sparse.iter().zip(dense) {
+            debug_assert!((s - d).abs() <= 1e-12, "sparse/dense walk cell mismatch: {s} {d}");
         }
-        let dense_pot = potential_of(r_mat);
-        debug_assert!(
-            (pot - dense_pot).abs() <= 1e-9 * (1.0 + dense_pot),
-            "incremental potential drifted: {pot} vs {dense_pot}"
-        );
     }
-    pot
 }
 
 /// `Π = Σ_y ‖R[y] − 1/t‖²` (Definition 5.3).
@@ -502,7 +443,7 @@ mod tests {
         let sh = build_shuffler(&h, h.root(), &ShufflerParams::default(), &mut ledger);
         let nd = h.node(h.root());
         for round in &sh.rounds {
-            for (i, &(u, v)) in round.matching.iter().enumerate() {
+            for (i, &(u, v)) in round.embedding.virtual_edges().iter().enumerate() {
                 let pu = h.part_of(h.root(), u).expect("in some part");
                 let pv = h.part_of(h.root(), v).expect("in some part");
                 assert_ne!(pu, pv, "matching edge within a part");
@@ -551,7 +492,6 @@ mod tests {
                 cut_strategy: strategy,
                 paper_normalizer: paper_norm,
                 max_iterations: 400,
-                ..ShufflerParams::default()
             };
             let mut ledger = RoundLedger::new();
             let sh = build_shuffler(&h, h.root(), &params, &mut ledger);
@@ -601,10 +541,8 @@ mod tests {
             x[b][a] = v;
         }
         let dense = apply_fractional(&r, &x);
-        let pot0 = potential_of(&r);
-        let pot = apply_fractional_sparse(&mut r, &entries, pot0);
+        apply_fractional_sparse(&mut r, &entries);
         assert_eq!(r, dense);
-        assert!((pot - potential_of(&dense)).abs() < 1e-12);
         // Untouched rows stay exactly the identity.
         assert_eq!(r[1][1], 1.0);
         assert_eq!(r[4][4], 1.0);
@@ -625,7 +563,36 @@ mod tests {
         let mut ledger = RoundLedger::new();
         let sh = build_shuffler(&h, h.root(), &ShufflerParams::default(), &mut ledger);
         assert!(sh.quality_hx >= 2);
-        assert!(sh.quality_flat >= sh.quality_hx.min(4) / 2);
         assert!(!sh.is_empty());
+    }
+
+    #[test]
+    fn potential_trace_is_the_replayed_walks_potential() {
+        // Every internal node at n = 512 and 1024: replaying the
+        // recorded rounds from the identity reproduces each trace entry,
+        // the stopping one included, to 1e-12 relative.
+        for n in [512, 1024] {
+            let g = generators::random_regular(n, 4, 1).expect("generator");
+            let h = Hierarchy::build(&g, HierarchyParams::for_epsilon(0.4)).expect("hierarchy");
+            for nd in h.nodes().iter().filter(|nd| !nd.is_leaf()) {
+                let sh =
+                    build_shuffler(&h, nd.id, &ShufflerParams::default(), &mut RoundLedger::new());
+                let t = nd.part_count();
+                let mut r: Vec<Vec<f64>> =
+                    (0..t).map(|a| (0..t).map(|b| f64::from(u8::from(a == b))).collect()).collect();
+                assert_eq!(sh.potential_trace.len(), sh.len() + 1);
+                for (q, &kept) in sh.potential_trace.iter().enumerate() {
+                    if q > 0 {
+                        r = apply_fractional(&r, &sh.rounds[q - 1].fractional);
+                    }
+                    let replayed = potential_of(&r);
+                    assert!(
+                        (kept - replayed).abs() <= 1e-12 * replayed,
+                        "n = {n}, node {}: Π({q}) kept {kept:e}, replayed {replayed:e}",
+                        nd.id
+                    );
+                }
+            }
+        }
     }
 }

@@ -32,8 +32,7 @@ proptest! {
         let m = pack_matching(host, &sources, &sink_list, 1, EscalationConfig::default());
         // Paths valid, endpoints correct, sinks used at most once.
         let mut used_sinks = std::collections::HashSet::new();
-        for (i, &(s, t)) in m.pairs.iter().enumerate() {
-            let p = m.embedding.path(i);
+        for (s, t, p) in m.embedding.iter() {
             prop_assert_eq!(p.source(), s);
             prop_assert_eq!(p.target(), t);
             prop_assert!(p.is_valid_in(g));
@@ -42,7 +41,7 @@ proptest! {
             prop_assert!(used_sinks.insert(t), "sink reused");
         }
         // Matched + unmatched = sources.
-        prop_assert_eq!(m.pairs.len() + m.unmatched.len(), sources.len());
+        prop_assert_eq!(m.embedding.len() + m.unmatched.len(), sources.len());
         // On an expander with default escalation, saturation holds when
         // sinks outnumber sources.
         if sink_list.len() >= sources.len() {

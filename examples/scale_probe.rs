@@ -13,10 +13,11 @@
 //! together they are `Router::preprocess` — and one permutation query)
 //! plus the charged-round totals, so thread-count scaling and the
 //! ROADMAP's 10⁵-vertex goal can be checked from one command. After
-//! preprocessing it prints the process's resident set (`VmRSS`) and its
-//! peak (`VmHWM`) from `/proc/self/status`, or `n/a` where that file
-//! cannot be read; the router owns the hierarchy, so both describe the
-//! router.
+//! preprocessing it prints the shufflers' round counts `λ` (sum and
+//! maximum over internal nodes, and how many reached the iteration
+//! cap), then the process's resident set (`VmRSS`) and its peak
+//! (`VmHWM`) from `/proc/self/status`, or `n/a` where that file cannot
+//! be read; the router owns the hierarchy, so both describe the router.
 
 use expander_core::{QueryEngine, Router, RouterConfig, RoutingInstance};
 use expander_decomp::Hierarchy;
@@ -51,6 +52,21 @@ fn main() {
         t2.elapsed(),
         router.preprocessing_ledger().total(),
         t1.elapsed()
+    );
+    let cap = router.config().shuffler.iteration_cap(n) as usize;
+    let lambdas: Vec<usize> = router
+        .hierarchy()
+        .nodes()
+        .iter()
+        .filter(|nd| !nd.is_leaf())
+        .map(|nd| router.shuffler_rounds(nd.id))
+        .collect();
+    println!(
+        "shufflers: λ sum {} over {} internal nodes, max {}, {} at the {cap}-round cap",
+        lambdas.iter().sum::<usize>(),
+        lambdas.len(),
+        lambdas.iter().max().copied().unwrap_or(0),
+        lambdas.iter().filter(|&&l| l >= cap).count()
     );
     println!("memory after preprocess: VmRSS {}, VmHWM {}", status_kb("VmRSS"), status_kb("VmHWM"));
 

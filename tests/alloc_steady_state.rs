@@ -15,9 +15,7 @@
 //! runs beside the one measuring. Every test therefore holds
 //! [`SERIAL`] for its whole body.
 
-use congest_sim::RoundLedger;
 use expander_core::{QueryEngine, Router, RouterConfig, RoutingInstance};
-use expander_decomp::build_shuffler;
 use expander_graphs::generators;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -82,12 +80,9 @@ fn bytes_left_by<T>(f: impl FnOnce() -> T) -> (T, i64) {
     (out, LIVE_BYTES.load(Ordering::Relaxed) - before)
 }
 
-/// The shuffler round count `λ` of the router's root, rebuilt from its
-/// hierarchy: the router keeps the lowered rounds, not the shuffler.
+/// The shuffler round count `λ` of the router's root.
 fn root_rounds(router: &Router) -> u64 {
-    let h = router.hierarchy();
-    let sh = build_shuffler(h, h.root(), &router.config().shuffler, &mut RoundLedger::new());
-    sh.len() as u64
+    router.shuffler_rounds(router.hierarchy().root()) as u64
 }
 
 #[test]

@@ -4,6 +4,7 @@
 
 use congest_sim::{path_sched, programs, RoundLedger, Simulator};
 use expander_core::{Router, RouterConfig, RoutingInstance};
+use expander_decomp::shuffler::{apply_fractional, potential_of};
 use expander_decomp::{build_shuffler, Hierarchy, HierarchyParams, HostGraph, ShufflerParams};
 use expander_graphs::{generators, metrics, Path, PathSet, SplitGraph};
 
@@ -39,6 +40,43 @@ fn property_3_1_virtual_graphs_are_expanders_at_benchmark_shapes() {
             checked += 1;
         }
         assert!(checked > 0, "n = {n}: no node to check");
+    }
+}
+
+/// Lemma B.5's stop rule at both benchmark shapes (graph seed 1,
+/// ε = 0.4): every internal node's shuffler stops below its iteration
+/// cap, with `Π(λ)` re-summed from the walk its recorded rounds replay
+/// at most `1/(9n³)`.
+#[test]
+#[ignore = "release-only: the benchmark shapes, n = 8192 and 4096"]
+fn lemma_b5_shufflers_mix_below_their_cap_at_benchmark_shapes() {
+    for n in [8192, 4096] {
+        let g = generators::random_regular(n, 4, 1).unwrap();
+        let h = Hierarchy::build(&g, HierarchyParams::for_epsilon(0.4)).unwrap();
+        let params = ShufflerParams::default();
+        let cap = params.iteration_cap(n) as usize;
+        let nf = n as f64;
+        let target = 1.0 / (9.0 * nf * nf * nf);
+        let mut checked = 0;
+        for nd in h.nodes().iter().filter(|nd| !nd.is_leaf()) {
+            let sh = build_shuffler(&h, nd.id, &params, &mut RoundLedger::new());
+            assert!(sh.len() < cap, "n = {n}: node {} ran to its {cap}-round cap", nd.id);
+            let t = nd.part_count();
+            let mut r: Vec<Vec<f64>> =
+                (0..t).map(|a| (0..t).map(|b| f64::from(u8::from(a == b))).collect()).collect();
+            for round in &sh.rounds {
+                r = apply_fractional(&r, &round.fractional);
+            }
+            let resummed = potential_of(&r);
+            assert!(
+                resummed <= target,
+                "n = {n}: node {} stopped at λ = {} with Π = {resummed:e} > {target:e}",
+                nd.id,
+                sh.len()
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "n = {n}: no internal node");
     }
 }
 
