@@ -1,22 +1,21 @@
 //! Ablation studies for the substitutions `docs/ARCHITECTURE.md` lists:
-//! shuffler normalizer, cut-player strategy, packing escalation, and
-//! leaf size. Run via `cargo bench --bench ablations`
-//! (`-- --test` runs each ablation once at its smallest size).
+//! shuffler normalizer, packing escalation, and leaf size. Run via
+//! `cargo bench --bench ablations` (`-- --test` runs each ablation once
+//! at its smallest size).
 
 use congest_sim::RoundLedger;
 use expander_bench::{avg_query_rounds, section, sizes};
 use expander_core::{Router, RouterConfig};
 use expander_decomp::{
-    build_shuffler, CutStrategy, EscalationConfig, Hierarchy, HierarchyParams, ShufflerParams,
+    build_shuffler, EscalationConfig, Hierarchy, HierarchyParams, ShufflerParams,
 };
 use expander_graphs::generators;
 
 fn main() {
     println!("deterministic expander routing — ablation harness");
     a1_normalizer();
-    a2_cut_strategy();
-    a3_escalation();
-    a4_leaf_size();
+    a2_escalation();
+    a3_leaf_size();
     println!("\nall ablations completed");
 }
 
@@ -32,11 +31,7 @@ fn a1_normalizer() {
         let g = generators::random_regular(n, 4, 5).expect("generator");
         let h = Hierarchy::build(&g, HierarchyParams::for_epsilon(0.4)).expect("hierarchy");
         for paper in [false, true] {
-            let params = ShufflerParams {
-                paper_normalizer: paper,
-                max_iterations: 800,
-                ..ShufflerParams::default()
-            };
+            let params = ShufflerParams { paper_normalizer: paper, max_iterations: 800 };
             let mut ledger = RoundLedger::new();
             let sh = build_shuffler(&h, h.root(), &params, &mut ledger);
             println!(
@@ -51,33 +46,9 @@ fn a1_normalizer() {
     println!("expect: the literal constant needs several times more iterations.");
 }
 
-/// A2: cut-player strategy — alternate vs median-only vs RST-only.
-fn a2_cut_strategy() {
-    section("A2  cut player: alternate vs median-only vs RST-only");
-    println!("{:>6} {:>10} {:>8} {:>12}", "n", "strategy", "lambda", "final Π");
-    for &n in &sizes(&[256, 512]) {
-        let g = generators::random_regular(n, 4, 7).expect("generator");
-        let h = Hierarchy::build(&g, HierarchyParams::for_epsilon(0.4)).expect("hierarchy");
-        for (name, strategy) in [
-            ("alternate", CutStrategy::Alternate),
-            ("median", CutStrategy::MedianOnly),
-            ("rst", CutStrategy::RstOnly),
-        ] {
-            let params = ShufflerParams {
-                cut_strategy: strategy,
-                max_iterations: 800,
-                ..ShufflerParams::default()
-            };
-            let mut ledger = RoundLedger::new();
-            let sh = build_shuffler(&h, h.root(), &params, &mut ledger);
-            println!("{n:>6} {name:>10} {:>8} {:>12.2e}", sh.len(), sh.final_potential());
-        }
-    }
-}
-
-/// A3: packing escalation budget — generous vs tight caps.
-fn a3_escalation() {
-    section("A3  matching-player escalation: generous vs tight caps");
+/// A2: packing escalation budget — generous vs tight caps.
+fn a2_escalation() {
+    section("A2  matching-player escalation: generous vs tight caps");
     println!(
         "{:>6} {:>10} {:>8} {:>8} {:>10} {:>12}",
         "n", "caps", "built", "rho", "maxQ", "query"
@@ -112,10 +83,10 @@ fn a3_escalation() {
     println!("expect: tighter caps either degrade quality/coverage or reject cleanly.");
 }
 
-/// A4: leaf size — bigger leaves shift work from the recursion into
+/// A3: leaf size — bigger leaves shift work from the recursion into
 /// the leaf networks.
-fn a4_leaf_size() {
-    section("A4  leaf size: recursion depth vs leaf network cost");
+fn a3_leaf_size() {
+    section("A3  leaf size: recursion depth vs leaf network cost");
     println!(
         "{:>6} {:>8} {:>8} {:>10} {:>14} {:>12}",
         "n", "leaf", "depth", "nodes", "preprocess", "query"

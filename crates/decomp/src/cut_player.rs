@@ -1,114 +1,37 @@
-//! The cut player: deterministic-seeded projections, the RST/Lemma B.4
-//! separation, and the replayed-walk probe machinery.
+//! The cut player: deterministic-seeded projections, the median
+//! bisection, and the replayed-walk probe machinery.
 //!
 //! The paper's cut player (Lemma B.2) brute-forces subset pairs after
-//! learning the cluster graph; we substitute the constructive
-//! separation of [RST14, Lemma 3.3] applied to a seeded projection
-//! `μ = R_{i-1}·r` (substitution 2 in `docs/ARCHITECTURE.md`). The
-//! separation's four properties are *checked* at runtime and the
-//! potential decay of Lemma B.5 is asserted numerically wherever the
-//! exact walk matrix is maintained.
+//! learning the cluster graph; we substitute the median bisection of a
+//! seeded projection `μ = R_{i-1}·r` (substitution 2 in
+//! `docs/ARCHITECTURE.md`), the cut rule of both cut-matching games:
+//! the hierarchy's per-part games and the shufflers'. Lemma B.5's
+//! potential decay is not inferred from the cut's properties: the
+//! shuffler re-sums `Π` over its exact walk matrix after every round and
+//! stops on it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A Lemma B.4 separation: disjoint index sets `al`, `ar` and a value
-/// `gamma` with
-///
-/// 1. `μ` on one of them lies entirely on one side of `gamma`;
-/// 2. every `v ∈ al` has `|μ(v) − γ| ≥ |μ(v) − μ̄|/3`;
-/// 3. `|al| ≤ m/8` and `|ar| ≥ m/2`;
-/// 4. `Σ_{al} (μ−μ̄)² ≥ (1/80)·Σ (μ−μ̄)²`.
+/// A balanced cut of a projection: the `⌊m/2⌋` indices with the
+/// smallest values and the rest.
 #[derive(Debug, Clone)]
 pub struct Separation {
-    /// The small, far-from-mean side (the cut-player's `S`).
+    /// The low half (the cut player's `S`, the matching sources).
     pub al: Vec<usize>,
-    /// The large side (the matching targets `S'`).
+    /// The high half (the matching targets `S'`).
     pub ar: Vec<usize>,
-    /// The separating value.
-    pub gamma: f64,
 }
 
-/// Computes an RST separation of `mu`, trying both orientations.
-/// Returns `None` when the deviations are too degenerate (callers fall
-/// back to [`median_split`]).
-pub fn rst_separation(mu: &[f64]) -> Option<Separation> {
-    let m = mu.len();
-    if m < 4 {
-        return None;
-    }
-    let mean = mu.iter().sum::<f64>() / m as f64;
-    let total_mass: f64 = mu.iter().map(|&x| (x - mean) * (x - mean)).sum();
-    if total_mass <= 1e-300 {
-        return None;
-    }
-    for orientation in [1.0f64, -1.0] {
-        if let Some(sep) = try_orientation(mu, mean, total_mass, orientation) {
-            return Some(sep);
-        }
-    }
-    None
-}
-
-fn try_orientation(mu: &[f64], mean: f64, total_mass: f64, orientation: f64) -> Option<Separation> {
-    let m = mu.len();
-    let dev: Vec<f64> = mu.iter().map(|&x| orientation * (x - mean)).collect();
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&a, &b| dev[a].partial_cmp(&dev[b]).expect("finite"));
-    // `ar` = the half with the smallest oriented deviation.
-    let ar_len = m.div_ceil(2);
-    let ar: Vec<usize> = order[..ar_len].to_vec();
-    let boundary = dev[order[ar_len - 1]]; // max oriented deviation on ar
-
-    // `al` = a prefix of the far tail satisfying the separation
-    // d_min(al) >= max(3/2 * boundary, 0) and carrying >= 1/80 mass.
-    let al_max = (m / 8).max(1);
-    let mut al: Vec<usize> = Vec::new();
-    let mut mass = 0.0;
-    let mut best: Option<Separation> = None;
-    for &v in order.iter().rev() {
-        if al.len() >= al_max {
-            break;
-        }
-        let d = dev[v];
-        if d <= 0.0 || d < 1.5 * boundary.max(0.0) || d <= boundary {
-            break; // further entries only get smaller
-        }
-        al.push(v);
-        mass += d * d;
-        if mass >= total_mass / 80.0 {
-            let d_min = dev[*al.last().expect("non-empty")];
-            let gamma_dev = (2.0 / 3.0) * d_min;
-            if gamma_dev >= boundary {
-                // Keep growing: a larger far side means a larger
-                // matching, hence faster mixing; remember the largest
-                // prefix satisfying all four properties.
-                best = Some(Separation {
-                    al: al.clone(),
-                    ar: ar.clone(),
-                    gamma: mean + orientation * gamma_dev,
-                });
-            }
-        }
-    }
-    best
-}
-
-/// Fallback cut: the `⌊m/2⌋` indices with the smallest `mu` versus the
-/// rest (the classic KRV bisection).
+/// The median bisection: the `⌊m/2⌋` indices with the smallest `mu`
+/// versus the rest (the classic KRV bisection).
 pub fn median_split(mu: &[f64]) -> Separation {
-    let m = mu.len();
-    let mut order: Vec<usize> = (0..m).collect();
+    let mut order: Vec<usize> = (0..mu.len()).collect();
     // `mu` is a deterministic projection of unit-normalized vectors:
     // every entry is a finite dot product, so NaN cannot reach here.
     order.sort_by(|&a, &b| mu[a].partial_cmp(&mu[b]).expect("finite"));
-    let half = m / 2;
-    let gamma = if m > 1 {
-        (mu[order[half.saturating_sub(1)]] + mu[order[half.min(m - 1)]]) / 2.0
-    } else {
-        0.0
-    };
-    Separation { al: order[..half].to_vec(), ar: order[half..].to_vec(), gamma }
+    let ar = order.split_off(mu.len() / 2);
+    Separation { al: order, ar }
 }
 
 /// A seeded unit vector orthogonal to the all-ones vector.
@@ -153,86 +76,6 @@ pub fn deviation_mass(values: &[f64], active: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn check_properties(mu: &[f64], sep: &Separation) {
-        let m = mu.len();
-        let mean = mu.iter().sum::<f64>() / m as f64;
-        let total: f64 = mu.iter().map(|&x| (x - mean) * (x - mean)).sum();
-        // Disjoint.
-        for a in &sep.al {
-            assert!(!sep.ar.contains(a), "al/ar overlap");
-        }
-        // (3) sizes.
-        assert!(sep.al.len() <= m / 8 + 1, "al too big: {}", sep.al.len());
-        assert!(sep.ar.len() >= m / 2, "ar too small: {}", sep.ar.len());
-        // (1) separation by gamma: al on one side, ar on the other.
-        let al_side = mu[sep.al[0]] >= sep.gamma;
-        for &v in &sep.al {
-            assert_eq!(mu[v] >= sep.gamma, al_side, "al not separated");
-        }
-        for &v in &sep.ar {
-            assert!(
-                (mu[v] >= sep.gamma) != al_side || (mu[v] - sep.gamma).abs() < 1e-12,
-                "ar not separated"
-            );
-        }
-        // (2) the 1/3-distance property on al.
-        for &v in &sep.al {
-            assert!(
-                (mu[v] - sep.gamma).abs() >= (mu[v] - mean).abs() / 3.0 - 1e-9,
-                "1/3 property violated at {v}"
-            );
-        }
-        // (4) mass.
-        let al_mass: f64 = sep.al.iter().map(|&v| (mu[v] - mean) * (mu[v] - mean)).sum();
-        assert!(al_mass >= total / 80.0 - 1e-12, "al mass {al_mass} < total/80 {}", total / 80.0);
-    }
-
-    #[test]
-    fn separation_on_bimodal_input() {
-        // Two well-separated clusters.
-        let mut mu = vec![0.0f64; 32];
-        for v in mu.iter_mut().take(4) {
-            *v = 10.0;
-        }
-        let sep = rst_separation(&mu).expect("clear separation exists");
-        check_properties(&mu, &sep);
-        let mut al = sep.al.clone();
-        al.sort_unstable();
-        assert!(!al.is_empty() && al.iter().all(|&v| v < 4), "al = {al:?}");
-    }
-
-    #[test]
-    fn separation_on_smooth_gradient() {
-        let mu: Vec<f64> = (0..64).map(|i| i as f64).collect();
-        if let Some(sep) = rst_separation(&mu) {
-            check_properties(&mu, &sep);
-        } else {
-            // Fallback must still produce a balanced cut.
-            let sep = median_split(&mu);
-            assert_eq!(sep.al.len(), 32);
-        }
-    }
-
-    #[test]
-    fn separation_on_random_inputs() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut found = 0;
-        for _ in 0..50 {
-            let mu: Vec<f64> = (0..40).map(|_| rng.gen::<f64>()).collect();
-            if let Some(sep) = rst_separation(&mu) {
-                check_properties(&mu, &sep);
-                found += 1;
-            }
-        }
-        assert!(found >= 25, "separation found only {found}/50 times");
-    }
-
-    #[test]
-    fn degenerate_input_returns_none() {
-        assert!(rst_separation(&[1.0; 16]).is_none());
-        assert!(rst_separation(&[1.0, 2.0]).is_none());
-    }
 
     #[test]
     fn median_split_is_balanced() {

@@ -45,4 +45,4 @@ pub use hierarchy::{
 };
 pub use host::HostGraph;
 pub use packing::{pack_matching, EscalationConfig, MatchingPacking, Packer};
-pub use shuffler::{build_shuffler, CutStrategy, Shuffler, ShufflerParams, ShufflerRound};
+pub use shuffler::{build_shuffler, Shuffler, ShufflerParams, ShufflerRound};

@@ -7,6 +7,8 @@
 //! matchings* on `Y` (Definition 5.1) induce a lazy random walk that
 //! mixes: the potential `Π(i) = Σ_y ‖R_i[y] − 1/|Y|‖²` (Definition 5.3)
 //! is driven below `1/(9n³)` in `λ = O(log n)` iterations (Lemma B.5).
+//! The cut player bisects a seeded projection of the walk at its
+//! median every iteration (substitution 2 in `docs/ARCHITECTURE.md`).
 //! The exact `t × t` walk matrix is maintained throughout and `Π` is
 //! summed from it after every round, so the decay is *verified*, not
 //! assumed, and the game stops on the walk's own potential.
@@ -16,7 +18,7 @@
 //! router flattens the rounds once, lowers them to base-graph edge-id
 //! arenas, and reads every base-graph quality off those arenas.
 
-use crate::cut_player::{median_split, probe_vector, rst_separation};
+use crate::cut_player::{median_split, probe_vector};
 use crate::hierarchy::{Hierarchy, NodeId};
 use crate::host::HostGraph;
 use crate::packing::{pack_matching_with, EscalationConfig, Packer};
@@ -26,19 +28,6 @@ use expander_graphs::Embedding;
 /// Seed of the cut player's derandomized projections.
 const SEED: u64 = 0x5EEDED;
 
-/// Cut-player strategy, exposed for the ablation experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CutStrategy {
-    /// Alternate balanced KRV bisections with RST separations — the
-    /// default (fast bulk mixing + straggler targeting).
-    #[default]
-    Alternate,
-    /// Balanced bisections only.
-    MedianOnly,
-    /// RST separations only (median fallback when degenerate).
-    RstOnly,
-}
-
 /// Tuning knobs for [`build_shuffler`]. The game always plays to the
 /// paper's target `Π ≤ 1/(9n³)` with the default packing caps.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -46,8 +35,6 @@ pub struct ShufflerParams {
     /// Hard cap on iterations; 0 resolves against `n` at build time
     /// (see [`ShufflerParams::iteration_cap`]).
     pub max_iterations: u32,
-    /// Cut-player strategy (ablation knob).
-    pub cut_strategy: CutStrategy,
     /// Use the paper's literal normalizer `n' = 6|X|/k` instead of the
     /// tight `max_i |X*_i|` (ablation knob; see substitution 6 in
     /// `docs/ARCHITECTURE.md` — the literal constant mixes ~6× slower).
@@ -84,8 +71,6 @@ pub struct ShufflerRound {
 /// A shuffler for one internal hierarchy node (Definition 5.4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Shuffler {
-    /// The node this shuffler mixes.
-    pub node: NodeId,
     /// The matching sequence.
     pub rounds: Vec<ShufflerRound>,
     /// `Π(0), Π(1), …` — the potential of the exact walk matrix after
@@ -95,10 +80,6 @@ pub struct Shuffler {
     /// (Definition 5.4's `Q(M_X)`). At the root `H_X = G`, so it is the
     /// union's quality in the base graph too.
     pub quality_hx: usize,
-    /// `|X*_i|` for each part.
-    pub part_sizes: Vec<usize>,
-    /// The normalizer `n'` of Definition 5.1.
-    pub normalizer: f64,
 }
 
 impl Shuffler {
@@ -177,24 +158,11 @@ pub fn build_shuffler(
         if potential <= target {
             break;
         }
-        // Cut player on Y: project the walk matrix on a seeded probe.
-        // Even iterations take the balanced KRV bisection (large
-        // matchings, fast bulk mixing); odd iterations take the RST
-        // separation (targets the far-from-uniform stragglers that
-        // drive the Lemma B.5 potential argument).
+        // Cut player on Y: bisect the walk matrix's projection on a
+        // seeded probe at its median.
         let r_probe = probe_vector(t, SEED.wrapping_add(iter as u64 * 0x9E37_79B9));
         let mu: Vec<f64> = (0..t).map(|a| (0..t).map(|b| r_mat[a][b] * r_probe[b]).sum()).collect();
-        let sep = match params.cut_strategy {
-            CutStrategy::Alternate => {
-                if iter % 2 == 1 {
-                    rst_separation(&mu).unwrap_or_else(|| median_split(&mu))
-                } else {
-                    median_split(&mu)
-                }
-            }
-            CutStrategy::MedianOnly => median_split(&mu),
-            CutStrategy::RstOnly => rst_separation(&mu).unwrap_or_else(|| median_split(&mu)),
-        };
+        let sep = median_split(&mu);
         let (mut s, s_prime) = (sep.al, sep.ar);
         // Property B.1(1): |S_X| < |S'_X| — shrink S if needed.
         let size_of = |set: &[usize]| set.iter().map(|&i| part_sizes[i]).sum::<usize>();
@@ -301,7 +269,7 @@ pub fn build_shuffler(
     let union_congestion = union_load.into_iter().max().unwrap_or(0) as usize;
     let quality_hx = (union_congestion + union_dilation).max(2);
 
-    Shuffler { node, rounds, potential_trace: trace, quality_hx, part_sizes, normalizer }
+    Shuffler { rounds, potential_trace: trace, quality_hx }
 }
 
 /// `R_M · R` with `R_M[i,i] = 1/2 + (1 − Σ_{k≠i} x_ik)/2`,
@@ -404,7 +372,7 @@ mod tests {
         let mut ledger = RoundLedger::new();
         let sh = build_shuffler(&h, h.root(), &ShufflerParams::default(), &mut ledger);
         // Rebuild R from the recorded fractional matchings.
-        let t = sh.part_sizes.len();
+        let t = h.node(h.root()).part_count();
         let mut r: Vec<Vec<f64>> =
             (0..t).map(|a| (0..t).map(|b| f64::from(u8::from(a == b))).collect()).collect();
         for round in &sh.rounds {
@@ -465,7 +433,7 @@ mod tests {
         let h = hierarchy(256, 4);
         let mut ledger = RoundLedger::new();
         let sh = build_shuffler(&h, h.root(), &ShufflerParams::default(), &mut ledger);
-        let t = sh.part_sizes.len();
+        let t = h.node(h.root()).part_count();
         let mut r: Vec<Vec<f64>> =
             (0..t).map(|a| (0..t).map(|b| f64::from(u8::from(a == b))).collect()).collect();
         for round in &sh.rounds {
@@ -480,24 +448,21 @@ mod tests {
     }
 
     #[test]
-    fn ablation_knobs_change_behavior_not_correctness() {
+    fn paper_normalizer_changes_behavior_not_correctness() {
         let h = hierarchy(256, 7);
-        for (strategy, paper_norm) in [
-            (CutStrategy::Alternate, false),
-            (CutStrategy::MedianOnly, false),
-            (CutStrategy::RstOnly, false),
-            (CutStrategy::Alternate, true),
-        ] {
-            let params = ShufflerParams {
-                cut_strategy: strategy,
-                paper_normalizer: paper_norm,
-                max_iterations: 400,
-            };
-            let mut ledger = RoundLedger::new();
-            let sh = build_shuffler(&h, h.root(), &params, &mut ledger);
-            // Correctness invariants hold under every configuration.
+        let mut l1 = RoundLedger::new();
+        let tight = build_shuffler(&h, h.root(), &ShufflerParams::default(), &mut l1);
+        let mut l2 = RoundLedger::new();
+        let paper = build_shuffler(
+            &h,
+            h.root(),
+            &ShufflerParams { paper_normalizer: true, max_iterations: 600 },
+            &mut l2,
+        );
+        // Correctness invariants hold under both normalizers.
+        for sh in [&tight, &paper] {
             for w in sh.potential_trace.windows(2) {
-                assert!(w[1] <= w[0] + 1e-9, "{strategy:?}: potential increased");
+                assert!(w[1] <= w[0] + 1e-9, "potential increased");
             }
             for round in &sh.rounds {
                 for row in &round.fractional {
@@ -507,19 +472,6 @@ mod tests {
         }
         // The paper normalizer mixes strictly slower (more iterations
         // for the same target).
-        let mut l1 = RoundLedger::new();
-        let tight = build_shuffler(&h, h.root(), &ShufflerParams::default(), &mut l1);
-        let mut l2 = RoundLedger::new();
-        let paper = build_shuffler(
-            &h,
-            h.root(),
-            &ShufflerParams {
-                paper_normalizer: true,
-                max_iterations: 600,
-                ..ShufflerParams::default()
-            },
-            &mut l2,
-        );
         assert!(
             paper.len() > tight.len(),
             "paper normalizer {} vs tight {}",

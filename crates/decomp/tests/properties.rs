@@ -1,8 +1,8 @@
 //! Property-based tests for the decomposition substrate: path packing,
-//! the RST separation, fractional-matching algebra, and the expander
-//! decomposition's partition invariants.
+//! the cut player's median bisection, fractional-matching algebra, and
+//! the expander decomposition's partition invariants.
 
-use expander_decomp::cut_player::{median_split, probe_vector, replay_walk, rst_separation};
+use expander_decomp::cut_player::{median_split, probe_vector, replay_walk};
 use expander_decomp::shuffler::{apply_fractional, potential_of};
 use expander_decomp::{expander_decomposition, pack_matching, EscalationConfig, HostGraph};
 use expander_graphs::generators;
@@ -50,25 +50,6 @@ proptest! {
     }
 
     #[test]
-    fn rst_separation_properties_hold(mu in proptest::collection::vec(-100.0f64..100.0, 8..64)) {
-        if let Some(sep) = rst_separation(&mu) {
-            let m = mu.len();
-            let mean = mu.iter().sum::<f64>() / m as f64;
-            let total: f64 = mu.iter().map(|&x| (x - mean) * (x - mean)).sum();
-            prop_assert!(sep.al.len() <= m / 8 + 1);
-            prop_assert!(sep.ar.len() >= m / 2);
-            for a in &sep.al {
-                prop_assert!(!sep.ar.contains(a));
-                prop_assert!(
-                    (mu[*a] - sep.gamma).abs() >= (mu[*a] - mean).abs() / 3.0 - 1e-9
-                );
-            }
-            let mass: f64 = sep.al.iter().map(|&v| (mu[v] - mean) * (mu[v] - mean)).sum();
-            prop_assert!(mass >= total / 80.0 - 1e-9);
-        }
-    }
-
-    #[test]
     fn median_split_partitions(mu in proptest::collection::vec(-10.0f64..10.0, 2..40)) {
         let sep = median_split(&mu);
         prop_assert_eq!(sep.al.len() + sep.ar.len(), mu.len());
@@ -76,6 +57,12 @@ proptest! {
         all.sort_unstable();
         all.dedup();
         prop_assert_eq!(all.len(), mu.len());
+        // Both cut-matching games rely on a balanced cut by value: the
+        // low half holds ⌊m/2⌋ indices, none above any high-half value.
+        prop_assert_eq!(sep.al.len(), mu.len() / 2);
+        let al_max = sep.al.iter().map(|&i| mu[i]).fold(f64::NEG_INFINITY, f64::max);
+        let ar_min = sep.ar.iter().map(|&i| mu[i]).fold(f64::INFINITY, f64::min);
+        prop_assert!(al_max <= ar_min, "al max {al_max} > ar min {ar_min}");
     }
 
     #[test]

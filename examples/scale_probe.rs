@@ -18,6 +18,8 @@
 //! cap), then the process's resident set (`VmRSS`) and its peak
 //! (`VmHWM`) from `/proc/self/status`, or `n/a` where that file cannot
 //! be read; the router owns the hierarchy, so both describe the router.
+//! A shuffler at its cap stopped without Lemma B.5's potential target,
+//! so the probe then fails (exits non-zero) after its report.
 
 use expander_core::{QueryEngine, Router, RouterConfig, RoutingInstance};
 use expander_decomp::Hierarchy;
@@ -61,12 +63,12 @@ fn main() {
         .filter(|nd| !nd.is_leaf())
         .map(|nd| router.shuffler_rounds(nd.id))
         .collect();
+    let capped = lambdas.iter().filter(|&&l| l >= cap).count();
     println!(
-        "shufflers: λ sum {} over {} internal nodes, max {}, {} at the {cap}-round cap",
+        "shufflers: λ sum {} over {} internal nodes, max {}, {capped} at the {cap}-round cap",
         lambdas.iter().sum::<usize>(),
         lambdas.len(),
         lambdas.iter().max().copied().unwrap_or(0),
-        lambdas.iter().filter(|&&l| l >= cap).count()
     );
     println!("memory after preprocess: VmRSS {}, VmHWM {}", status_kb("VmRSS"), status_kb("VmHWM"));
 
@@ -95,6 +97,7 @@ fn main() {
         b as f64 / dt.as_secs_f64(),
         stats.total_rounds,
     );
+    assert_eq!(capped, 0, "{capped} shufflers ran to the {cap}-round cap");
 }
 
 /// The `field` line of `/proc/self/status` (e.g. `"123456 kB"`), or

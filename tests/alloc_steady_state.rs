@@ -146,7 +146,7 @@ fn fused_rounds_allocate_nothing_in_steady_state() {
     // `rounds × jobs` and trips the assert.
     let (second, warm) = allocations_during(|| engine.route_batch(&insts).expect("valid"));
     assert!(second.0.iter().all(|o| o.fully_delivered()));
-    let budget = 24 * b as u64;
+    let budget = 20 * b as u64;
     assert!(budget < rounds * b as u64, "budget must sit below one alloc per round-step");
     eprintln!("warm batch: {warm} allocations (budget {budget}, rounds = {rounds})");
     assert!(

@@ -1,4 +1,6 @@
 //! Smoke test: every `examples/` binary builds and runs to completion.
+//! `scale_probe` fails when a shuffler runs to its iteration cap, so
+//! its run here also checks Lemma B.5's stop rule at n = 2048.
 //!
 //! Exercises the exact artifacts `cargo run --example <name>` would use,
 //! in release mode (the examples preprocess four-digit-vertex expanders,

@@ -214,10 +214,10 @@ fn depth_one_router_matches_its_digests() {
         0.4,
         [
             0xb2dc_0357_6c06_dd16,
-            0x5135_61dd_f086_d9bc,
+            0x394e_41ec_7982_be7e,
             0x944e_9539_eb2f_5c23,
-            0xbf83_043a_0fb4_82ad,
-            0xc7ab_a764_af68_f286,
+            0xebf7_4922_fd0c_9063,
+            0xa6ec_f529_4f61_1804,
             0x1670_a28b_a73d_28ed,
         ],
     );
@@ -231,10 +231,10 @@ fn deep_batch_router_matches_its_digests() {
         0.4,
         [
             0x10e0_b0f2_170d_32a2,
-            0xfd76_76e4_21a1_3ef6,
+            0xf511_1c63_7973_0379,
             0x1287_b19f_79f9_0144,
-            0x77b0_0eab_38c4_af30,
-            0x9e07_b163_021b_a685,
+            0x62c8_59fc_ade7_5fc0,
+            0x41c3_be4f_1e7b_9c5a,
             0xd5d5_eb64_3b29_2bb1,
         ],
     );
@@ -248,10 +248,10 @@ fn shallow_stream_router_matches_its_digests() {
         0.4,
         [
             0xc0dc_09e5_01da_acb8,
-            0xe191_0385_c958_e736,
+            0xa46e_a30e_2df2_3eae,
             0xb1d5_39a6_677e_32eb,
-            0x64b9_22a6_e59b_5162,
-            0x6fad_db4e_609b_3533,
+            0xd760_04d9_f9a9_1564,
+            0xe011_a8bd_04d1_bcfe,
             0xc19c_7dbd_790b_7f01,
         ],
     );

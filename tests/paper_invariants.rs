@@ -44,14 +44,15 @@ fn property_3_1_virtual_graphs_are_expanders_at_benchmark_shapes() {
 }
 
 /// Lemma B.5's stop rule at both benchmark shapes (graph seed 1,
-/// ε = 0.4): every internal node's shuffler stops below its iteration
-/// cap, with `Π(λ)` re-summed from the walk its recorded rounds replay
-/// at most `1/(9n³)`.
+/// ε = 0.4) and at `scale_probe`'s n = 16384 (graph seed 42), a
+/// depth-2 shape twice the larger benchmark's: every internal node's
+/// shuffler stops below its iteration cap, with `Π(λ)` re-summed from
+/// the walk its recorded rounds replay at most `1/(9n³)`.
 #[test]
-#[ignore = "release-only: the benchmark shapes, n = 8192 and 4096"]
+#[ignore = "release-only: the benchmark shapes, n = 8192 and 4096, and n = 16384"]
 fn lemma_b5_shufflers_mix_below_their_cap_at_benchmark_shapes() {
-    for n in [8192, 4096] {
-        let g = generators::random_regular(n, 4, 1).unwrap();
+    for (n, graph_seed) in [(8192, 1), (4096, 1), (16384, 42)] {
+        let g = generators::random_regular(n, 4, graph_seed).unwrap();
         let h = Hierarchy::build(&g, HierarchyParams::for_epsilon(0.4)).unwrap();
         let params = ShufflerParams::default();
         let cap = params.iteration_cap(n) as usize;
