@@ -18,9 +18,10 @@
 //!
 //! The [`parallel`] module carries the deterministic task runner the
 //! staged preprocessing pipeline uses: independent build tasks execute
-//! on a bounded worker pool ([`ThreadBudget`]), results and private
-//! ledgers merge in canonical task order, and thread count never
-//! changes a single output byte.
+//! on a bounded worker pool ([`ThreadBudget`]), a cut-matching game's
+//! iterations run as a pipeline whose cells wait for the cells they
+//! read, results and private ledgers merge in canonical order, and
+//! thread count never changes a single output byte.
 //!
 //! # Example
 //!

@@ -1,14 +1,22 @@
-//! Deterministic parallel execution of independent build tasks.
+//! Deterministic parallel execution of build tasks.
 //!
 //! The preprocessing pipeline (hierarchy construction, shuffler
 //! builds, embedding flattening) decomposes into *independent* tasks:
-//! per-part probes inside a cut-matching iteration, sibling subtrees of
-//! the recursion, per-node shufflers. Each task is a pure function of
-//! its inputs, so executing tasks on worker threads and collecting the
-//! results *in canonical task order* yields byte-identical output
-//! regardless of thread count. Round charges follow the same
-//! discipline: each task charges a private [`RoundLedger`], and the
-//! caller merges them in task order ([`RoundLedger::merge`]).
+//! sibling subtrees of the recursion, per-node shufflers. Each task is
+//! a pure function of its inputs, so executing tasks on worker threads
+//! and collecting the results *in canonical task order* yields
+//! byte-identical output regardless of thread count. Round charges
+//! follow the same discipline: each task charges a private
+//! [`RoundLedger`], and the caller merges them in task order
+//! ([`RoundLedger::merge`]).
+//!
+//! A cut-matching game's iterations are not independent: a cell
+//! (iteration, part) reads the state earlier cells left.
+//! [`run_pipeline`] runs the iterations as the rows of a pipeline, each
+//! row on one worker, and yields a cell only once the cells it reads
+//! have finished, so every cell sees what a plain sequential loop would
+//! show it and the pipeline is exact too. Each row charges a private
+//! ledger, merged in row order.
 //!
 //! Thread-count resolution is centralized in [`build_threads`]: an
 //! explicit knob wins, then the `EXPANDER_BUILD_THREADS` environment
@@ -24,8 +32,10 @@
 //! [`RoundLedger`]: crate::RoundLedger
 //! [`RoundLedger::merge`]: crate::RoundLedger::merge
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Resolves the build thread count: `explicit` (clamped to ≥ 1) if
 /// given, else the `EXPANDER_BUILD_THREADS` environment variable
@@ -76,6 +86,20 @@ impl ThreadBudget {
     }
 }
 
+/// Claimed helper permits, returned to their budget on drop — also when
+/// a task panics and unwinds past the stage, so a caught panic cannot
+/// shrink the budget for good.
+struct Claimed<'b> {
+    budget: &'b ThreadBudget,
+    n: usize,
+}
+
+impl Drop for Claimed<'_> {
+    fn drop(&mut self) {
+        self.budget.release(self.n);
+    }
+}
+
 /// Runs `f(0), f(1), …, f(n_tasks - 1)` and returns the results in
 /// task order.
 ///
@@ -100,17 +124,6 @@ where
     let helpers = budget.claim(n_tasks - 1);
     if helpers == 0 {
         return (0..n_tasks).map(f).collect();
-    }
-    // Return the permits even when a task panics and unwinds past the
-    // scope, so a caught panic cannot shrink the budget for good.
-    struct Claimed<'b> {
-        budget: &'b ThreadBudget,
-        n: usize,
-    }
-    impl Drop for Claimed<'_> {
-        fn drop(&mut self) {
-            self.budget.release(self.n);
-        }
     }
     let _claimed = Claimed { budget, n: helpers };
     let next = AtomicUsize::new(0);
@@ -162,6 +175,180 @@ where
         let item = slots[i].lock().expect("unpoisoned").take().expect("each item taken once");
         f(i, item)
     })
+}
+
+/// Runs a `rows × cols` grid of cells as a pipeline and returns each
+/// row's result in row order.
+///
+/// `f(r, cells)` plays row `r`, cell by cell: iterating `cells` yields
+/// the columns `0..cols` in order, and yields column `c` of row `r > 0`
+/// only once row `r - 1` has finished column `min(c + 1, cols - 1)`. A
+/// cell finishes when its row asks for the next one, or returns. This
+/// is the dependency of a game whose row `r` plays, at column `c`, the
+/// state that row `r - 1` left at column `c + 1`, and whose last cells
+/// need the whole row before them.
+///
+/// Rows are dealt round-robin to the calling thread and to the helpers
+/// `budget` grants (at most `rows - 1`), and each worker plays its rows
+/// in order, so at most that many rows are in flight at once. With no
+/// helper granted the rows run in order on the caller, which never
+/// waits. A cell may therefore read and write whatever the cells it
+/// waits for left behind, and the result is the sequential one.
+///
+/// # Panics
+///
+/// Propagates a panic from any row. The other workers unwind at their
+/// next wait instead of waiting for a row that will not finish, and the
+/// claimed permits return to `budget`.
+pub fn run_pipeline<T, F>(budget: &ThreadBudget, rows: usize, cols: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &mut RowCells<'_>) -> T + Sync,
+{
+    let helpers = if rows <= 1 { 0 } else { budget.claim(rows - 1) };
+    if helpers == 0 {
+        return (0..rows)
+            .map(|r| f(r, &mut RowCells { row: r, cols, next: 0, board: None }))
+            .collect();
+    }
+    let _claimed = Claimed { budget, n: helpers };
+    let workers = helpers + 1;
+    let board = Board {
+        progress: Mutex::new(Progress { done: vec![0; rows], aborted: false }),
+        changed: Condvar::new(),
+    };
+    let work = |w: usize| {
+        let played = panic::catch_unwind(AssertUnwindSafe(|| {
+            (w..rows)
+                .step_by(workers)
+                .map(|r| {
+                    let out = f(r, &mut RowCells { row: r, cols, next: 0, board: Some(&board) });
+                    board.finish(r, cols);
+                    (r, out)
+                })
+                .collect::<Vec<_>>()
+        }));
+        if played.is_err() {
+            board.abort();
+        }
+        played
+    };
+    let played: Vec<std::thread::Result<Vec<(usize, T)>>> = std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+        let mut all = vec![work(0)];
+        for h in handles {
+            all.push(h.join().expect("a pipeline worker catches its own panic"));
+        }
+        all
+    });
+    let mut slots: Vec<Option<T>> = (0..rows).map(|_| None).collect();
+    let mut panics: Vec<Box<dyn Any + Send>> = Vec::new();
+    for worker in played {
+        match worker {
+            Ok(got) => {
+                for (r, out) in got {
+                    slots[r] = Some(out);
+                }
+            }
+            Err(payload) => panics.push(payload),
+        }
+    }
+    // Workers that unwound only because another one panicked carry
+    // `Aborted`; the other payload is the panic to propagate.
+    if let Some(payload) = panics.into_iter().find(|p| !p.is::<Aborted>()) {
+        panic::resume_unwind(payload);
+    }
+    slots.into_iter().map(|s| s.expect("every row played")).collect()
+}
+
+/// The cells of one row of [`run_pipeline`], as an iterator over their
+/// columns that waits for each cell's dependencies before yielding it.
+#[derive(Debug)]
+pub struct RowCells<'a> {
+    row: usize,
+    cols: usize,
+    /// The next column to yield; the columns before it have finished
+    /// once it is asked for.
+    next: usize,
+    /// The workers' shared progress; `None` when the rows run in order
+    /// on one thread, where every dependency finished before its row
+    /// started.
+    board: Option<&'a Board>,
+}
+
+impl Iterator for RowCells<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let c = self.next;
+        if let Some(board) = self.board {
+            if c > 0 {
+                board.finish(self.row, c);
+            }
+            if c < self.cols && self.row > 0 {
+                board.wait(self.row - 1, (c + 2).min(self.cols));
+            }
+        }
+        if c == self.cols {
+            return None;
+        }
+        self.next += 1;
+        Some(c)
+    }
+}
+
+/// [`run_pipeline`]'s progress, shared by its workers.
+#[derive(Debug)]
+struct Board {
+    progress: Mutex<Progress>,
+    changed: Condvar,
+}
+
+#[derive(Debug)]
+struct Progress {
+    /// Finished cells per row; a row finishes its cells in column order.
+    done: Vec<usize>,
+    /// Set once a worker panicked.
+    aborted: bool,
+}
+
+/// The payload of a worker that unwound because another one panicked.
+struct Aborted;
+
+impl Board {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Progress> {
+        // Each update stores one count or the flag, so the progress is
+        // valid even if its holder panicked.
+        self.progress.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Records that `row` has finished its first `cells` cells.
+    fn finish(&self, row: usize, cells: usize) {
+        let mut progress = self.lock();
+        progress.done[row] = progress.done[row].max(cells);
+        drop(progress);
+        self.changed.notify_all();
+    }
+
+    /// Blocks until `row` has finished `cells` cells, and unwinds
+    /// instead once a worker has panicked.
+    fn wait(&self, row: usize, cells: usize) {
+        let mut progress = self.lock();
+        while progress.done[row] < cells && !progress.aborted {
+            progress = self.changed.wait(progress).unwrap_or_else(PoisonError::into_inner);
+        }
+        let aborted = progress.aborted;
+        drop(progress);
+        if aborted {
+            panic::resume_unwind(Box::new(Aborted));
+        }
+    }
+
+    fn abort(&self) {
+        self.lock().aborted = true;
+        self.changed.notify_all();
+    }
 }
 
 #[cfg(test)]
@@ -242,6 +429,129 @@ mod tests {
                 inner.iter().sum::<usize>()
             });
             assert_eq!(out, vec![6, 22, 38, 54], "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn pipeline_rows_come_back_in_row_order() {
+        for threads in 1..=4 {
+            let budget = ThreadBudget::new(threads);
+            let out = run_pipeline(&budget, 9, 5, |r, cells| {
+                cells.map(|c| r * 10 + c).collect::<Vec<_>>()
+            });
+            let want: Vec<Vec<usize>> =
+                (0..9).map(|r| (0..5).map(|c| r * 10 + c).collect()).collect();
+            assert_eq!(out, want, "threads = {threads}");
+            assert_eq!(
+                budget.claim(usize::MAX),
+                threads - 1,
+                "permits returned, threads = {threads}"
+            );
+        }
+    }
+
+    /// Every cell starts after its row's previous cell and after cell
+    /// `(r - 1, min(c + 1, cols - 1))` ended, read off one global
+    /// sequence stamp. With helpers, cell `(0, 2)` also holds until row
+    /// 1, which another worker plays, has ended cell 0 and then gives
+    /// row 1 a window to start cell 1 too early, so a rule that waited
+    /// only for `(r - 1, c)` shows here on every run.
+    #[test]
+    fn pipeline_cells_wait_for_their_dependencies() {
+        const ROWS: usize = 12;
+        const COLS: usize = 6;
+        for threads in 1..=4 {
+            let budget = ThreadBudget::new(threads);
+            let clock = AtomicUsize::new(0);
+            let started: Vec<AtomicUsize> = (0..ROWS * COLS).map(|_| AtomicUsize::new(0)).collect();
+            let ended: Vec<AtomicUsize> = (0..ROWS * COLS).map(|_| AtomicUsize::new(0)).collect();
+            let stamp = || clock.fetch_add(1, Ordering::SeqCst) + 1;
+            let at = |v: &[AtomicUsize], r: usize, c: usize| v[r * COLS + c].load(Ordering::SeqCst);
+            run_pipeline(&budget, ROWS, COLS, |r, cells| {
+                for c in cells {
+                    started[r * COLS + c].store(stamp(), Ordering::SeqCst);
+                    if threads > 1 && (r, c) == (0, 2) {
+                        while at(&ended, 1, 0) == 0 {
+                            std::thread::yield_now();
+                        }
+                        let window = std::time::Instant::now();
+                        while at(&started, 1, 1) == 0
+                            && window.elapsed() < std::time::Duration::from_millis(50)
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
+                    ended[r * COLS + c].store(stamp(), Ordering::SeqCst);
+                }
+            });
+            for r in 0..ROWS {
+                for c in 0..COLS {
+                    let start = at(&started, r, c);
+                    if c > 0 {
+                        assert!(
+                            start > at(&ended, r, c - 1),
+                            "threads = {threads}: ({r}, {c}) after ({r}, {})",
+                            c - 1
+                        );
+                    }
+                    if r > 0 {
+                        let dep = (c + 1).min(COLS - 1);
+                        assert!(
+                            start > at(&ended, r - 1, dep),
+                            "threads = {threads}: ({r}, {c}) started before ({}, {dep}) ended",
+                            r - 1
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pipeline_propagates_a_panicking_cell() {
+        for threads in 1..=4 {
+            let budget = ThreadBudget::new(threads);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_pipeline(&budget, 8, 5, |r, cells| {
+                    for c in cells {
+                        assert!((r, c) != (3, 2), "cell (3, 2) fails deliberately");
+                    }
+                    r
+                })
+            }));
+            let payload = result.expect_err("panic must propagate");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            assert_eq!(message, Some("cell (3, 2) fails deliberately"), "threads = {threads}");
+            assert_eq!(
+                budget.claim(usize::MAX),
+                threads - 1,
+                "permits returned, threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn pipeline_handles_few_rows_and_one_column() {
+        for threads in 1..=4 {
+            let budget = ThreadBudget::new(threads);
+            let two_rows = run_pipeline(&budget, 2, 3, |r, cells| (r, cells.count()));
+            assert_eq!(two_rows, vec![(0, 3), (1, 3)], "threads = {threads}");
+            let one_col = run_pipeline(&budget, 7, 1, |r, cells| (r, cells.collect::<Vec<_>>()));
+            assert_eq!(
+                one_col,
+                (0..7).map(|r| (r, vec![0])).collect::<Vec<_>>(),
+                "threads = {threads}"
+            );
+            let no_rows: Vec<usize> = run_pipeline(&budget, 0, 4, |r, _| r);
+            assert!(no_rows.is_empty());
+            assert_eq!(
+                budget.claim(usize::MAX),
+                threads - 1,
+                "permits returned, threads = {threads}"
+            );
         }
     }
 }

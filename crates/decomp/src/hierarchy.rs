@@ -20,17 +20,16 @@
 //!
 //! # Staged parallel construction
 //!
-//! The recursion decomposes into independent tasks: within one
-//! cut-matching iteration the per-part probe/replay/split work touches
-//! only that part's state, and sibling subtrees share nothing but round
-//! accounting. [`Hierarchy::build`] therefore runs as a staged
-//! pipeline: probe proposals execute in parallel (packing stays
-//! sequential per iteration — the parts share the host's edge budget),
-//! and sibling subtrees build into private node arenas with private
-//! [`RoundLedger`]s that splice back in part order. The arena splice
-//! reproduces the sequential DFS numbering exactly, so the output is
-//! byte-identical for every thread count
-//! ([`HierarchyParams::threads`]).
+//! A cut-matching game's cell (iteration, part) reads only its own
+//! iteration's packer and the state its part's previous cell left, and
+//! sibling subtrees share nothing but round accounting.
+//! [`Hierarchy::build`] therefore runs as a staged pipeline: a game's
+//! iterations run as pipelined rows across the build threads, each cell
+//! waiting for exactly the cells it reads, and sibling subtrees build
+//! into private node arenas with private [`RoundLedger`]s that splice
+//! back in part order. The arena splice reproduces the sequential DFS
+//! numbering exactly, so the output is byte-identical for every thread
+//! count ([`HierarchyParams::threads`]).
 
 use crate::cut_player::{deviation_mass, median_split, probe_vector, replay_walk};
 use crate::host::HostGraph;
@@ -39,6 +38,7 @@ use congest_sim::{cost, parallel, RoundLedger, ThreadBudget};
 use expander_graphs::{Embedding, Graph, GraphEdit, Path, VertexId};
 use std::error::Error;
 use std::fmt;
+use std::sync::Mutex;
 
 /// Index of a node inside a [`Hierarchy`].
 pub type NodeId = usize;
@@ -604,13 +604,19 @@ struct GamePart {
     embedding: Embedding,
 }
 
-/// One part's cut proposal for an iteration, produced by the parallel
-/// probe stage and consumed by the sequential packing stage.
-enum Proposal {
-    /// The part's deviation mass vanished: it is mixed.
-    Mixed,
-    /// A bisection of the active set, ready for the matching player.
-    Cut { sources: Vec<u32>, sinks: Vec<u32> },
+/// One part's state in the cut-matching game, carried from iteration
+/// to iteration.
+struct PartState {
+    /// Host-locals still active: the sources a failed match
+    /// deactivated are gone.
+    active: Vec<u32>,
+    /// The matchings so far, as host-local pairs, for the probe's
+    /// replay.
+    history: Vec<Vec<(u32, u32)>>,
+    /// The union of the part's matchings, as its embedding in the host.
+    embedding: Embedding,
+    /// The part's deviation mass vanished; it plays no further cell.
+    mixed: bool,
 }
 
 impl Builder<'_, '_> {
@@ -619,14 +625,19 @@ impl Builder<'_, '_> {
     /// is connected), charging construction rounds at flattened
     /// quality `flat_quality`.
     ///
-    /// Each iteration runs in two stages. The *probe* stage computes
-    /// every part's replayed projection and cut proposal — work that
-    /// depends only on that part's own history, so it fans out across
-    /// the thread budget. The *packing* stage then consumes the
-    /// proposals strictly sequentially in the rotated part order: the
-    /// parts share one [`Packer`]'s edge budget (the games run
-    /// "simultaneously" in the paper), so capacity consumption must
-    /// stay ordered.
+    /// Iteration `i` plays its parts in the rotated order
+    /// `p = (j + i) mod t`, `j = 0..t`, so no part always packs last;
+    /// cell `(i, j)` probes part `p`, bisects it and packs the matching
+    /// on iteration `i`'s own [`Packer`], whose edge budget the parts
+    /// share (the games run "simultaneously" in the paper). A cell reads
+    /// only the loads the cells before it left in that packer and part
+    /// `p`'s state after cell `(i - 1, (j + 1) mod t)`, so the
+    /// iterations run as [`parallel::run_pipeline`]'s rows across the
+    /// thread budget, each charging its own ledger, merged in iteration
+    /// order. Every cell sees what it would see in a sequential loop,
+    /// so the outcome is the same at every thread count. A mixed part
+    /// skips its later cells without a charge, so the game needs no
+    /// early exit once every part has mixed.
     fn partition_game(
         &mut self,
         host: &HostGraph,
@@ -642,23 +653,35 @@ impl Builder<'_, '_> {
             vertices.chunks(n_part.max(1)).map(<[VertexId]>::to_vec).collect();
         let t = parts.len();
         let host_diam = u64::from(diameter);
+        let quality = flat_quality as u64;
+        let mut cfg = ctx.params.escalation;
+        cfg.dilation_cap = cfg.dilation_cap.max(2 * host_diam as u32 + 2);
 
-        // Per-part state.
-        let mut active: Vec<Vec<u32>> =
-            parts.iter().map(|p| p.iter().map(|&v| host.to_local(v)).collect()).collect();
-        let mut history: Vec<Vec<Vec<(u32, u32)>>> = vec![Vec::new(); t]; // local pairs
-        let mut embeddings: Vec<Embedding> = vec![Embedding::new(); t];
-        let mut mixed = vec![false; t];
-        // Scratch for the dead-source sweep (reset between uses).
-        let mut dead_mark = vec![false; host_n];
+        // A part's state is touched only by its own cells, one at a
+        // time in iteration order (the pipeline's waits), so each lock
+        // is uncontended.
+        let states: Vec<Mutex<PartState>> = parts
+            .iter()
+            .map(|p| {
+                Mutex::new(PartState {
+                    active: p.iter().map(|&v| host.to_local(v)).collect(),
+                    history: Vec::new(),
+                    embedding: Embedding::new(),
+                    mixed: false,
+                })
+            })
+            .collect();
 
-        for iter in 0..ctx.lambda {
-            // Probe stage: per-part proposals, in parallel. A part's
-            // probe is a pure function of its own history/active state
-            // from previous iterations, so the fan-out is exact.
-            let mut proposals: Vec<Option<Proposal>> = parallel::run_tasks(&ctx.budget, t, |pi| {
-                if mixed[pi] || active[pi].len() < 4 {
-                    return None;
+        let ledgers = parallel::run_pipeline(&ctx.budget, ctx.lambda as usize, t, |iter, cells| {
+            let mut packer = Packer::new(host);
+            let mut ledger = RoundLedger::new();
+            // Scratch for the dead-source sweep (reset between uses).
+            let mut dead_mark = vec![false; host_n];
+            for j in cells {
+                let pi = (j + iter) % t;
+                let mut part = states[pi].lock().expect("no cell panics holding its part");
+                if part.mixed || part.active.len() < 4 {
+                    continue;
                 }
                 // Fresh probe, replayed through this part's history
                 // (exactly R_{i-1}·r, see cut_player docs).
@@ -673,88 +696,66 @@ impl Builder<'_, '_> {
                 for (i, &v) in parts[pi].iter().enumerate() {
                     probe[host.to_local(v) as usize] = fresh[i];
                 }
-                replay_walk(&history[pi], &mut probe);
-                let mass = deviation_mass(&probe, &active[pi]);
-                if mass < 1e-12 {
-                    return Some(Proposal::Mixed);
+                replay_walk(&part.history, &mut probe);
+                if deviation_mass(&probe, &part.active) < 1e-12 {
+                    part.mixed = true;
+                    continue;
                 }
-                let mu: Vec<f64> = active[pi].iter().map(|&l| probe[l as usize]).collect();
+                let mu: Vec<f64> = part.active.iter().map(|&l| probe[l as usize]).collect();
                 let sep = median_split(&mu);
-                let sources: Vec<u32> = sep.al.iter().map(|&i| active[pi][i]).collect();
-                let sinks: Vec<u32> = sep.ar.iter().map(|&i| active[pi][i]).collect();
-                Some(Proposal::Cut { sources, sinks })
-            });
-
-            // Packing stage: strictly sequential, shared edge budget.
-            let mut packer = Packer::new(host);
-            let mut progress = false;
-            for pi_raw in 0..t {
-                // Rotate processing order so no part always packs last.
-                let pi = (pi_raw + iter as usize) % t;
-                let (sources, sinks) = match proposals[pi].take() {
-                    None => continue,
-                    Some(Proposal::Mixed) => {
-                        mixed[pi] = true;
-                        continue;
-                    }
-                    Some(Proposal::Cut { sources, sinks }) => (sources, sinks),
-                };
+                let sources: Vec<u32> = sep.al.iter().map(|&i| part.active[i]).collect();
                 let mut sink_cap = vec![0u32; host_n];
-                for &s in &sinks {
-                    sink_cap[s as usize] = 1;
+                for &i in &sep.ar {
+                    sink_cap[part.active[i] as usize] = 1;
                 }
-                let mut cfg = ctx.params.escalation;
-                cfg.dilation_cap = cfg.dilation_cap.max(2 * host_diam as u32 + 2);
                 let m = pack_matching_with(&mut packer, &sources, &mut sink_cap, cfg);
                 // Charge: cut player replays `iter` matchings (one H_X
                 // round each) plus a diameter-bounded selection, then
                 // the matching player's BFS phases and the path test.
-                self.ledger.charge(
+                ledger.charge(
                     "pre/hierarchy/cut-player",
-                    cost::virtual_rounds(flat_quality as u64, iter as u64 + 1)
-                        + cost::diameter_primitive(host_diam, flat_quality as u64),
+                    cost::virtual_rounds(quality, iter as u64 + 1)
+                        + cost::diameter_primitive(host_diam, quality),
                 );
-                self.ledger.charge(
+                ledger.charge(
                     "pre/hierarchy/matching-player",
-                    cost::virtual_rounds(
-                        flat_quality as u64,
-                        m.phases as u64 * m.final_dilation_cap as u64,
-                    ) + cost::route_once(&m.embedding.to_path_set()) * (flat_quality as u64).pow(2),
+                    cost::virtual_rounds(quality, m.phases as u64 * m.final_dilation_cap as u64)
+                        + cost::route_once(&m.embedding.to_path_set()) * quality.pow(2),
                 );
-                if !m.embedding.is_empty() {
-                    progress = true;
-                }
                 let MatchingPacking { embedding, unmatched, .. } = m;
                 let local_pairs: Vec<(u32, u32)> = embedding
                     .virtual_edges()
                     .iter()
                     .map(|&(a, b)| (host.to_local(a), host.to_local(b)))
                     .collect();
-                history[pi].push(local_pairs);
-                embeddings[pi] = std::mem::take(&mut embeddings[pi]).union(embedding);
+                part.history.push(local_pairs);
+                part.embedding = std::mem::take(&mut part.embedding).union(embedding);
                 // Deactivate unmatched sources (sparse-cut side) with a
                 // mark sweep over host-locals.
                 if !unmatched.is_empty() {
                     for &v in &unmatched {
                         dead_mark[host.to_local(v) as usize] = true;
                     }
-                    active[pi].retain(|&l| !dead_mark[l as usize]);
+                    part.active.retain(|&l| !dead_mark[l as usize]);
                     for &v in &unmatched {
                         dead_mark[host.to_local(v) as usize] = false;
                     }
                 }
             }
-            if !progress && mixed.iter().all(|&m| m) {
-                break;
-            }
+            ledger
+        });
+        for ledger in &ledgers {
+            self.ledger.merge(ledger);
         }
 
         // Collect survivors and the leftover pool.
         let mut out_parts = Vec::new();
         let mut leftover: Vec<VertexId> = Vec::new();
-        for pi in 0..t {
+        for (pi, state) in states.into_iter().enumerate() {
+            let PartState { active, embedding: part_embedding, .. } =
+                state.into_inner().expect("no cell panics holding its part");
             let survivors: Vec<VertexId> = {
-                let mut s: Vec<VertexId> = active[pi].iter().map(|&l| host.to_global(l)).collect();
+                let mut s: Vec<VertexId> = active.iter().map(|&l| host.to_global(l)).collect();
                 s.sort_unstable();
                 s
             };
@@ -769,7 +770,7 @@ impl Builder<'_, '_> {
             // cloned.
             let mut edges = Vec::new();
             let mut embedding = Embedding::new();
-            let (vedges, vpaths) = std::mem::take(&mut embeddings[pi]).into_parts();
+            let (vedges, vpaths) = part_embedding.into_parts();
             for ((a, b), p) in vedges.into_iter().zip(vpaths) {
                 if survivors.binary_search(&a).is_ok() && survivors.binary_search(&b).is_ok() {
                     edges.push((a, b));
